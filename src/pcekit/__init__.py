@@ -23,7 +23,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .multiindex import TENSOR_PRODUCT, TOTAL_ORDER, Neighborhood, cardinality, enumerate_indices
-from .polybasis import eval_basis_product, legendre_eval, legendre_norm
+from .polybasis import legendre_eval
 from .quadrature import (
     GridQuadrature,
     QuadratureRule1D,
@@ -82,7 +82,6 @@ __all__ = [
     "clenshaw_curtis_1d",
     "empirical_distribution",
     "enumerate_indices",
-    "eval_basis_product",
     "evaluate_batch",
     "full_grid",
     "full_report",
@@ -90,7 +89,6 @@ __all__ = [
     "integrate",
     "latin_hypercube",
     "legendre_eval",
-    "legendre_norm",
     "load",
     "rescale",
     "rmse",

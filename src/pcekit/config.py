@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +106,26 @@ def _expect(mapping: dict, key: str, kind, context: str):
     return value
 
 
+def _float(value, name: str) -> float:
+    """A finite JSON number; booleans, strings and out-of-range integers are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _int(value, name: str, low: int | None = None) -> int:
+    """A JSON integer (or integral float) of at least `low`; booleans and strings are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _parse_inputs(raw: list, context: str) -> tuple[InputVariable, ...]:
     if not raw:
         raise ConfigurationError(f"{context} must list at least one input variable")
@@ -113,9 +135,11 @@ def _parse_inputs(raw: list, context: str) -> tuple[InputVariable, ...]:
             raise ConfigurationError(f"{context}[{i}] must be an object")
         _reject_unknown(entry, {"name", "min", "max"}, f"{context}[{i}]")
         name = _expect(entry, "name", str, f"{context}[{i}]")
-        low = _expect(entry, "min", (int, float), f"{context}[{i}]")
-        high = _expect(entry, "max", (int, float), f"{context}[{i}]")
-        out.append(InputVariable(name, float(low), float(high)))
+        low, high = (
+            _float(_expect(entry, key, object, f"{context}[{i}]"), f"{context}[{i}].{key}")
+            for key in ("min", "max")
+        )
+        out.append(InputVariable(name, low, high))
     return tuple(out)
 
 
@@ -124,6 +148,8 @@ def _parse_model(raw: dict, inputs, outputs) -> ModelSpec:
     input_names = tuple(var.name for var in inputs)
     if kind == BUILTIN:
         _reject_unknown(raw, {"kind", "name", "parameters"}, "model")
+        if not isinstance(raw.get("parameters", {}), dict):
+            raise ConfigurationError("model.parameters must be an object")
         return ModelSpec(
             kind=BUILTIN,
             input_names=input_names,
@@ -145,7 +171,9 @@ def _parse_model(raw: dict, inputs, outputs) -> ModelSpec:
             command=tuple(command),
             working_dir=str(raw.get("working_dir", ".")),
             io_format=str(raw.get("io_format", IO_ARGFILE)),
-            timeout_seconds=float(raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS)),
+            timeout_seconds=_float(
+                raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS), "model.timeout_seconds"
+            ),
         )
     raise ConfigurationError(f"model.kind must be 'builtin' or 'external', got {kind!r}")
 
@@ -154,24 +182,23 @@ def _parse_method(raw: dict) -> FullGrid | SparseGrid:
     kind = _expect(raw, "type", str, "method")
     if kind == "full-grid":
         _reject_unknown(raw, {"type", "order"}, "method")
-        return FullGrid(order=int(_expect(raw, "order", int, "method")))
+        return FullGrid(order=_int(_expect(raw, "order", object, "method"), "method.order"))
     if kind == "sparse-grid":
         _reject_unknown(raw, {"type", "level"}, "method")
-        return SparseGrid(level=int(_expect(raw, "level", int, "method")))
+        return SparseGrid(level=_int(_expect(raw, "level", object, "method"), "method.level"))
     raise ConfigurationError(f"method.type must be 'full-grid' or 'sparse-grid', got {kind!r}")
 
 
 def _parse_validation(raw: dict) -> ValidationSettings:
     _reject_unknown(raw, {"lhs_strata", "lhs_repeats", "seed"}, "validation")
     defaults = ValidationSettings()
-    settings = ValidationSettings(
-        lhs_strata=int(raw.get("lhs_strata", defaults.lhs_strata)),
-        lhs_repeats=int(raw.get("lhs_repeats", defaults.lhs_repeats)),
-        seed=int(raw.get("seed", defaults.seed)),
+    lows = {"lhs_strata": 1, "lhs_repeats": 1, "seed": 0}
+    return ValidationSettings(
+        **{
+            key: _int(raw.get(key, getattr(defaults, key)), f"validation.{key}", low)
+            for key, low in lows.items()
+        }
     )
-    if settings.lhs_strata < 1 or settings.lhs_repeats < 1:
-        raise ConfigurationError("validation.lhs_strata and lhs_repeats must be >= 1")
-    return settings
 
 
 def _parse_report(raw: dict) -> ReportSettings:
@@ -182,25 +209,19 @@ def _parse_report(raw: dict) -> ReportSettings:
     )
     defaults = ReportSettings()
     percentiles = raw.get("percentiles", list(defaults.percentiles))
-    if not isinstance(percentiles, list) or not all(
-        isinstance(q, (int, float)) and 0 <= q <= 100 for q in percentiles
-    ):
+    if not isinstance(percentiles, list):
+        raise ConfigurationError("report.percentiles must be a list of numbers in [0, 100]")
+    percentiles = tuple(_float(q, "report.percentiles entry") for q in percentiles)
+    if not all(0 <= q <= 100 for q in percentiles):
         raise ConfigurationError("report.percentiles must be numbers in [0, 100]")
-    settings = ReportSettings(
-        percentiles=tuple(float(q) for q in percentiles),
-        histogram_bins=int(raw.get("histogram_bins", defaults.histogram_bins)),
-        sobol_max_subset_size=int(
-            raw.get("sobol_max_subset_size", defaults.sobol_max_subset_size)
-        ),
-        uq_samples=int(raw.get("uq_samples", defaults.uq_samples)),
+    lows = {"histogram_bins": 1, "sobol_max_subset_size": 1, "uq_samples": 2}
+    return ReportSettings(
+        percentiles=percentiles,
+        **{
+            key: _int(raw.get(key, getattr(defaults, key)), f"report.{key}", low)
+            for key, low in lows.items()
+        },
     )
-    if settings.histogram_bins < 1:
-        raise ConfigurationError("report.histogram_bins must be >= 1")
-    if settings.sobol_max_subset_size < 1:
-        raise ConfigurationError("report.sobol_max_subset_size must be >= 1")
-    if settings.uq_samples < 2:
-        raise ConfigurationError("report.uq_samples must be >= 2")
-    return settings
 
 
 def _parse_paths(raw: dict, base: Path) -> PathSettings:

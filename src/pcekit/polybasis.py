@@ -17,8 +17,6 @@ documented extension point, not provided here.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -76,27 +74,3 @@ def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.nd
     for k in range(1, max_degree):
         table[:, k + 1] = ((2 * k + 1) * arr * table[:, k] - k * table[:, k - 1]) / (k + 1)
     return table
-
-
-def legendre_norm(n: int, *, degree_cap: int = DEGREE_CAP) -> float:
-    """Squared norm of L_n under the uniform weight 1/2: equals 1/(2n + 1)."""
-    _check_degree(n, degree_cap)
-    return 1.0 / (2 * n + 1)
-
-
-def eval_basis_product(index: Sequence[int], point: Sequence[float]) -> float:
-    """Evaluate the tensor-product basis function: the product of L_{i_j}(x_j).
-
-    `index` holds the per-dimension degrees; `point` the coordinates.  Both
-    must have the same length.
-    """
-    idx = tuple(index)
-    pt = np.asarray(point, dtype=float)
-    if len(idx) != pt.size:
-        raise ConfigurationError(
-            f"multi-index has {len(idx)} components but the point has {pt.size}"
-        )
-    value = 1.0
-    for degree, coord in zip(idx, pt):
-        value *= legendre_eval(degree, float(coord))
-    return value

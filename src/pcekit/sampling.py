@@ -187,29 +187,6 @@ def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
         handle.write(f"# {line}\n")
 
 
-def write_samples_csv(
-    dest,
-    input_names: Sequence[str],
-    inputs: np.ndarray,
-    output_names: Sequence[str],
-    outputs: np.ndarray,
-    *,
-    comments: Sequence[str] | None = None,
-) -> None:
-    """One row per point: input coordinates then output values."""
-    handle, owned = _open_dest(dest)
-    try:
-        _write_comments(handle, comments)
-        writer = csv.writer(handle)
-        writer.writerow(list(input_names) + list(output_names))
-        for row_in, row_out in zip(np.atleast_2d(inputs), np.atleast_2d(outputs)):
-            writer.writerow([format(v, ".17g") for v in row_in]
-                            + [format(v, ".17g") for v in row_out])
-    finally:
-        if owned:
-            handle.close()
-
-
 def write_cdf_csv(
     dest,
     distributions: Mapping[str, EmpiricalDistribution],

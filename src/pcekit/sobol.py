@@ -41,9 +41,17 @@ def _variance_or_raise(model: PceModel) -> np.ndarray:
     return variance
 
 
-def _contributions(model: PceModel) -> np.ndarray:
-    """Per-term variance contributions c_i^2 * prod 1/(2 i_j + 1), (terms, outputs)."""
-    return model.basis_norms()[:, None] * model.coefficients**2
+def _variance_by_pattern(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Active-variable patterns present in the model, and the variance of each.
+
+    Terms are grouped by the variables they are active on (degree > 0);
+    row k of the (patterns, outputs) table sums c_i^2 * prod 1/(2 i_j + 1)
+    over the terms active exactly on patterns[k].
+    """
+    patterns, group = np.unique(np.array(model.indices) > 0, axis=0, return_inverse=True)
+    table = np.zeros((len(patterns), len(model.output_names)))
+    np.add.at(table, group.ravel(), model.basis_norms()[:, None] * model.coefficients**2)
+    return patterns, table
 
 
 def _normalize_subset(model: PceModel, subset: Iterable[int]) -> tuple[int, ...]:
@@ -73,11 +81,9 @@ def sobol_index(model: PceModel, subset: Iterable[int], output: str | None = Non
     """
     positions = _normalize_subset(model, subset)
     variance = _variance_or_raise(model)
-    active = model._index_array > 0
-    membership = np.zeros(model.dim, dtype=bool)
-    membership[list(positions)] = True
-    mask = (active == membership).all(axis=1)
-    values = _contributions(model)[mask].sum(axis=0) / variance
+    patterns, table = _variance_by_pattern(model)
+    exact = (patterns == np.isin(np.arange(model.dim), positions)).all(axis=1)
+    values = table[exact].sum(axis=0) / variance
     return _output_column(model, output, values)
 
 
@@ -91,9 +97,8 @@ def total_index(model: PceModel, subset: int | Iterable[int], output: str | None
         subset = (int(subset),)
     positions = _normalize_subset(model, subset)
     variance = _variance_or_raise(model)
-    active = model._index_array > 0
-    mask = active[:, list(positions)].all(axis=1)
-    values = _contributions(model)[mask].sum(axis=0) / variance
+    patterns, table = _variance_by_pattern(model)
+    values = table[patterns[:, list(positions)].all(axis=1)].sum(axis=0) / variance
     return _output_column(model, output, values)
 
 
@@ -202,20 +207,17 @@ def full_report(model: PceModel, max_subset_size: int) -> SobolReport:
             f"max subset size must be in [1, {model.dim}], got {max_subset_size}"
         )
     variance = _variance_or_raise(model)
-    contributions = _contributions(model)
-    active = model._index_array > 0
+    patterns, table = _variance_by_pattern(model)
+    shares = table / variance
+    by_subset = {tuple(np.flatnonzero(pattern)): row for pattern, row in zip(patterns, shares)}
+    absent = np.zeros(len(model.output_names))
 
-    indices: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, max_subset_size + 1):
-        for subset in itertools.combinations(range(model.dim), size):
-            membership = np.zeros(model.dim, dtype=bool)
-            membership[list(subset)] = True
-            mask = (active == membership).all(axis=1)
-            indices[subset] = contributions[mask].sum(axis=0) / variance
-
-    totals = {
-        u: contributions[active[:, u]].sum(axis=0) / variance for u in range(model.dim)
+    indices = {
+        subset: by_subset.get(subset, absent)
+        for size in range(1, max_subset_size + 1)
+        for subset in itertools.combinations(range(model.dim), size)
     }
+    totals = {u: shares[patterns[:, u]].sum(axis=0) for u in range(model.dim)}
     remainder = 1.0 - sum(indices.values())
     return SobolReport(
         variable_names=[var.name for var in model.inputs],

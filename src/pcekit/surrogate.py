@@ -14,6 +14,10 @@ neighbourhood of order l; in both cases the quadrature integrates the
 projection integrand exactly when the model itself is a polynomial over the
 neighbourhood.
 
+Projection and evaluation share one sum-factorised kernel for both kinds of
+neighbourhood; no (points x terms) basis matrix is formed, and points go
+through it in chunks sized by the byte budget CHUNK_BYTES.
+
 Physical inputs live on [min, max] ranges and are rescaled to [-1, 1]
 internally; the black box is always called in physical units.
 """
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import multiindex, polybasis, quadrature
-from .errors import ConfigurationError, ModelFormatError
+from .errors import ConfigurationError, EvaluationError, ModelFormatError
 
 MODEL_SCHEMA = "pcekit/pce-model"
 MODEL_SCHEMA_VERSION = 1
@@ -35,6 +39,10 @@ MODEL_SCHEMA_VERSION = 1
 # Coefficients below this relative threshold are quadrature noise; storing
 # exact zeros keeps serialized models stable.
 COEFFICIENT_SNAP = 1e-14
+
+# Byte budget for the transient arrays of one projection or evaluation
+# chunk; it sets how many points each chunk takes.
+CHUNK_BYTES = 32 * 2**20
 
 FULL_GRID = "full-grid"
 SPARSE_GRID = "sparse-grid"
@@ -94,44 +102,119 @@ def unscale(xi: float, var: InputVariable) -> float:
     return var.v_min + 0.5 * (xi + 1.0) * (var.v_max - var.v_min)
 
 
+def _columns(points: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
+    """The columns of an (M, N) point array, checked against N declared inputs."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != len(inputs):
+        raise ConfigurationError(
+            f"points have {points.shape[1]} columns but {len(inputs)} inputs are declared"
+        )
+    return points.T
+
+
 def rescale_points(values: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
     """Columnwise rescale of an (M, N) physical array onto [-1, 1]^N."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[1] != len(inputs):
-        raise ConfigurationError(
-            f"points have {values.shape[1]} columns but {len(inputs)} inputs are declared"
-        )
-    out = np.empty_like(values)
-    for j, var in enumerate(inputs):
-        out[:, j] = 2.0 * (values[:, j] - var.v_min) / (var.v_max - var.v_min) - 1.0
-    return out
+    return np.column_stack([rescale(v, var) for v, var in zip(_columns(values, inputs), inputs)])
 
 
 def unscale_points(xi: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
     """Columnwise inverse of rescale_points."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    if xi.shape[1] != len(inputs):
-        raise ConfigurationError(
-            f"points have {xi.shape[1]} columns but {len(inputs)} inputs are declared"
-        )
-    out = np.empty_like(xi)
-    for j, var in enumerate(inputs):
-        out[:, j] = var.v_min + 0.5 * (xi[:, j] + 1.0) * (var.v_max - var.v_min)
-    return out
+    return np.column_stack([unscale(x, var) for x, var in zip(_columns(xi, inputs), inputs)])
 
 
-def _basis_matrix(index_array: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate every tensor-product basis function at every point.
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique rows, and each input row's position among them.
 
-    index_array is (terms, dim) of degrees, xi is (points, dim) in
-    [-1, 1]^dim; the result is (points, terms).
+    A zero-width array has one (empty) unique row.  That case and the
+    inverse's shape, which differs across numpy releases, are settled here.
     """
-    n_points, dim = xi.shape
-    out = np.ones((n_points, index_array.shape[0]))
-    for j in range(dim):
-        table = polybasis.legendre_table(int(index_array[:, j].max()), xi[:, j])
-        out *= table[:, index_array[:, j]]
-    return out
+    if rows.shape[1] == 0:
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return unique, inverse.ravel()
+
+
+class _Half:
+    """The unique index prefixes over a run of dimensions, and their basis rows.
+
+    The unique prefixes of length k each extend one prefix of length k - 1
+    by one degree, so the rows are built one dimension at a time, with one
+    gather and one product per dimension whatever the set's shape.
+    """
+
+    def __init__(self, prefixes: np.ndarray) -> None:
+        self.size = len(prefixes)
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+        for k in range(prefixes.shape[1], 0, -1):
+            degrees = prefixes[:, k - 1]
+            prefixes, parent = _unique_rows(prefixes[:, :k - 1])
+            self.steps.insert(0, (parent, degrees))
+
+    def rows(self, xi: np.ndarray) -> np.ndarray:
+        """(points, size): per point, prod_j L_{prefix_j}(xi_j) for each prefix."""
+        rows = np.ones((len(xi), 1))
+        for column, (parent, degrees) in zip(xi.T, self.steps):
+            table = polybasis.legendre_table(int(degrees.max()), column)
+            rows = np.take(rows, parent, axis=1) * np.take(table, degrees, axis=1)
+        return rows
+
+
+class _SplitKronecker:
+    """Sum-factorised contraction over a multi-index set (Orszag 1980).
+
+    The dimensions split at s = (dim + 1) // 2.  Each term is the pair of
+    its unique A-prefix (dimensions < s) and unique B-suffix, so a point's
+    basis value for the term is W_A[a_t] * W_B[b_t], and sums over terms
+    become two small matrix products.
+    """
+
+    def __init__(self, index_array: np.ndarray) -> None:
+        self.split = (index_array.shape[1] + 1) // 2
+        prefixes, self.term_a = _unique_rows(index_array[:, :self.split])
+        suffixes, self.term_b = _unique_rows(index_array[:, self.split:])
+        self.half_a, self.half_b = _Half(prefixes), _Half(suffixes)
+
+    def _chunks(self, xi: np.ndarray, n_outputs: int):
+        """Per chunk of points: its slice, W_A and W_B."""
+        n_a, n_b = self.half_a.size, self.half_b.size
+        # rows of both halves, the (outputs x B) partial, and one temporary each
+        step = max(1, CHUNK_BYTES // (16 * (n_a + n_b + n_outputs * n_b)))
+        for start in range(0, len(xi), step):
+            chunk = xi[start:start + step]
+            yield (
+                slice(start, start + len(chunk)),
+                self.half_a.rows(chunk[:, :self.split]),
+                self.half_b.rows(chunk[:, self.split:]),
+            )
+
+    def project(self, xi: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+        """Per term t and output o, sum_q weighted[q, o] * basis_t(xi_q): (terms, outputs).
+
+        Accumulates W_A^T diag(weighted[:, o]) W_B over the points, then
+        reads each term's (a_t, b_t) entry.
+        """
+        n_outputs = weighted.shape[1]
+        gram = np.zeros((self.half_a.size, n_outputs * self.half_b.size))
+        for rows, w_a, w_b in self._chunks(xi, n_outputs):
+            right = weighted[rows, :, None] * w_b[:, None, :]
+            gram += w_a.T @ right.reshape(len(w_b), -1)
+        gram = gram.reshape(self.half_a.size, n_outputs, self.half_b.size)
+        return gram[self.term_a, :, self.term_b]
+
+    def block(self, coefficients: np.ndarray) -> np.ndarray:
+        """Coefficients scattered into a zero-padded (A, outputs * B) block."""
+        block = np.zeros((self.half_a.size, coefficients.shape[1], self.half_b.size))
+        block[self.term_a, :, self.term_b] = coefficients
+        return block.reshape(self.half_a.size, -1)
+
+    def evaluate(self, xi: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """sum_t c_t * basis_t(xi) per point, (points, outputs), as W_B . (W_A @ block)."""
+        n_outputs = block.shape[1] // self.half_b.size
+        out = np.empty((len(xi), n_outputs))
+        for rows, w_a, w_b in self._chunks(xi, n_outputs):
+            partial = (w_a @ block).reshape(len(w_a), n_outputs, self.half_b.size)
+            out[rows] = np.einsum("mob,mb->mo", partial, w_b)
+        return out
 
 
 @dataclass
@@ -172,16 +255,12 @@ class PceModel:
                 f"{len(self.indices)} indices x {len(self.output_names)} outputs"
             )
         self._index_array = np.array(self.indices, dtype=int)
-        self._tensor_coefficients: np.ndarray | None = None
+        self._kernel = _SplitKronecker(self._index_array)
+        self._block = self._kernel.block(self.coefficients)
 
     @property
     def dim(self) -> int:
         return len(self.inputs)
-
-    @property
-    def coefficient_map(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Read-only view of the coefficients keyed by multi-index."""
-        return {idx: self.coefficients[t].copy() for t, idx in enumerate(self.indices)}
 
     def basis_norms(self) -> np.ndarray:
         """Per-term squared norms: prod_j 1 / (2 i_j + 1)."""
@@ -196,74 +275,14 @@ class PceModel:
             )
         return self.evaluate_batch(v[None, :])[0]
 
-    def _tensor_layout(self) -> np.ndarray:
-        """Coefficients rearranged into C-order tensor layout, lazily cached.
-
-        Only valid for tensor-product neighbourhoods, where the terms fill
-        the whole (order+1)^dim block.
-        """
-        if self._tensor_coefficients is None:
-            shape = (self.neighborhood.order + 1,) * self.dim
-            flat = np.ravel_multi_index(self._index_array.T, shape)
-            dense = np.empty((len(self.indices), len(self.output_names)))
-            dense[flat] = self.coefficients
-            self._tensor_coefficients = dense
-        return self._tensor_coefficients
-
-    def _evaluate_tensor_chunk(self, xi: np.ndarray) -> np.ndarray:
-        """Tensor-product evaluation via one GEMM.
-
-        Splits the dimensions in two halves A|B, forms per-point Kronecker
-        rows W_A and W_B of the 1D Legendre tables, and contracts
-        out = W_B . (W_A @ C) with C reshaped to (|A| block, |B| block *
-        outputs).  Much faster than gathering a full basis matrix when the
-        term count is large.
-        """
-        tables = [
-            polybasis.legendre_table(self.neighborhood.order, xi[:, j])
-            for j in range(self.dim)
-        ]
-
-        def kron_rows(columns: list[np.ndarray]) -> np.ndarray:
-            acc = columns[0]
-            for table in columns[1:]:
-                acc = np.einsum("ma,mb->mab", acc, table).reshape(xi.shape[0], -1)
-            return acc
-
-        split = (self.dim + 1) // 2
-        w_a = kron_rows(tables[:split])
-        n_out = len(self.output_names)
-        dense = self._tensor_layout()
-        if split == self.dim:
-            return w_a @ dense
-        w_b = kron_rows(tables[split:])
-        partial = w_a @ dense.reshape(w_a.shape[1], w_b.shape[1] * n_out)
-        return np.einsum(
-            "mb,mbo->mo", w_b, partial.reshape(xi.shape[0], w_b.shape[1], n_out)
-        )
-
-    def evaluate_batch(self, points: np.ndarray, *, chunk_size: int | None = None) -> np.ndarray:
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the surrogate at many physical points, (M, outputs).
 
-        Work is chunked so transient arrays stay within a few tens of MB
-        regardless of M; tensor-product neighbourhoods take a GEMM-based
-        fast path.
+        One split-Kronecker kernel serves every neighbourhood kind; points
+        go through it in chunks, so transient memory stays near
+        CHUNK_BYTES whatever M and the term count are.
         """
-        xi = rescale_points(points, self.inputs)
-        n_terms = len(self.indices)
-        tensor_path = self.neighborhood.kind == multiindex.TENSOR_PRODUCT and n_terms > 64
-        if chunk_size is None:
-            chunk_size = max(1, 8_000_000 // max(1, n_terms)) if not tensor_path else 65536
-        out = np.empty((xi.shape[0], len(self.output_names)))
-        for start in range(0, xi.shape[0], chunk_size):
-            block = xi[start:start + chunk_size]
-            if tensor_path:
-                out[start:start + block.shape[0]] = self._evaluate_tensor_chunk(block)
-            else:
-                out[start:start + block.shape[0]] = (
-                    _basis_matrix(self._index_array, block) @ self.coefficients
-                )
-        return out
+        return self._kernel.evaluate(rescale_points(points, self.inputs), self._block)
 
     def mean(self) -> np.ndarray:
         """Analytic mean per output: the constant-term coefficient."""
@@ -320,7 +339,8 @@ def build_pce(
     `model` is called once, with the full (points, dim) array of grid points
     in physical units, and must return a (points, outputs) array (a 1D array
     is accepted for a single output).  Evaluation failures raised by the
-    model propagate and abort the build.
+    model propagate and abort the build; a non-finite output raises
+    EvaluationError naming the first point that produced one.
     """
     inputs = list(inputs)
     output_names = list(output_names)
@@ -346,15 +366,21 @@ def build_pce(
             f"model returned shape {outputs.shape}, expected "
             f"({len(grid)}, {len(output_names)})"
         )
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        raise EvaluationError(
+            "model returned a non-finite value at point "
+            f"{physical[np.argmin(finite)].tolist()}"
+        )
 
-    basis = _basis_matrix(index_array, grid.points)
+    projected = _SplitKronecker(index_array).project(
+        grid.points, grid.weights[:, None] * outputs
+    )
     prefactor = np.prod((2.0 * index_array + 1.0) / 2.0, axis=1)
-    coefficients = prefactor[:, None] * (basis.T @ (grid.weights[:, None] * outputs))
+    coefficients = prefactor[:, None] * projected
 
-    for col in range(coefficients.shape[1]):
-        scale = np.max(np.abs(coefficients[:, col]))
-        if scale > 0.0:
-            coefficients[np.abs(coefficients[:, col]) < COEFFICIENT_SNAP * scale, col] = 0.0
+    scale = np.max(np.abs(coefficients), axis=0)
+    coefficients[np.abs(coefficients) < COEFFICIENT_SNAP * scale] = 0.0
 
     if model_identity is None:
         model_identity = getattr(model, "fingerprint", None)

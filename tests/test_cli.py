@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pcekit.cli import main
 
 
@@ -71,6 +73,25 @@ class TestBuild:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["build", "--config", str(tmp_path / "nope.json")]) == 4
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"validation": {"seed": "abc"}}, "seed"),
+            (
+                {"model": {"kind": "external", "command": ["true"], "timeout_seconds": "x"}},
+                "timeout_seconds",
+            ),
+            ({"method": {"type": "full-grid", "order": True}}, "order"),
+            ({"validation": {"lhs_strata": True}}, "lhs_strata"),
+            ({"report": {"histogram_bins": 2.5}}, "histogram_bins"),
+            ({"model": {"kind": "builtin", "name": "csg-proxy", "parameters": [1]}}, "parameters"),
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path, **overrides)
+        assert main(["build", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestValidate:

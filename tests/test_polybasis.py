@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcekit.errors import ConfigurationError
-from pcekit.polybasis import (
-    eval_basis_product,
-    legendre_eval,
-    legendre_norm,
-    legendre_table,
-)
+from pcekit.polybasis import legendre_eval, legendre_table
 
 
 def test_degree_zero_is_one_everywhere():
@@ -24,11 +19,6 @@ def test_value_at_one_is_one(n):
 def test_degree_three_hand_expansion():
     # (5 x^3 - 3 x) / 2 at x = 0.5 -> (0.625 - 1.5) / 2 = -0.4375
     assert legendre_eval(3, 0.5) == pytest.approx(-0.4375, abs=1e-15)
-
-
-def test_norms():
-    assert legendre_norm(0) == 1.0
-    assert legendre_norm(2) == pytest.approx(0.2)
 
 
 def test_cross_term_orthogonality_via_quadrature():
@@ -83,19 +73,3 @@ def test_degree_guards():
     with pytest.raises(ConfigurationError):
         legendre_eval(65, 0.0)
     assert legendre_eval(65, 1.0, degree_cap=70) == pytest.approx(1.0)
-
-
-class TestBasisProduct:
-    def test_all_constant(self):
-        assert eval_basis_product((0, 0, 0, 0), (0.3, -0.9, 0.1, 0.7)) == 1.0
-
-    def test_linear_terms(self):
-        assert eval_basis_product((1, 1), (0.25, -0.5)) == pytest.approx(-0.125)
-
-    def test_mixed_degrees(self):
-        # L_2(0.5) * L_1(0.5) = ((3 * 0.25 - 1) / 2) * 0.5 = -0.0625
-        assert eval_basis_product((2, 1), (0.5, 0.5)) == pytest.approx(-0.0625, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            eval_basis_product((1, 2, 3), (0.5, 0.5))

@@ -14,7 +14,6 @@ from pcekit.sampling import (
     summarize,
     write_cdf_csv,
     write_histogram_csv,
-    write_samples_csv,
 )
 
 
@@ -186,21 +185,6 @@ class TestEmpiricalDistribution:
 
 
 class TestCsvExports:
-    def test_samples_csv(self):
-        buffer = io.StringIO()
-        write_samples_csv(
-            buffer,
-            ["a", "b"],
-            np.array([[1.0, 2.0], [3.0, 4.0]]),
-            ["y"],
-            np.array([[10.0], [20.0]]),
-            comments=["seed=1"],
-        )
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "# seed=1"
-        assert lines[1] == "a,b,y"
-        assert lines[2].split(",") == ["1", "2", "10"]
-
     def test_cdf_csv(self):
         buffer = io.StringIO()
         dist = empirical_distribution([4.0, 2.0], bins=2)

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, strategies as st
 
 import pcekit.surrogate as surrogate
 from pcekit.blackbox import BlackBoxModel, ModelSpec
-from pcekit.errors import ConfigurationError, ModelFormatError
-from pcekit.multiindex import TENSOR_PRODUCT, TOTAL_ORDER, Neighborhood
+from pcekit.errors import ConfigurationError, EvaluationError, ModelFormatError
+from pcekit.multiindex import TENSOR_PRODUCT, TOTAL_ORDER, Neighborhood, enumerate_indices
 from pcekit.polybasis import legendre_eval
-from pcekit.quadrature import full_grid, integrate
+from pcekit.quadrature import full_grid, integrate, sparse_grid
 from pcekit.surrogate import (
     FullGrid,
     InputVariable,
@@ -88,7 +89,7 @@ class TestBuild:
         # 2/3 at (0,0), (2,0), (0,2) and nothing else
         model = build_pce(example_model_1(), UNIT_SQUARE, ["value"], FullGrid(2))
         assert model.neighborhood == Neighborhood(TENSOR_PRODUCT, 2, 2)
-        coeffs = model.coefficient_map
+        coeffs = dict(zip(model.indices, model.coefficients))
         for index, expected in [((0, 0), 2 / 3), ((2, 0), 2 / 3), ((0, 2), 2 / 3)]:
             assert coeffs[index][0] == pytest.approx(expected, abs=1e-12)
         for index, values in coeffs.items():
@@ -122,7 +123,7 @@ class TestBuild:
 
         model = build_pce(example_model_2(), UNIT_SQUARE, ["value"], SparseGrid(3))
         assert model.neighborhood == Neighborhood(TOTAL_ORDER, 3, 2)
-        coeffs = model.coefficient_map
+        coeffs = dict(zip(model.indices, model.coefficients))
         for index, expected in oracle.items():
             assert coeffs[index][0] == pytest.approx(expected, abs=1e-12)
         untouched = set(coeffs) - set(oracle)
@@ -158,6 +159,16 @@ class TestBuild:
             build_pce(
                 lambda pts: np.ones((len(pts), 3)), UNIT_SQUARE, ["value"], FullGrid(1)
             )
+
+    def test_non_finite_output_names_the_point(self):
+        def blows_up(points):
+            values = points[:, :1] * 1.0
+            values[points[:, 0] > 0.5] = np.nan
+            return values
+
+        inputs = [InputVariable("k", 0.0, 1.0), InputVariable("phi", 0.0, 1.0)]
+        with pytest.raises(EvaluationError, match=r"non-finite value at point \[0\.[5-9]"):
+            build_pce(blows_up, inputs, ["y"], FullGrid(2))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
@@ -219,8 +230,6 @@ class TestEvaluate:
         rng = np.random.Generator(np.random.PCG64(3))
         inputs = [InputVariable("a", 2.0, 5.0), InputVariable("b", -3.0, -1.0)]
         nbhd = Neighborhood(TENSOR_PRODUCT, 3, 2)
-        from pcekit.multiindex import enumerate_indices
-
         terms = [
             {"orders": list(idx), "coefficients": [float(c)]}
             for idx, c in zip(enumerate_indices(nbhd), rng.normal(size=16))
@@ -240,6 +249,67 @@ class TestEvaluate:
         prediction = model.evaluate_batch(points)
         scale = np.max(np.abs(truth))
         assert np.max(np.abs(prediction - truth)) <= 1e-10 * scale
+
+
+def dense_basis(indices, xi):
+    """Reference (points, terms) basis matrix, one legendre_eval per factor."""
+    basis = np.ones((len(xi), len(indices)))
+    for t, index in enumerate(indices):
+        for j, degree in enumerate(index):
+            basis[:, t] *= legendre_eval(degree, xi[:, j])
+    return basis
+
+
+def smooth_outputs(points, n_outputs):
+    shifts = np.arange(n_outputs)[None, :]
+    return np.exp(0.4 * points.sum(axis=1))[:, None] * np.cos(points[:, :1] + shifts)
+
+
+class TestSplitKroneckerKernel:
+    @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_dense_basis(self, dim, kind):
+        inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(dim)]
+        rng = np.random.Generator(np.random.PCG64(dim))
+        probe = rng.uniform(-1, 1, size=(257, dim))
+        # sparse levels above 3 * dim are rejected by the grid
+        top = 5 if kind == TENSOR_PRODUCT else min(5, 3 * dim)
+        for order in range(1, top + 1):
+            if kind == TENSOR_PRODUCT:
+                method, grid = FullGrid(order), full_grid(dim, order)
+            else:
+                method, grid = SparseGrid(order), sparse_grid(dim, order)
+            indices = enumerate_indices(Neighborhood(kind, order, dim))
+            basis = dense_basis(indices, grid.points)
+            probe_basis = dense_basis(indices, probe)
+            prefactor = np.prod((2.0 * np.array(indices) + 1.0) / 2.0, axis=1)
+            for n_outputs in range(1, 4):
+                names = [f"y{o}" for o in range(n_outputs)]
+                model = build_pce(
+                    lambda pts: smooth_outputs(pts, n_outputs), inputs, names, method
+                )
+                outputs = smooth_outputs(grid.points, n_outputs)
+                expected = prefactor[:, None] * (basis.T @ (grid.weights[:, None] * outputs))
+                scale = np.max(np.abs(expected), axis=0)
+                assert np.all(np.abs(model.coefficients - expected) <= 1e-13 * scale)
+                values = model.evaluate_batch(probe)
+                reference = probe_basis @ model.coefficients
+                scale = np.max(np.abs(model.coefficients), axis=0)
+                assert np.all(np.abs(values - reference) <= 1e-13 * scale)
+
+    def test_projection_memory_is_bounded(self):
+        # 16807 points and terms: a dense basis matrix alone would be 2.26 GB
+        inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(5)]
+        tracemalloc.start()
+        try:
+            model = build_pce(
+                lambda pts: smooth_outputs(pts, 2), inputs, ["a", "b"], FullGrid(6)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.coefficients.shape == (16807, 2)
+        assert peak < 128 * 2**20
 
 
 class TestConvergence:

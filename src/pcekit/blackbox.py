@@ -12,7 +12,9 @@ Evaluations are memoized in an append-only JSON-lines cache.  Keys combine
 the spec fingerprint with the inputs rendered as decimal strings (17
 significant digits), so regenerated grids hit the cache reliably; every
 line carries a checksum, and corrupt lines are logged and treated as
-misses, never returned as data.  The cache location can be forced with the
+misses, never returned as data.  Fresh results are appended in batches as
+they complete (per external launch, per builtin batch), so a failed batch
+keeps what succeeded.  The cache location can be forced with the
 PCEKIT_CACHE environment variable.
 """
 from __future__ import annotations
@@ -48,6 +50,8 @@ FRESH = "fresh"
 CACHED = "cached"
 
 CACHE_ENV_VAR = "PCEKIT_CACHE"
+# Text written to the cache per write call by EvaluationCache.store_many.
+STORE_BLOCK_CHARS = 2**20
 DEFAULT_TIMEOUT_SECONDS = 3600.0
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
@@ -148,8 +152,16 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     orders = []
     coefficients = []
     for term in terms:
-        order = tuple(int(o) for o in term["orders"])
-        coeff = [float(c) for c in term["coefficients"]]
+        try:
+            order = tuple(int(o) for o in term["orders"])
+            coeff = [float(c) for c in term["coefficients"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"polynomial term {term!r} needs numeric 'orders' and 'coefficients' "
+                f"lists ({type(exc).__name__}: {exc})"
+            ) from exc
+        if min(order, default=0) < 0:
+            raise ConfigurationError(f"polynomial term {order} has a negative order")
         if len(order) != dim:
             raise ConfigurationError(
                 f"polynomial term {order} does not match {dim} declared inputs"
@@ -263,11 +275,6 @@ def builtin_function(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     return BUILTIN_MODELS[spec.name](spec)
 
 
-def render_value(v: float) -> str:
-    """Canonical decimal rendering used in cache keys and cache records."""
-    return format(float(v), ".17g")
-
-
 def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) -> str:
     payload = json.dumps(
         {"fingerprint": fingerprint, "inputs": inputs, "outputs": outputs},
@@ -302,7 +309,9 @@ class EvaluationCache:
         if self.path.exists():
             self._load()
 
-    def _load(self) -> None:
+    def _scan(self):
+        """Per non-blank line: (line number, key, outputs), with key None and
+        the error in place of the outputs when the line is corrupt."""
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -310,76 +319,93 @@ class EvaluationCache:
                     continue
                 try:
                     record = json.loads(line)
-                    fingerprint = record["fingerprint"]
-                    inputs = record["inputs"]
+                    fingerprint, inputs = record["fingerprint"], record["inputs"]
                     outputs = record["outputs"]
-                    checksum = record["checksum"]
-                    if _record_checksum(fingerprint, inputs, outputs) != checksum:
+                    if _record_checksum(fingerprint, inputs, outputs) != record["checksum"]:
                         raise ValueError("checksum mismatch")
                     key = fingerprint + "|" + ",".join(inputs)
-                    self._index[key] = tuple(float(v) for v in outputs)
+                    yield lineno, key, tuple(float(v) for v in outputs)
                 except (ValueError, KeyError, TypeError) as exc:
-                    self.corrupt_lines += 1
-                    logger.warning(
-                        "cache %s line %d is corrupt (%s); treating as a miss",
-                        self.path, lineno, exc,
-                    )
+                    yield lineno, None, exc
+
+    def _load(self) -> None:
+        for lineno, key, outputs in self._scan():
+            if key is not None:
+                self._index[key] = outputs
+                continue
+            self.corrupt_lines += 1
+            logger.warning(
+                "cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, outputs
+            )
 
     def __len__(self) -> int:
         return len(self._index)
 
     @staticmethod
+    def point_keys(fingerprint: str, points: np.ndarray) -> list[str]:
+        """One key per row of an (M, N) array: the fingerprint, "|", and the
+        row's values as canonical decimals ("%.17g"), comma-separated."""
+        points = np.asarray(points, dtype=float)
+        template = fingerprint.replace("%", "%%") + "|" + ",".join(["%.17g"] * points.shape[1])
+        return [template % tuple(row) for row in points.tolist()]
+
+    @staticmethod
     def point_key(fingerprint: str, values: Sequence[float]) -> str:
-        return fingerprint + "|" + ",".join(render_value(v) for v in values)
+        return EvaluationCache.point_keys(fingerprint, np.atleast_2d(values))[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[tuple[float, ...] | None]:
+        """The cached outputs of each key, or None where it misses."""
+        return [self._index.get(key) for key in keys]
 
     def lookup(self, fingerprint: str, values: Sequence[float]) -> tuple[float, ...] | None:
         return self._index.get(self.point_key(fingerprint, values))
 
     def store(self, fingerprint: str, values: Sequence[float], outputs: Sequence[float]) -> None:
-        inputs = [render_value(v) for v in values]
-        rendered = [render_value(v) for v in outputs]
-        record = {
-            "fingerprint": fingerprint,
-            "inputs": inputs,
-            "outputs": rendered,
-            "checksum": _record_checksum(fingerprint, inputs, rendered),
-        }
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-            self._index[fingerprint + "|" + ",".join(inputs)] = tuple(
-                float(v) for v in rendered
-            )
+        self.store_many(
+            fingerprint, [self.point_key(fingerprint, values)], np.atleast_2d(outputs)
+        )
+
+    def store_many(self, fingerprint: str, keys: Sequence[str], outputs: np.ndarray) -> None:
+        """Append one record per key (from point_keys) with its row of outputs.
+
+        Each line is the json.dumps rendering of its record.  The lines go
+        out under the lock through one open of the file, in blocks of about
+        STORE_BLOCK_CHARS characters.
+        """
+        outputs = np.asarray(outputs, dtype=float)
+        head = '{"fingerprint":' + json.dumps(fingerprint) + ',"inputs":["'
+        tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
+        cut = len(fingerprint) + 1
+        rows = [tuple(row) for row in outputs.tolist()]
+        with self._lock, open(self.path, "a", encoding="utf-8") as handle:
+            block: list[str] = []
+            size = 0
+            for key, row in zip(keys, rows):
+                # The checksum hashes the sorted-key JSON of the first three
+                # fields, which is this line's text up to the checksum.
+                body = head + key[cut:].replace(",", '","') + tail % row
+                checksum = hashlib.sha256((body + "}").encode()).hexdigest()
+                block.append(body + ',"checksum":"' + checksum + '"}\n')
+                size += len(block[-1])
+                if size >= STORE_BLOCK_CHARS:
+                    handle.write("".join(block))
+                    block, size = [], 0
+            handle.write("".join(block))
+            self._index.update(zip(keys, rows))
 
     def verify(self) -> tuple[int, int]:
         """Re-scan the file; returns (valid_lines, corrupt_lines)."""
-        valid = corrupt = 0
         if not self.path.exists():
             return 0, 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    expected = _record_checksum(
-                        record["fingerprint"], record["inputs"], record["outputs"]
-                    )
-                    if record["checksum"] != expected:
-                        raise ValueError
-                    valid += 1
-                except (ValueError, KeyError, TypeError):
-                    corrupt += 1
-        return valid, corrupt
+        corrupt = [key is None for _, key, _ in self._scan()]
+        return len(corrupt) - sum(corrupt), sum(corrupt)
 
 
-def _write_input_csv(handle, names: Sequence[str], points: np.ndarray) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(names)
-    for row in points:
-        writer.writerow([render_value(v) for v in row])
+def _input_csv(names: Sequence[str], points: np.ndarray) -> str:
+    header = io.StringIO()
+    csv.writer(header).writerow(names)
+    template = ",".join(["%.17g"] * points.shape[1]) + "\r\n"
+    return header.getvalue() + "".join([template % tuple(row) for row in points.tolist()])
 
 
 def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int) -> np.ndarray:
@@ -405,9 +431,7 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
 
 
 def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
-    buffer = io.StringIO()
-    _write_input_csv(buffer, spec.input_names, points)
-    csv_text = buffer.getvalue()
+    csv_text = _input_csv(spec.input_names, points)
 
     command = list(spec.command)
     stdin_text = None
@@ -453,27 +477,106 @@ def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
                 pass
 
 
-def _run_external_batch(spec: ModelSpec, points: np.ndarray, workers: int) -> np.ndarray:
+def _run_external_batch(
+    spec: ModelSpec,
+    points: np.ndarray,
+    workers: int,
+    commit: Callable[[np.ndarray, np.ndarray], None],
+) -> None:
     """Launch the external command over the points, retrying each launch once.
 
     With workers == 1 the whole batch goes through a single launch; more
     workers split it into that many contiguous chunks run concurrently.
+    Each chunk's (row positions, outputs) go to commit as soon as its launch
+    returns, so a failing chunk loses none of the others' results.
     """
 
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
+    def run_chunk(rows: np.ndarray) -> None:
         try:
-            return _launch_external(spec, chunk)
+            outputs = _launch_external(spec, points[rows])
         except EvaluationError as exc:
             logger.warning("external model failed (%s); retrying once", exc)
-            return _launch_external(spec, chunk)
+            outputs = _launch_external(spec, points[rows])
+        commit(rows, outputs)
 
+    rows = np.arange(len(points))
     if workers <= 1 or len(points) <= 1:
-        return run_chunk(points)
-    chunk_count = min(workers, len(points))
-    chunks = np.array_split(points, chunk_count)
-    with ThreadPoolExecutor(max_workers=chunk_count) as pool:
-        results = list(pool.map(run_chunk, chunks))
-    return np.vstack(results)
+        run_chunk(rows)
+        return
+    chunks = np.array_split(rows, min(workers, len(points)))
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        # Leaving the block waits for every chunk, so all successful chunks
+        # are committed before the first failure (in chunk order) is raised.
+        list(pool.map(run_chunk, chunks))
+
+
+def _checked_points(spec: ModelSpec, points) -> np.ndarray:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != len(spec.input_names):
+        raise ConfigurationError(
+            f"points have {points.shape[1]} columns but the model declares "
+            f"{len(spec.input_names)} inputs"
+        )
+    return points
+
+
+def _evaluate(
+    spec: ModelSpec,
+    fingerprint: str,
+    points: np.ndarray,
+    cache: EvaluationCache | None,
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs at each point, (M, outputs), and the mask of cache hits.
+
+    Hits come back bit-identically to the original evaluation.  Misses are
+    computed and committed to the cache as they complete: per external
+    chunk, and for builtins once, after the last point or before raising on
+    a failing one.
+    """
+    outputs = np.empty((len(points), len(spec.output_names)))
+    cached = np.zeros(len(points), dtype=bool)
+    keys: list[str] = []
+    if cache is not None:
+        keys = cache.point_keys(fingerprint, points)
+        hits = cache.get_many(keys)
+        cached[:] = [hit is not None for hit in hits]
+        if cached.any():
+            outputs[cached] = [hit for hit in hits if hit is not None]
+    misses = np.flatnonzero(~cached)
+    if not len(misses):
+        return outputs, cached
+
+    def commit(rows: np.ndarray, values: np.ndarray) -> None:
+        rows = misses[rows]
+        outputs[rows] = values
+        if cache is not None and len(rows):
+            cache.store_many(fingerprint, [keys[i] for i in rows], values)
+
+    if spec.kind != BUILTIN:
+        _run_external_batch(spec, points[misses], workers, commit)
+        return outputs, cached
+    func = builtin_function(spec)
+    values = np.empty((len(misses), len(spec.output_names)))
+    done = 0
+    try:
+        for point in points[misses]:
+            try:
+                value = np.asarray(func(point), dtype=float)
+            except Exception as exc:
+                raise EvaluationError(
+                    f"builtin model {spec.name!r} failed at point {point.tolist()}: {exc}"
+                ) from exc
+            if value.shape != values.shape[1:] or not np.all(np.isfinite(value)):
+                raise EvaluationError(
+                    f"builtin model {spec.name!r} returned an invalid value at "
+                    f"point {point.tolist()}"
+                )
+            values[done] = value
+            done += 1
+    finally:
+        commit(np.arange(done), values[:done])
+    return outputs, cached
 
 
 def evaluate_batch(
@@ -487,58 +590,15 @@ def evaluate_batch(
 
     Cache hits are returned bit-identically to the original evaluation;
     misses are computed (builtin call or external launch) and appended to
-    the cache before returning.  Builtin failures are reported per point.
+    the cache as they complete.  Builtin failures are reported per point.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != len(spec.input_names):
-        raise ConfigurationError(
-            f"points have {points.shape[1]} columns but the model declares "
-            f"{len(spec.input_names)} inputs"
-        )
+    points = _checked_points(spec, points)
     fingerprint = spec.fingerprint()
-    records: list[EvaluationRecord | None] = [None] * len(points)
-    miss_rows: list[int] = []
-    for i, point in enumerate(points):
-        hit = cache.lookup(fingerprint, point) if cache is not None else None
-        if hit is not None:
-            records[i] = EvaluationRecord(tuple(point), hit, CACHED, fingerprint)
-        else:
-            miss_rows.append(i)
-
-    if miss_rows:
-        miss_points = points[miss_rows]
-        if spec.kind == BUILTIN:
-            func = builtin_function(spec)
-            outputs = np.empty((len(miss_rows), len(spec.output_names)))
-            for r, point in enumerate(miss_points):
-                try:
-                    value = np.asarray(func(point), dtype=float)
-                except Exception as exc:
-                    raise EvaluationError(
-                        f"builtin model {spec.name!r} failed at point "
-                        f"{point.tolist()}: {exc}"
-                    ) from exc
-                if value.shape != (len(spec.output_names),) or not np.all(np.isfinite(value)):
-                    raise EvaluationError(
-                        f"builtin model {spec.name!r} returned an invalid value at "
-                        f"point {point.tolist()}"
-                    )
-                outputs[r] = value
-        else:
-            outputs = _run_external_batch(spec, miss_points, workers)
-        for r, i in enumerate(miss_rows):
-            if cache is not None:
-                cache.store(fingerprint, points[i], outputs[r])
-                stored = cache.lookup(fingerprint, points[i])
-            else:
-                stored = tuple(float(v) for v in outputs[r])
-            records[i] = EvaluationRecord(tuple(points[i]), stored, FRESH, fingerprint)
-    return records  # type: ignore[return-value]
-
-
-def outputs_array(records: Sequence[EvaluationRecord]) -> np.ndarray:
-    """Stack record outputs into an (M, outputs) array."""
-    return np.array([record.output for record in records])
+    outputs, cached = _evaluate(spec, fingerprint, points, cache, workers)
+    return [
+        EvaluationRecord(tuple(point), tuple(output), CACHED if hit else FRESH, fingerprint)
+        for point, output, hit in zip(points.tolist(), outputs.tolist(), cached.tolist())
+    ]
 
 
 class BlackBoxModel:
@@ -565,9 +625,10 @@ class BlackBoxModel:
         self._lock = threading.Lock()
 
     def __call__(self, points) -> np.ndarray:
-        records = evaluate_batch(self.spec, points, cache=self.cache, workers=self.workers)
-        fresh = sum(1 for r in records if r.source == FRESH)
+        points = _checked_points(self.spec, points)
+        outputs, cached = _evaluate(self.spec, self.fingerprint, points, self.cache, self.workers)
+        hits = int(cached.sum())
         with self._lock:
-            self.fresh_count += fresh
-            self.cached_count += len(records) - fresh
-        return outputs_array(records)
+            self.fresh_count += len(points) - hits
+            self.cached_count += hits
+        return outputs

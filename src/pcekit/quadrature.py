@@ -12,14 +12,17 @@ Two 1D families are provided:
 Multi-dimensional grids are either full tensor products of Gauss-Legendre
 rules or Smolyak sparse combinations of the nested Clenshaw-Curtis rules.
 The sparse combination at level l sums signed tensor rules over the shells
-l+1 <= |k|_1 <= l+N with coefficient (-1)^(l+N-|k|_1) * C(N-1, l+N-|k|_1),
-merging coincident points; it integrates every polynomial whose term orders
-lie in the total-order neighbourhood of order 2l + 1 exactly.  Sparse-grid
-weights can be negative; that is expected and not an error.
+l+1 <= |k|_1 <= l+N with coefficient (-1)^(l+N-|k|_1) * C(N-1, l+N-|k|_1);
+it integrates every polynomial whose term orders lie in the total-order
+neighbourhood of order 2l + 1 exactly.  Nesting puts every node it uses on
+the level-(l+1) rule, so the grid lives on that rule's integer lattice
+(Gerstner & Griebel 1998): the tensor points are expanded as arrays of
+mixed-radix lattice keys and coincident points merged by key, never by
+comparing floats.  Sparse-grid weights can be negative; that is expected and
+not an error.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, IO
@@ -203,14 +206,38 @@ def _positive_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> GridQuadrature:
-    """Smolyak sparse grid over nested Clenshaw-Curtis rules.
+def _tensor_point_count(dim: int, level: int) -> int:
+    """Points summed over the Smolyak tensor terms, before merging: the
+    coefficients of (sum_k n_k x^k)^dim over the shells, in exact integers."""
+    per_level = [0] + [cc_node_count(k) for k in range(1, level + 2)]
+    ways = [1]
+    for _ in range(dim):
+        ways = [
+            sum(ways[s - k] * n for k, n in enumerate(per_level) if 0 <= s - k < len(ways))
+            for s in range(len(ways) + level + 1)
+        ]
+    return sum(ways[level + 1:level + dim + 1])
 
-    Coincident points across the signed tensor terms are merged by exact
-    floating-point equality (safe because every coordinate comes from the
-    same mirrored cosine evaluations) and their signed weights summed in a
-    fixed term order, so the grid is deterministic.  Points come out in
-    ascending lexicographic order.
+
+def _decode(keys: np.ndarray, prefixes: np.ndarray, radix: int, width: int) -> np.ndarray:
+    """Lattice rows of keys made of a prefix rank and `width` base-radix digits."""
+    digits = np.empty((len(keys), width), dtype=np.int64)
+    for column in range(width - 1, -1, -1):
+        keys, digits[:, column] = np.divmod(keys, radix)
+    return np.hstack([prefixes[keys], digits])
+
+
+def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> GridQuadrature:
+    """Smolyak sparse grid over nested Clenshaw-Curtis rules, on an integer lattice.
+
+    Every rule up to level + 1 has its nodes on the finest rule's, so a
+    point is a row of lattice positions with a mixed-radix int64 key.  The
+    tensor terms are expanded all at once, one dimension at a time, into
+    keys and weights coeff * w_0 * w_1 * ...; weights of equal keys are
+    summed in term order.  Points and weights equal, bit for bit, merging
+    the float points one term at a time, and come out in ascending
+    lexicographic order.  The cap bounds the points before merging, which
+    size every array here, and is checked before any is allocated.
     """
     if dim < 1:
         raise ConfigurationError(f"grid dimension must be >= 1, got {dim}")
@@ -224,30 +251,57 @@ def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> Gr
             f"sparse level {level} needs 1D Clenshaw-Curtis level {level + 1}, "
             f"above the cap of {MAX_CC_LEVEL}"
         )
+    count = _tensor_point_count(dim, level)
+    if count > point_cap:
+        raise ConfigurationError(
+            f"sparse grid at level {level} in dimension {dim} has {count} tensor "
+            f"points before merging, above the cap of {point_cap}"
+        )
 
-    rules = {k: clenshaw_curtis_1d(k) for k in range(1, level + 2)}
-    merged: dict[tuple[float, ...], float] = {}
-    for shell in range(level + 1, level + dim + 1):
-        coeff = (-1.0) ** (level + dim - shell) * math.comb(dim - 1, level + dim - shell)
-        for k in _positive_compositions(shell, dim):
-            node_axes = [rules[kj].nodes for kj in k]
-            weight_axes = [rules[kj].weights for kj in k]
-            for combo in itertools.product(*(range(len(axis)) for axis in node_axes)):
-                point = tuple(node_axes[j][combo[j]] for j in range(dim))
-                w = coeff
-                for j in range(dim):
-                    w *= weight_axes[j][combo[j]]
-                merged[point] = merged.get(point, 0.0) + w
-            if len(merged) > point_cap:
-                raise ConfigurationError(
-                    f"sparse grid at level {level} in dimension {dim} exceeds "
-                    f"the cap of {point_cap} points"
-                )
+    # Row k: the level-k rule's node count, lattice positions and weights.
+    rules = [clenshaw_curtis_1d(k) for k in range(1, level + 2)]
+    radix = len(rules[-1])
+    counts = np.array([0] + [len(rule) for rule in rules])
+    lattice = np.zeros((level + 2, radix), dtype=np.int64)
+    weight_table = np.zeros((level + 2, radix))
+    for k, rule in enumerate(rules, start=1):
+        lattice[k, :len(rule)] = np.searchsorted(rules[-1].nodes, rule.nodes)
+        weight_table[k, :len(rule)] = rule.weights
 
-    ordered = sorted(merged.items())
-    points = np.array([pt for pt, _ in ordered])
-    weights = np.array([w for _, w in ordered])
-    return GridQuadrature(dim, points, weights, {"method": "sparse-grid", "level": level})
+    terms = [
+        (k, (-1.0) ** (level + dim - shell) * math.comb(dim - 1, level + dim - shell))
+        for shell in range(level + 1, level + dim + 1)
+        for k in _positive_compositions(shell, dim)
+    ]
+    levels = np.array([k for k, _ in terms], dtype=np.int64).reshape(len(terms), dim)
+
+    # Each row splits into one per node of its term's rule in the next
+    # dimension, the last dimension fastest, as in a product over the axes.
+    term, weight = np.arange(len(terms)), np.array([c for _, c in terms])
+    keys = np.zeros(len(terms), dtype=np.int64)
+    prefixes = np.zeros((1, 0), dtype=np.int64)  # the lattice rows key ranks stand for
+    bound = 1  # every key is below it
+    for j in range(dim):
+        if bound * radix > np.iinfo(np.int64).max:
+            # Another digit would overflow: rank the keys, keeping order.
+            unique, keys = np.unique(keys, return_inverse=True)
+            prefixes = _decode(unique, prefixes, radix, j - prefixes.shape[1])
+            keys, bound = keys.ravel(), len(unique)
+        n = counts[levels[term, j]]
+        parent = np.repeat(np.arange(len(term)), n)
+        local = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n, n)
+        term = term[parent]
+        k = levels[term, j]
+        weight = weight[parent] * weight_table[k, local]
+        keys = keys[parent] * radix + lattice[k, local]
+        bound *= radix
+    del term, parent, local, k  # only keys and weights go on to the merge
+
+    unique, inverse = np.unique(keys, return_inverse=True)
+    merged = np.zeros(len(unique))
+    np.add.at(merged, inverse.ravel(), weight)
+    points = rules[-1].nodes[_decode(unique, prefixes, radix, dim - prefixes.shape[1])]
+    return GridQuadrature(dim, points, merged, {"method": "sparse-grid", "level": level})
 
 
 def integrate(grid: GridQuadrature, f: Callable[[np.ndarray], float]) -> float:

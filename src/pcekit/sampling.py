@@ -9,6 +9,7 @@ because goldens depend on it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -16,6 +17,9 @@ import numpy as np
 
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
+
+# Rows formatted per write by the CSV writers below.
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -187,31 +191,51 @@ def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
         handle.write(f"# {line}\n")
 
 
+def _csv_cell(text: str) -> str:
+    """One cell as csv.writer renders it, quoted where needed."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow([text, ""])
+    return buffer.getvalue()[:-1]
+
+
+def _write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
+    """Rows of equal-length columns through one %-template, in blocks of
+    CSV_BLOCK_ROWS rows, so no table of Python objects outlives a block."""
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [column[start:start + CSV_BLOCK_ROWS].tolist() for column in columns]
+        handle.write("".join([template % row for row in zip(*block)]))
+
+
 def write_cdf_csv(
     dest,
     distributions: Mapping[str, EmpiricalDistribution],
     *,
     comments: Sequence[str] | None = None,
 ) -> None:
-    """Per output: a value column and a cumulative-probability column."""
+    """Per output: a value column and a cumulative-probability column.
+
+    Cells use 17 significant digits, rows end in CRLF as csv.writer's do,
+    and an output with fewer samples than the longest leaves its cells blank.
+    """
     handle, owned = _open_dest(dest)
     try:
         _write_comments(handle, comments)
-        writer = csv.writer(handle)
         names = list(distributions)
-        writer.writerow(
+        csv.writer(handle).writerow(
             sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
         )
-        length = max(d.values.size for d in distributions.values())
-        for i in range(length):
-            row = []
-            for n in names:
-                dist = distributions[n]
-                if i < dist.values.size:
-                    row += [format(dist.values[i], ".17g"), format(dist.cumulative[i], ".17g")]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+        # Between consecutive distinct lengths the outputs present stay fixed.
+        start = 0
+        for stop in sorted({d.values.size for d in distributions.values()}):
+            present = [distributions[n].values.size >= stop for n in names]
+            template = ",".join("%.17g,%.17g" if p else "," for p in present) + "\r\n"
+            columns = []
+            for name, p in zip(names, present):
+                if p:
+                    dist = distributions[name]
+                    columns += [dist.values[start:stop], dist.cumulative[start:stop]]
+            _write_rows(handle, template, columns)
+            start = stop
     finally:
         if owned:
             handle.close()
@@ -227,11 +251,10 @@ def write_histogram_csv(
     handle, owned = _open_dest(dest)
     try:
         _write_comments(handle, comments)
-        writer = csv.writer(handle)
-        writer.writerow(["output", "bin_left", "bin_right", "count"])
+        csv.writer(handle).writerow(["output", "bin_left", "bin_right", "count"])
         for name, dist in distributions.items():
-            for left, right, count in zip(dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts):
-                writer.writerow([name, format(left, ".17g"), format(right, ".17g"), int(count)])
+            template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
+            _write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])
     finally:
         if owned:
             handle.close()

@@ -24,6 +24,7 @@ internally; the black box is always called in physical units.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -255,8 +256,15 @@ class PceModel:
                 f"{len(self.indices)} indices x {len(self.output_names)} outputs"
             )
         self._index_array = np.array(self.indices, dtype=int)
-        self._kernel = _SplitKronecker(self._index_array)
-        self._block = self._kernel.block(self.coefficients)
+
+    @functools.cached_property
+    def _kernel(self) -> _SplitKronecker:
+        # Laid out on first evaluation; build_pce hands over its own.
+        return _SplitKronecker(self._index_array)
+
+    @functools.cached_property
+    def _block(self) -> np.ndarray:
+        return self._kernel.block(self.coefficients)
 
     @property
     def dim(self) -> int:
@@ -373,9 +381,8 @@ def build_pce(
             f"{physical[np.argmin(finite)].tolist()}"
         )
 
-    projected = _SplitKronecker(index_array).project(
-        grid.points, grid.weights[:, None] * outputs
-    )
+    kernel = _SplitKronecker(index_array)
+    projected = kernel.project(grid.points, grid.weights[:, None] * outputs)
     prefactor = np.prod((2.0 * index_array + 1.0) / 2.0, axis=1)
     coefficients = prefactor[:, None] * projected
 
@@ -393,7 +400,9 @@ def build_pce(
             _dt.datetime.now(_dt.timezone.utc).isoformat() if record_timestamp else None
         ),
     }
-    return PceModel(inputs, output_names, nbhd, indices, coefficients, build_meta)
+    model = PceModel(inputs, output_names, nbhd, indices, coefficients, build_meta)
+    model._kernel = kernel
+    return model
 
 
 def _format_float(x: float) -> str:

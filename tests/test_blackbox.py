@@ -1,10 +1,13 @@
+import hashlib
 import json
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from pcekit import blackbox
 from pcekit.blackbox import (
     CSG_PROXY_INPUTS,
     CSG_PROXY_OUTPUTS,
@@ -13,10 +16,13 @@ from pcekit.blackbox import (
     ModelSpec,
     builtin_function,
     evaluate_batch,
-    outputs_array,
     resolve_cache_path,
 )
 from pcekit.errors import ConfigurationError, EvaluationError
+
+
+def outputs_of(records):
+    return np.array([record.output for record in records])
 
 
 def builtin_spec(name, inputs=("x1", "x2"), outputs=("value",), parameters=None):
@@ -129,7 +135,7 @@ class TestCache:
         assert [r.source for r in first] == ["fresh"] * 3
         second = evaluate_batch(spec, points, cache=cache)
         assert [r.source for r in second] == ["cached"] * 3
-        assert outputs_array(second).tolist() == outputs_array(first).tolist()
+        assert outputs_of(second).tolist() == outputs_of(first).tolist()
 
     def test_hits_survive_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -180,6 +186,117 @@ class TestCache:
         assert resolve_cache_path(None) is None
 
 
+def json_dumps_record(fingerprint, values, outputs):
+    """A cache line rendered record by record with json.dumps."""
+    inputs = [format(float(v), ".17g") for v in values]
+    rendered = [format(float(v), ".17g") for v in outputs]
+    payload = json.dumps(
+        {"fingerprint": fingerprint, "inputs": inputs, "outputs": rendered},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    record = {
+        "fingerprint": fingerprint,
+        "inputs": inputs,
+        "outputs": rendered,
+        "checksum": hashlib.sha256(payload.encode()).hexdigest(),
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+class TestBatchedCache:
+    VALUES = np.array([
+        [0.5, -0.0, 1e-300, -2.0],
+        [1e300, 3.0, -0.1, 2.0 / 3.0],
+        [7.0, 1.0 / 3.0, 5e-324, -1e-5],
+    ])
+
+    @pytest.mark.parametrize("fingerprint", ["f" * 64, 'odd "fp" with \\, |, %s and é'])
+    def test_store_many_lines_match_json_dumps(self, tmp_path, fingerprint):
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        points, outputs = self.VALUES[:, :3], self.VALUES[:, 1:]
+        cache.store_many(fingerprint, cache.point_keys(fingerprint, points), outputs)
+        cache.store(fingerprint, points[0] + 1.0, outputs[0])
+        expected = [json_dumps_record(fingerprint, p, o) for p, o in zip(points, outputs)]
+        expected.append(json_dumps_record(fingerprint, points[0] + 1.0, outputs[0]))
+        assert (tmp_path / "cache.jsonl").read_text(encoding="utf-8") == "".join(expected)
+        reloaded = EvaluationCache(tmp_path / "cache.jsonl")
+        assert reloaded.corrupt_lines == 0
+        for p, o in zip(points, outputs):
+            assert reloaded.lookup(fingerprint, p) == tuple(o.tolist())
+            assert cache.lookup(fingerprint, p) == tuple(o.tolist())
+
+    def test_point_keys_are_17_digit_renderings(self):
+        keys = EvaluationCache.point_keys("abc", self.VALUES)
+        assert keys == [
+            "abc|" + ",".join(format(float(v), ".17g") for v in row) for row in self.VALUES
+        ]
+        assert EvaluationCache.point_key("abc", self.VALUES[1]) == keys[1]
+
+    def test_large_batch_is_written_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blackbox, "STORE_BLOCK_CHARS", 500)
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        points = np.arange(60.0).reshape(20, 3) / 7.0
+        cache.store_many("fp", cache.point_keys("fp", points), points[:, :1])
+        lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
+        assert lines == "".join(json_dumps_record("fp", p, p[:1]) for p in points)
+
+    def test_concurrent_store_many_loses_no_record(self, tmp_path):
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        batches = [np.column_stack([np.full(200, t), np.arange(200.0)]) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(cache.store_many, "fp", cache.point_keys("fp", b), b)
+                    for b in batches
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        reloaded = EvaluationCache(tmp_path / "cache.jsonl")
+        assert len(cache) == len(reloaded) == 1600 and reloaded.corrupt_lines == 0
+
+    def test_cache_written_record_by_record_loads_bit_identically(self, tmp_path):
+        spec = builtin_spec(
+            "csg-proxy",
+            inputs=tuple(n for n, _, _ in CSG_PROXY_INPUTS),
+            outputs=CSG_PROXY_OUTPUTS,
+        )
+        lo = np.array([lo for _, lo, _ in CSG_PROXY_INPUTS])
+        hi = np.array([hi for _, _, hi in CSG_PROXY_INPUTS])
+        points = lo + (hi - lo) * np.random.default_rng(5).random((50, 4))
+        fresh = BlackBoxModel(spec)(points)
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            "".join(json_dumps_record(spec.fingerprint(), p, o) for p, o in zip(points, fresh)),
+            encoding="utf-8",
+        )
+        cache = EvaluationCache(path)
+        assert cache.corrupt_lines == 0 and len(cache) == 50
+        box = BlackBoxModel(spec, cache=cache)
+        assert np.array_equal(box(points), fresh)
+        assert box.cached_count == 50 and box.fresh_count == 0
+
+    def test_builtin_failure_keeps_earlier_points(self, tmp_path):
+        spec = builtin_spec(
+            "csg-proxy",
+            inputs=tuple(n for n, _, _ in CSG_PROXY_INPUTS),
+            outputs=CSG_PROXY_OUTPUTS,
+        )
+        good = np.array([[0.01, 100.0, 0.0002, 0.5], [0.02, 400.0, 0.0002, 0.6]])
+        bad = np.array([[0.02, -1e6, 0.0002, 0.6]])  # exp overflows
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(EvaluationError, match="point"):
+            evaluate_batch(spec, np.vstack([good, bad, good + 0.001]), cache=EvaluationCache(path))
+        cache = EvaluationCache(path)
+        assert len(cache) == 2
+        records = evaluate_batch(spec, good, cache=cache)
+        assert [r.source for r in records] == ["cached", "cached"]
+
+
 ECHO_DOUBLER = """\
 import csv, sys
 
@@ -217,7 +334,7 @@ class TestExternalProtocol:
         spec = external_spec(script, io_format=io_format)
         points = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         records = evaluate_batch(spec, points)
-        assert outputs_array(records).tolist() == (2.0 * points).tolist()
+        assert outputs_of(records).tolist() == (2.0 * points).tolist()
 
     def test_fewer_rows_is_malformed(self, tmp_path):
         script = tmp_path / "short.py"
@@ -278,7 +395,39 @@ for row in data[1:]:
         spec = external_spec(script)
         points = np.arange(20.0).reshape(10, 2)
         records = evaluate_batch(spec, points, workers=3)
-        assert outputs_array(records).tolist() == (2.0 * points).tolist()
+        assert outputs_of(records).tolist() == (2.0 * points).tolist()
+
+
+FAILS_ON_MARKED_ROW = """\
+import csv, os, sys
+data = list(csv.reader(open(sys.argv[1])))
+if any(row[0] == "1" for row in data[1:]) and not os.path.exists({fixed!r}):
+    sys.exit("solver diverged")
+writer = csv.writer(sys.stdout)
+writer.writerow(["y1", "y2"])
+for row in data[1:]:
+    writer.writerow([2.0 * float(row[0]), 2.0 * float(row[1])])
+"""
+
+
+class TestResume:
+    def test_failing_chunk_keeps_the_others(self, tmp_path):
+        fixed = tmp_path / "fixed"
+        script = tmp_path / "solver.py"
+        script.write_text(FAILS_ON_MARKED_ROW.format(fixed=str(fixed)))
+        spec = external_spec(script)
+        points = np.column_stack([np.arange(8.0), np.arange(8.0) + 0.5])  # chunk 0 holds 1
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(EvaluationError, match="diverged"):
+            BlackBoxModel(spec, cache=EvaluationCache(path), workers=4)(points)
+        cache = EvaluationCache(path)
+        assert len(cache) == 6
+        assert all(cache.lookup(spec.fingerprint(), p) is not None for p in points[2:])
+
+        fixed.touch()
+        box = BlackBoxModel(spec, cache=cache, workers=4)
+        assert np.array_equal(box(points), 2.0 * points)
+        assert box.fresh_count == 2 and box.cached_count == 6
 
 
 class TestBatchSemantics:
@@ -290,7 +439,7 @@ class TestBatchSemantics:
         records = evaluate_batch(spec, points, cache=cache)
         assert [r.source for r in records] == ["fresh", "cached", "fresh"]
         expected = points[:, 0] ** 3 + points[:, 1]
-        assert np.allclose(outputs_array(records)[:, 0], expected)
+        assert np.allclose(outputs_of(records)[:, 0], expected)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="columns"):

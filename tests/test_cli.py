@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -92,6 +93,52 @@ class TestBuild:
         config = write_config(tmp_path, **overrides)
         assert main(["build", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            5,
+            {"coefficients": [1.0, 2.0]},
+            {"orders": [0, 0, 0, 0]},
+            {"orders": ["a", 0, 0, 0], "coefficients": [1.0, 2.0]},
+            {"orders": [0, 0, 0, 0], "coefficients": ["x", 2.0]},
+        ],
+        ids=["not-an-object", "no-orders", "no-coefficients", "text-order", "text-coefficient"],
+    )
+    def test_malformed_polynomial_term_is_config_error(self, tmp_path, capsys, term):
+        model = {"kind": "builtin", "name": "polynomial", "parameters": {"terms": [term]}}
+        config = write_config(tmp_path, model=model)
+        assert main(["build", "--config", str(config)]) == 2
+        assert "polynomial term" in capsys.readouterr().err
+
+    def test_failed_chunk_resumes(self, tmp_path):
+        # Grid points of the first of four chunks make the solver fail until
+        # it is fixed; the other chunks' results must survive in the cache.
+        fixed = tmp_path / "fixed"
+        solver = tmp_path / "solver.py"
+        solver.write_text(
+            "import csv, os, sys\n"
+            "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
+            f"if not os.path.exists({str(fixed)!r}) and any(float(r[0]) < 0.2 and float(r[1]) < 0.2 for r in rows):\n"
+            "    sys.exit('diverged')\n"
+            "print('y1,y2')\n"
+            "for r in rows:\n"
+            "    print(f'{float(r[0]) + float(r[1])!r},{float(r[0]) * float(r[1])!r}')\n"
+        )
+        config = write_config(
+            tmp_path,
+            model={"kind": "external", "command": [sys.executable, str(solver)]},
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}, {"name": "b", "min": 0.0, "max": 1.0}],
+            outputs=["y1", "y2"],
+        )
+        argv = ["build", "--config", str(config), "--workers", "4"]
+        assert main(argv) == 3
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 6
+        fixed.touch()
+        assert main(argv) == 0
+        log = (tmp_path / "report" / "run.log").read_text()
+        assert "cache_hits=6 cache_misses=3" in log
 
 
 class TestValidate:

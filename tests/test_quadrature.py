@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,79 @@ class TestSparseGrid:
             sparse_grid(2, 0)
         with pytest.raises(ConfigurationError, match="exactness"):
             sparse_grid(2, 7)
+
+
+def compositions(total, parts):
+    """Tuples of `parts` integers >= 1 summing to `total`, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def dict_merge_sparse_grid(dim, level):
+    """Reference: the Smolyak grid merged point by point through a dict of
+    float tuples, weights summed in term order, points sorted at the end."""
+    rules = {k: clenshaw_curtis_1d(k) for k in range(1, level + 2)}
+    merged = {}
+    for shell in range(level + 1, level + dim + 1):
+        coeff = (-1.0) ** (level + dim - shell) * math.comb(dim - 1, level + dim - shell)
+        for k in compositions(shell, dim):
+            for combo in itertools.product(*(range(len(rules[kj])) for kj in k)):
+                point = tuple(rules[kj].nodes[c] for kj, c in zip(k, combo))
+                w = coeff
+                for kj, c in zip(k, combo):
+                    w *= rules[kj].weights[c]
+                merged[point] = merged.get(point, 0.0) + w
+    ordered = sorted(merged.items())
+    return np.array([p for p, _ in ordered]), np.array([w for _, w in ordered])
+
+
+def tensor_points_oracle(dim, level):
+    return sum(
+        math.prod(cc_node_count(kj) for kj in k)
+        for shell in range(level + 1, level + dim + 1)
+        for k in compositions(shell, dim)
+    )
+
+
+class TestLatticeSparseGrid:
+    @pytest.mark.parametrize(
+        "dim,level",
+        [(d, l) for d in range(1, 7) for l in range(1, min(3 * d, 6) + 1)]
+        # wide grids whose lattice keys outgrow one int64 and get ranked
+        + [(40, 1), (28, 2)],
+    )
+    def test_bit_identical_to_dict_merge(self, dim, level):
+        points, weights = dict_merge_sparse_grid(dim, level)
+        grid = sparse_grid(dim, level)
+        assert np.array_equal(grid.points, points)
+        assert np.array_equal(grid.weights, weights)
+
+    @pytest.mark.parametrize("dim,level", [(1, 3), (2, 4), (3, 5), (4, 3)])
+    def test_tensor_point_count(self, dim, level):
+        count = tensor_points_oracle(dim, level)
+        assert len(sparse_grid(dim, level, point_cap=count)) <= count
+        with pytest.raises(ConfigurationError, match="before merging"):
+            sparse_grid(dim, level, point_cap=count - 1)
+
+    def test_cap_counts_points_before_merging(self):
+        # 15713 merged points come from 101575 tensor points
+        assert len(sparse_grid(8, 5, point_cap=101_575)) == 15713
+        with pytest.raises(ConfigurationError, match="101575"):
+            sparse_grid(8, 5, point_cap=101_574)
+
+    def test_cap_is_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="cap"):
+                sparse_grid(12, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestIntegrate:

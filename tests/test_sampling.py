@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pcekit import sampling
 from pcekit.sampling import (
     empirical_distribution,
     latin_hypercube,
@@ -202,3 +204,35 @@ class TestCsvExports:
         assert lines[0] == "output,bin_left,bin_right,count"
         assert len(lines) == 3
         assert lines[1].startswith("y,0,0.5,2")
+
+    def test_tables_match_csv_writer_rendering(self, monkeypatch):
+        # outputs of unequal lengths across block boundaries, names that
+        # need quoting, and a "%" that must not reach the row template
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(3)
+        distributions = {
+            name: empirical_distribution(rng.normal(size=size), bins=3)
+            for name, size in [("a", 9), ('b,"q"', 2), ("c%s", 13), ("d", 9)]
+        }
+        expected_cdf, expected_hist = io.StringIO(), io.StringIO()
+        for handle in (expected_cdf, expected_hist):
+            handle.write("# note\n")
+        writer = csv.writer(expected_cdf)
+        writer.writerow(sum(([f"{n}_value", f"{n}_cumulative_probability"]
+                             for n in distributions), []))
+        for i in range(13):
+            row = []
+            for dist in distributions.values():
+                row += ([format(dist.values[i], ".17g"), format(dist.cumulative[i], ".17g")]
+                        if i < dist.values.size else ["", ""])
+            writer.writerow(row)
+        writer = csv.writer(expected_hist)
+        writer.writerow(["output", "bin_left", "bin_right", "count"])
+        for name, dist in distributions.items():
+            for left, right, count in zip(dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts):
+                writer.writerow([name, format(left, ".17g"), format(right, ".17g"), int(count)])
+        cdf, hist = io.StringIO(), io.StringIO()
+        write_cdf_csv(cdf, distributions, comments=["note"])
+        write_histogram_csv(hist, distributions, comments=["note"])
+        assert cdf.getvalue() == expected_cdf.getvalue()
+        assert hist.getvalue() == expected_hist.getvalue()

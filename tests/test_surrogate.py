@@ -311,6 +311,20 @@ class TestSplitKroneckerKernel:
         assert model.coefficients.shape == (16807, 2)
         assert peak < 128 * 2**20
 
+    def test_one_build_lays_out_one_kernel(self, monkeypatch):
+        layouts = []
+        original = surrogate._SplitKronecker.__init__
+
+        def counted(kernel, index_array):
+            layouts.append(len(index_array))
+            original(kernel, index_array)
+
+        monkeypatch.setattr(surrogate._SplitKronecker, "__init__", counted)
+        inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(3)]
+        model = build_pce(lambda pts: smooth_outputs(pts, 2), inputs, ["a", "b"], SparseGrid(3))
+        model.evaluate_batch(np.zeros((4, 3)))
+        assert layouts == [len(model.indices)]
+
 
 class TestConvergence:
     def test_error_shrinks_with_order_on_smooth_model(self):

@@ -8,14 +8,23 @@ or on standard input, and must write the output rows (header = output
 names) in the same order to standard output, exiting 0.  Failed launches
 are retried once before erroring.
 
+The solver runs in a session of its own; a timeout kills its whole process
+group, so nothing it started outlives the launch.
+
 Evaluations are memoized in an append-only JSON-lines cache.  Keys combine
 the spec fingerprint with the inputs rendered as decimal strings (17
 significant digits), so regenerated grids hit the cache reliably; every
 line carries a checksum, and corrupt lines are logged and treated as
-misses, never returned as data.  Fresh results are appended in batches as
-they complete (per external launch, per builtin batch), so a failed batch
-keeps what succeeded.  The cache location can be forced with the
-PCEKIT_CACHE environment variable.
+misses, never returned as data.  The checksum is the sha256 of the compact
+sorted-key JSON of the line's other three fields, and the cache writes each
+line in exactly that byte form followed by ',"checksum":"<hex>"}'.  On
+load, a line in that canonical form whose strings hold only printable
+ASCII other than the quote and the backslash is checked against its own
+text and read by slicing; any other line is parsed and re-rendered as JSON
+for the check, which accepts and rejects the same lines.  Fresh results are
+appended in batches as they complete (per external launch, per builtin
+batch), so a failed batch keeps what succeeded.  The cache location can be
+forced with the PCEKIT_CACHE environment variable.
 """
 from __future__ import annotations
 
@@ -26,6 +35,8 @@ import json
 import logging
 import math
 import os
+import re
+import signal
 import subprocess
 import tempfile
 import threading
@@ -284,6 +295,17 @@ def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) ->
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# A whole cache line, with its newline, in the form store_many writes.  Its
+# strings hold only printable ASCII other than the quote and the backslash,
+# which json.dumps renders as they stand, so group 1 (the text before
+# ',"checksum"') plus a closing brace is the line's checksum payload.
+_PLAIN = r'[ !#-\[\]-~]*'
+_CANONICAL_LINE = re.compile(
+    r'(\{"fingerprint":"(%s)","inputs":\["(%s(?:","%s)*)"\],"outputs":\["(%s(?:","%s)*)"\])'
+    r',"checksum":"([0-9a-f]{64})"\}\n?' % ((_PLAIN,) * 5)
+)
+
+
 def resolve_cache_path(configured: str | os.PathLike | None) -> Path | None:
     """Configured cache path, unless the environment variable overrides it."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -309,33 +331,53 @@ class EvaluationCache:
         if self.path.exists():
             self._load()
 
-    def _scan(self):
-        """Per non-blank line: (line number, key, outputs), with key None and
-        the error in place of the outputs when the line is corrupt."""
+    def _scan(self) -> tuple[dict[str, tuple[float, ...]], int, list[tuple[int, Exception]]]:
+        """Read the file: the index of its valid lines (a later line wins a
+        repeated key), how many lines are valid, and (line number, error)
+        per corrupt line.
+
+        A line in the form store_many writes is checked against its own text;
+        any other line is parsed and its fields re-rendered as JSON for the
+        check.
+        """
+        index: dict[str, tuple[float, ...]] = {}
+        valid = 0
+        corrupt: list[tuple[int, Exception]] = []
+        canonical = _CANONICAL_LINE.fullmatch
+        sha256 = hashlib.sha256
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+                match = canonical(line)
+                if match is None:
+                    line = line.strip()
+                    if not line:
+                        continue
                 try:
-                    record = json.loads(line)
-                    fingerprint, inputs = record["fingerprint"], record["inputs"]
-                    outputs = record["outputs"]
-                    if _record_checksum(fingerprint, inputs, outputs) != record["checksum"]:
-                        raise ValueError("checksum mismatch")
-                    key = fingerprint + "|" + ",".join(inputs)
-                    yield lineno, key, tuple(float(v) for v in outputs)
+                    if match is not None:
+                        payload, fingerprint, inputs, outputs, checksum = match.groups()
+                        if sha256((payload + "}").encode()).hexdigest() != checksum:
+                            raise ValueError("checksum mismatch")
+                        key = fingerprint + "|" + inputs.replace('","', ",")
+                        outputs = outputs.split('","')
+                    else:
+                        record = json.loads(line)
+                        fingerprint, inputs = record["fingerprint"], record["inputs"]
+                        outputs = record["outputs"]
+                        if _record_checksum(fingerprint, inputs, outputs) != record["checksum"]:
+                            raise ValueError("checksum mismatch")
+                        key = fingerprint + "|" + ",".join(inputs)
+                    index[key] = tuple(map(float, outputs))
+                    valid += 1
                 except (ValueError, KeyError, TypeError) as exc:
-                    yield lineno, None, exc
+                    corrupt.append((lineno, exc))
+        return index, valid, corrupt
 
     def _load(self) -> None:
-        for lineno, key, outputs in self._scan():
-            if key is not None:
-                self._index[key] = outputs
-                continue
-            self.corrupt_lines += 1
+        self._index, _, corrupt = self._scan()
+        self.corrupt_lines = len(corrupt)
+        for lineno, exc in corrupt:
             logger.warning(
-                "cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, outputs
+                "cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc
             )
 
     def __len__(self) -> int:
@@ -397,8 +439,8 @@ class EvaluationCache:
         """Re-scan the file; returns (valid_lines, corrupt_lines)."""
         if not self.path.exists():
             return 0, 0
-        corrupt = [key is None for _, key, _ in self._scan()]
-        return len(corrupt) - sum(corrupt), sum(corrupt)
+        _, valid, corrupt = self._scan()
+        return valid, len(corrupt)
 
 
 def _input_csv(names: Sequence[str], points: np.ndarray) -> str:
@@ -430,6 +472,15 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
         raise EvaluationError(f"external model wrote a non-numeric value: {exc}") from exc
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the process group the solver leads, then reap the solver."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
 def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
     csv_text = _input_csv(spec.input_names, points)
 
@@ -445,27 +496,38 @@ def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
         else:
             stdin_text = csv_text
         try:
-            proc = subprocess.run(
+            # In a session of its own, the solver and everything it starts
+            # form one process group, which a timeout kills as a whole.
+            proc = subprocess.Popen(
                 command,
-                input=stdin_text,
-                capture_output=True,
+                stdin=None if stdin_text is None else subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
                 cwd=spec.working_dir,
-                timeout=spec.timeout_seconds,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired as exc:
-            raise EvaluationError(
-                f"external model timed out after {spec.timeout_seconds} s "
-                f"(command: {command[0]})"
-            ) from exc
         except OSError as exc:
             raise EvaluationError(f"external model could not be launched: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(stdin_text, timeout=spec.timeout_seconds)
+            except subprocess.TimeoutExpired as exc:
+                _kill_group(proc)
+                raise EvaluationError(
+                    f"external model timed out after {spec.timeout_seconds} s "
+                    f"(command: {command[0]})"
+                ) from exc
+            except BaseException:
+                # Ctrl-C no longer reaches a solver in a session of its own.
+                _kill_group(proc)
+                raise
         if proc.returncode != 0:
-            excerpt = (proc.stderr or "").strip()[:500]
+            excerpt = (stderr or "").strip()[:500]
             raise EvaluationError(
                 f"external model exited with code {proc.returncode}; stderr: {excerpt!r}"
             )
-        outputs = _parse_output_csv(proc.stdout, spec.output_names, len(points))
+        outputs = _parse_output_csv(stdout, spec.output_names, len(points))
         if not np.all(np.isfinite(outputs)):
             raise EvaluationError("external model wrote a non-finite value")
         return outputs

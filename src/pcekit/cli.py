@@ -146,11 +146,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for name in model.output_names:
             cols += [f"{name}_model", f"{name}_surrogate"]
         handle.write(",".join(cols) + "\n")
-        for i in range(truths.shape[0]):
-            cells = []
-            for j in range(truths.shape[1]):
-                cells += [format(truths[i, j], ".17g"), format(predictions[i, j], ".17g")]
-            handle.write(",".join(cells) + "\n")
+        columns = []
+        for j in range(truths.shape[1]):
+            columns += [truths[:, j], predictions[:, j]]
+        sampling.write_rows(handle, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
     summary = " ".join(
         f"rmse_{name}={m[0]:.6g} rrmse_{name}={m[1]:.6g}" for name, m in metrics.items()

@@ -106,6 +106,13 @@ def _expect(mapping: dict, key: str, kind, context: str):
     return value
 
 
+def _optional_object(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _float(value, name: str) -> float:
     """A finite JSON number; booleans, strings and out-of-range integers are rejected."""
     if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
@@ -269,8 +276,8 @@ def load_config(path: str | Path) -> RunConfig:
         inputs=inputs,
         outputs=outputs,
         method=_parse_method(_expect(doc, "method", dict, "config")),
-        validation=_parse_validation(doc.get("validation", {})),
-        report=_parse_report(doc.get("report", {})),
-        paths=_parse_paths(doc.get("paths", {}), path.resolve().parent),
+        validation=_parse_validation(_optional_object(doc, "validation")),
+        report=_parse_report(_optional_object(doc, "report")),
+        paths=_parse_paths(_optional_object(doc, "paths"), path.resolve().parent),
         config_hash=config_hash,
     )

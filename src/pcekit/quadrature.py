@@ -30,6 +30,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
+from .sampling import write_rows
 
 GAUSS_LEGENDRE = "gauss-legendre"
 CLENSHAW_CURTIS = "clenshaw-curtis"
@@ -328,6 +329,5 @@ def write_grid_csv(grid: GridQuadrature, dest: IO[str]) -> None:
     All values use 17 significant digits, which round-trips doubles exactly.
     """
     dest.write(",".join([f"x{j + 1}" for j in range(grid.dim)] + ["weight"]) + "\n")
-    for point, weight in zip(grid.points, grid.weights):
-        cells = [format(c, ".17g") for c in point] + [format(weight, ".17g")]
-        dest.write(",".join(cells) + "\n")
+    template = ",".join(["%.17g"] * (grid.dim + 1)) + "\n"
+    write_rows(dest, template, list(grid.points.T) + [grid.weights])

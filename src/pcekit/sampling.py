@@ -18,7 +18,7 @@ import numpy as np
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
 
-# Rows formatted per write by the CSV writers below.
+# Rows formatted per write by write_rows.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -198,7 +198,7 @@ def _csv_cell(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
+def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
     """Rows of equal-length columns through one %-template, in blocks of
     CSV_BLOCK_ROWS rows, so no table of Python objects outlives a block."""
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -234,7 +234,7 @@ def write_cdf_csv(
                 if p:
                     dist = distributions[name]
                     columns += [dist.values[start:stop], dist.cumulative[start:stop]]
-            _write_rows(handle, template, columns)
+            write_rows(handle, template, columns)
             start = stop
     finally:
         if owned:
@@ -254,7 +254,7 @@ def write_histogram_csv(
         csv.writer(handle).writerow(["output", "bin_left", "bin_right", "count"])
         for name, dist in distributions.items():
             template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
-            _write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])
+            write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])
     finally:
         if owned:
             handle.close()

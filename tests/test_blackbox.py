@@ -1,11 +1,19 @@
 import hashlib
 import json
 import logging
+import os
+import shlex
+import signal
+import struct
 import sys
+import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcekit import blackbox
 from pcekit.blackbox import (
@@ -297,6 +305,180 @@ class TestBatchedCache:
         assert [r.source for r in records] == ["cached", "cached"]
 
 
+def reference_scan(path):
+    """The loader that parses every line and re-renders it with json.dumps
+    for the checksum: (index, valid line count, [(line number, error)])."""
+    index, valid, corrupt = {}, 0, []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                fingerprint, inputs = record["fingerprint"], record["inputs"]
+                outputs = record["outputs"]
+                payload = json.dumps(
+                    {"fingerprint": fingerprint, "inputs": inputs, "outputs": outputs},
+                    sort_keys=True,
+                    separators=(",", ":"),
+                )
+                if hashlib.sha256(payload.encode()).hexdigest() != record["checksum"]:
+                    raise ValueError("checksum mismatch")
+                key = fingerprint + "|" + ",".join(inputs)
+                index[key] = tuple(float(v) for v in outputs)
+                valid += 1
+            except (ValueError, KeyError, TypeError) as exc:
+                corrupt.append((lineno, str(exc)))
+    return index, valid, corrupt
+
+
+def record_line(fields, **dumps):
+    """A cache line holding `fields` and the checksum of their canonical payload."""
+    payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    return json.dumps({**fields, "checksum": checksum}, **dumps)
+
+
+def rehashed(line):
+    """The line with its final checksum recomputed over its own text."""
+    checksum = hashlib.sha256((line[:-79] + "}").encode()).hexdigest()
+    return line[:-66] + checksum + line[-2:]
+
+
+def store_many_lines(fingerprint, points, outputs):
+    """The lines EvaluationCache.store_many writes for these records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = EvaluationCache(Path(tmp) / "cache.jsonl")
+        cache.store_many(fingerprint, cache.point_keys(fingerprint, points), outputs)
+        return cache.path.read_text(encoding="utf-8").splitlines()
+
+
+def index_bits(index):
+    """An index's items with the outputs as raw doubles, so NaNs compare."""
+    return [(key, struct.pack(f"{len(values)}d", *values)) for key, values in index.items()]
+
+
+def assert_loads_like_reference(path, caplog):
+    expected_index, expected_valid, expected_corrupt = reference_scan(path)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="pcekit.blackbox"):
+        cache = EvaluationCache(path)
+    assert index_bits(cache._index) == index_bits(expected_index)
+    assert cache.corrupt_lines == len(expected_corrupt)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"cache {path} line {lineno} is corrupt ({error}); treating as a miss"
+        for lineno, error in expected_corrupt
+    ]
+    assert cache.verify() == (expected_valid, len(expected_corrupt))
+
+
+COMPACT = {"separators": (",", ":")}
+FP = "9e9c2975fbb7fe9220986e0155224dc43b8583175902edeb955442c35c95a95f"
+
+
+def fields(fingerprint=FP, inputs=("1",), outputs=("2",)):
+    return {"fingerprint": fingerprint, "inputs": list(inputs), "outputs": outputs}
+
+
+def corpus_lines():
+    """Cache lines of every kind the loader meets: as store_many writes
+    them, valid in another form, and corrupt."""
+    points = np.array([[0.05, 100.0, 1.0 / 3.0], [-0.0, 5e-324, 1e300], [7.0, 8.0, 9.0]])
+    outputs = np.array([[14.112115600976798, -2.5], [np.inf, 0.1], [1.0, 2.0]])
+    odd = 'odd "fp" with \\, |, %s and é'
+    lines = []
+    for fingerprint in (FP, "fp", "", odd, "tab\there", "del\x7f"):
+        lines += store_many_lines(fingerprint, points, outputs)
+    canonical = lines[0]
+    pair = fields(inputs=("1", "2.5"), outputs=["3", "-4e-05"])
+    lines += [
+        # valid in other forms: the checksum is of the re-rendered fields
+        record_line(pair, **COMPACT),  # the canonical form itself
+        record_line(pair),  # default separators, with spaces
+        json.dumps({"checksum": json.loads(record_line(pair))["checksum"], **pair}, **COMPACT),
+        json.dumps({**json.loads(record_line(pair)), "extra": 1}, **COMPACT),
+        record_line(fields("é"), ensure_ascii=False, **COMPACT),
+        record_line(fields(inputs=()), **COMPACT),
+        record_line(fields(inputs=("",)), **COMPACT),
+        record_line(fields(inputs=("1,2",)), **COMPACT),
+        record_line(fields(outputs=[2.5, 3]), **COMPACT),
+        record_line(fields(outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
+        "   " + canonical + "\t",
+        # an escaped backslash, whose own text is its re-rendering
+        rehashed(canonical.replace(FP, "\\\\", 1)),
+        # a repeated key: the later line wins
+        record_line(fields(inputs=("1", "2.5"), outputs=["5", "6"]), **COMPACT),
+        # corrupt: checksums of the line's own text where that differs
+        # from the re-rendered fields
+        rehashed(json.dumps({"inputs": ["1"], "fingerprint": FP, "outputs": ["2"],
+                             "checksum": "0" * 64}, **COMPACT)),
+        rehashed(canonical.replace(FP, "é", 1)),
+        rehashed(canonical.replace(FP, "\x7f", 1)),
+        rehashed(canonical.replace(FP, "\t", 1)),
+        rehashed(canonical.replace('"inputs":["', '"inputs": ["', 1)),
+        # corrupt: a single-digit flip in the inputs, the outputs or the checksum
+        canonical.replace('"inputs":["0.05', '"inputs":["0.06', 1),
+        canonical.replace('"outputs":["14', '"outputs":["15', 1),
+        canonical[:-3] + ("0" if canonical[-3] != "0" else "1") + canonical[-2:],
+        # corrupt in other ways
+        canonical[:-40],
+        canonical.replace("checksum", "Checksum"),
+        canonical.upper(),
+        record_line(fields(outputs=["abc"]), **COMPACT),
+        record_line(fields(inputs=(1,)), **COMPACT),
+        record_line(fields(outputs=None), **COMPACT),
+        record_line(fields(5), **COMPACT),
+        '["not", "an", "object"]',
+        "this is not json",
+        "",
+        "   ",
+    ]
+    return lines
+
+
+class TestLoaderDifferential:
+    def test_corpus_loads_like_the_json_rerender(self, tmp_path, caplog):
+        lines = corpus_lines()
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_loads_like_reference(path, caplog)
+        index, valid, corrupt = reference_scan(path)
+        assert valid > 20 and len(corrupt) > 15  # the corpus holds both kinds
+        # CRLF endings, a stray carriage return and no final newline
+        path.write_text("\r\n".join(lines) + "\r" + lines[0], encoding="utf-8", newline="")
+        assert_loads_like_reference(path, caplog)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(['"', "\\", "\t", "\x7f", "\u00e9", " ", ",", "[", "]", "x", "0", "9"]),
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.booleans(),
+    )
+    def test_edited_lines_load_like_the_json_rerender(self, position, char, edit, rehash):
+        # One edit anywhere in a canonical line; with rehash, the checksum is
+        # then recomputed over the edited line's own text.
+        line = store_many_lines(FP, np.array([[0.05, 100.0, 7.0]]), np.array([[14.1, -2.5]]))[0]
+        at = position % len(line)
+        if edit == "replace":
+            line = line[:at] + char + line[at + 1:]
+        elif edit == "insert":
+            line = line[:at] + char + line[at:]
+        else:
+            line = line[:at] + line[at + 1:]
+        if rehash:
+            line = rehashed(line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_text(line + "\n", encoding="utf-8")
+            expected_index, expected_valid, expected_corrupt = reference_scan(path)
+            cache = EvaluationCache(path)
+            assert index_bits(cache._index) == index_bits(expected_index)
+            assert cache.corrupt_lines == len(expected_corrupt)
+            assert cache.verify() == (expected_valid, len(expected_corrupt))
+
+
 ECHO_DOUBLER = """\
 import csv, sys
 
@@ -313,6 +495,18 @@ writer.writerow(["y1", "y2"])
 for row in data[1:]:
     writer.writerow([2.0 * float(row[0]), 2.0 * float(row[1])])
 """
+
+
+def running(pid):
+    """Whether the process is alive; a zombie awaiting its reaper is not."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except ProcessLookupError:
+        return False
+    except FileNotFoundError:
+        return not os.path.isdir("/proc")
 
 
 def external_spec(script_path, io_format="argfile", timeout=30.0):
@@ -365,6 +559,36 @@ class TestExternalProtocol:
         spec = external_spec(script, timeout=0.5)
         with pytest.raises(EvaluationError, match="timed out"):
             evaluate_batch(spec, np.array([[1.0, 2.0]]))
+
+    def test_timeout_kills_the_whole_process_tree(self, tmp_path):
+        # The solver shell starts two sleeps and records their pids; both
+        # attempts (the launch and its retry) must leave none of them alive.
+        pid_file = tmp_path / "pids"
+        record = f"echo $! >> {shlex.quote(str(pid_file))}"
+        spec = ModelSpec(
+            kind="external",
+            input_names=("a", "b"),
+            output_names=("y1", "y2"),
+            command=("sh", "-c", f"sleep 30 & {record}; sleep 30 & {record}; wait"),
+            io_format="stdin",
+            timeout_seconds=1.0,
+        )
+        pids = []
+        try:
+            with pytest.raises(EvaluationError, match="timed out"):
+                evaluate_batch(spec, np.array([[1.0, 2.0]]))
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(pids) == 4
+            deadline = time.monotonic() + 5.0
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if running(pid)] == []
+        finally:
+            if pid_file.exists():
+                pids = [int(pid) for pid in pid_file.read_text().split()]
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_transient_failure_is_retried_once(self, tmp_path):
         marker = tmp_path / "attempted"

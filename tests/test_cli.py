@@ -1,13 +1,23 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pcekit import blackbox, sampling, surrogate
+from pcekit.blackbox import BlackBoxModel
 from pcekit.cli import main
+from pcekit.config import load_config
+from pcekit.sampling import latin_hypercube
+from pcekit.surrogate import unscale_points
 
 
-def write_config(tmp_path, **overrides):
-    doc = {
+def base_doc():
+    """A small builtin run: csg-proxy on a full grid of order 2 (81 points)."""
+    return {
         "model": {"kind": "builtin", "name": "csg-proxy"},
         "inputs": [
             {"name": "fracture_porosity", "min": 0.005, "max": 0.05},
@@ -21,6 +31,10 @@ def write_config(tmp_path, **overrides):
         "report": {"histogram_bins": 8, "uq_samples": 40},
         "paths": {"cache": "cache.jsonl", "model_file": "model.json", "report_dir": "report"},
     }
+
+
+def write_config(tmp_path, **overrides):
+    doc = base_doc()
     doc.update(overrides)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc, indent=1))
@@ -164,6 +178,31 @@ class TestValidate:
         ]
         assert len(scatter) == 1 + 30  # strata * repeats
 
+    def test_scatter_matches_per_cell_rendering(self, tmp_path, monkeypatch):
+        # Small blocks, so the rows cross several of them.
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 7)
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        assert main(["validate", "--config", str(config)]) == 0
+        cfg = load_config(config)
+        model = surrogate.load(cfg.paths.model_file)
+        design = latin_hypercube(
+            cfg.validation.lhs_strata, model.dim, cfg.validation.lhs_repeats, cfg.validation.seed
+        )
+        physical = unscale_points(design.points, model.inputs)
+        truths = BlackBoxModel(cfg.model)(physical)
+        predictions = model.evaluate_batch(physical)
+        rows = [
+            ",".join(
+                cell
+                for t, p in zip(truth, prediction)
+                for cell in (format(t, ".17g"), format(p, ".17g"))
+            )
+            for truth, prediction in zip(truths, predictions)
+        ]
+        text = (tmp_path / "report" / "scatter.csv").read_bytes().decode("utf-8")
+        assert text.split("\n")[3:] == rows + [""]
+
     def test_embeds_config_hash(self, tmp_path):
         config = write_config(tmp_path)
         main(["build", "--config", str(config)])
@@ -295,3 +334,56 @@ class TestReproducibility:
         first = run_triple()   # cold cache
         second = run_triple()  # warm cache
         assert first == second
+
+
+def node_paths(node, path=()):
+    """Key paths of every value in a JSON document below its root."""
+    if path:
+        yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, path + (key,))
+
+
+def full_doc():
+    """base_doc with the optional values it leaves out written in."""
+    doc = base_doc()
+    doc["report"]["percentiles"] = [10, 50, 90]
+    doc["model"]["parameters"] = {}
+    return doc
+
+
+def mutated_doc(path, value):
+    doc = full_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+MUTATION_PATHS = list(node_paths(full_doc()))
+# The strings include other valid values of the enumerated fields; with
+# the builtin's keys in place, "external" cannot reach a launch.
+MUTATION_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from(["", "x", "external", "builtin", "sparse-grid", "stdin", "constant"]),
+    st.none(),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.integers(-(10**6), -1),
+    st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MUTATION_PATHS), MUTATION_VALUES)
+def test_mutated_config_exits_by_contract(path, value):
+    # One value of a valid config (a leaf or a whole section) replaced by a
+    # value of another type or out of range: build finishes or exits 2, 3
+    # or 4, and never raises.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        blackbox, "_launch_external", side_effect=AssertionError("external launch")
+    ):
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps(mutated_doc(path, value)))
+        assert main(["build", "--config", str(config)]) in {0, 2, 3, 4}

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcekit import sampling
 from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.quadrature import (
     clenshaw_curtis_1d,
@@ -14,6 +15,7 @@ from pcekit.quadrature import (
     gauss_legendre_1d,
     integrate,
     sparse_grid,
+    GridQuadrature,
     write_grid_csv,
 )
 
@@ -331,3 +333,27 @@ def test_csv_export_round_trips():
     parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, :2], grid.points)
     assert np.array_equal(parsed[:, 2], grid.weights)
+
+
+def per_cell_grid_csv(grid):
+    """The grid CSV with every cell formatted on its own."""
+    lines = [",".join([f"x{j + 1}" for j in range(grid.dim)] + ["weight"])]
+    for point, weight in zip(grid.points, grid.weights):
+        lines.append(",".join([format(c, ".17g") for c in point] + [format(weight, ".17g")]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("block_rows", [3, 4096])
+def test_csv_export_matches_per_cell_rendering(monkeypatch, block_rows):
+    monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", block_rows)
+    odd = np.array([
+        [-0.0, 5e-324, 1.0 / 3.0],
+        [1e300, -2.0 / 3.0, 0.1],
+        [np.inf, -np.inf, np.nan],
+        [1.0, -1.0, 123456789.125],
+    ])
+    grids = [sparse_grid(3, 3), full_grid(2, 4), GridQuadrature(2, odd[:, :2], odd[:, 2], {})]
+    for grid in grids:
+        buffer = io.StringIO(newline="")
+        write_grid_csv(grid, buffer)
+        assert buffer.getvalue() == per_cell_grid_csv(grid)

@@ -203,7 +203,7 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
         xi = point if lo is None else 2.0 * (point - lo) / (hi - lo) - 1.0
         basis = np.ones(index_array.shape[0])
         for j in range(dim):
-            table = polybasis.legendre_table(int(max_degrees[j]), xi[j])[0]
+            table = polybasis.legendre_table(int(max_degrees[j]), xi[j])[:, 0]
             basis *= table[index_array[:, j]]
         return basis @ coeff_array
 
@@ -338,14 +338,16 @@ class EvaluationCache:
 
         A line in the form store_many writes is checked against its own text;
         any other line is parsed and its fields re-rendered as JSON for the
-        check.
+        check.  A line that is not valid UTF-8 is corrupt: the file is read
+        with its undecodable bytes escaped, which no canonical line holds,
+        and the check of any other line decodes them again and fails.
         """
         index: dict[str, tuple[float, ...]] = {}
         valid = 0
         corrupt: list[tuple[int, Exception]] = []
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 match = canonical(line)
                 if match is None:
@@ -360,6 +362,8 @@ class EvaluationCache:
                         key = fingerprint + "|" + inputs.replace('","', ",")
                         outputs = outputs.split('","')
                     else:
+                        # UnicodeDecodeError, a ValueError, on an escaped byte
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
                         record = json.loads(line)
                         fingerprint, inputs = record["fingerprint"], record["inputs"]
                         outputs = record["outputs"]

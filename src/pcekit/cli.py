@@ -186,20 +186,22 @@ def cmd_uq(args: argparse.Namespace) -> int:
         f"samples={count} generator=PCG64",
     ]
 
+    names = list(model.output_names)
+    distributions = {
+        name: sampling.empirical_distribution(values[:, j], cfg.report.histogram_bins)
+        for j, name in enumerate(names)
+    }
+    sorted_values = [dist.values for dist in distributions.values()]
+    percentiles = [sampling.percentile_values(v, cfg.report.percentiles) for v in sorted_values]
     rows: list[tuple[str, list[float], str]] = [
         ("Mean", list(mean), "Analytic"),
         ("Standard deviation", list(std), "Analytic"),
-        ("Sample minimum", list(values.min(axis=0)), "Empirical"),
+        ("Sample minimum", [v[0] for v in sorted_values], "Empirical"),
     ]
-    for q in cfg.report.percentiles:
-        per_output = [
-            float(sampling.percentile_values(values[:, j], [q])[0])
-            for j in range(values.shape[1])
-        ]
-        rows.append((f"{_ordinal(q)} percentile", per_output, "Empirical"))
-    rows.append(("Sample maximum", list(values.max(axis=0)), "Empirical"))
+    for q, per_output in zip(cfg.report.percentiles, zip(*percentiles)):
+        rows.append((f"{_ordinal(q)} percentile", list(per_output), "Empirical"))
+    rows.append(("Sample maximum", [v[-1] for v in sorted_values], "Empirical"))
 
-    names = list(model.output_names)
     cells = [["Statistic"] + names + ["Derivation"]]
     for label, numbers, derivation in rows:
         cells.append([label] + [f"{v:.6g}" for v in numbers] + [derivation])
@@ -210,10 +212,6 @@ def cmd_uq(args: argparse.Namespace) -> int:
         for row in cells:
             handle.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
-    distributions = {
-        name: sampling.empirical_distribution(values[:, j], cfg.report.histogram_bins)
-        for j, name in enumerate(names)
-    }
     sampling.write_cdf_csv(report_dir / "cdf.csv", distributions, comments=comments)
     sampling.write_histogram_csv(report_dir / "hist.csv", distributions, comments=comments)
 

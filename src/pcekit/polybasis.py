@@ -59,18 +59,20 @@ def legendre_eval(n: int, x, *, degree_cap: int = DEGREE_CAP):
 
 
 def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.ndarray:
-    """Evaluate L_0 .. L_max_degree at each x, as a (len(x), max_degree + 1) array.
+    """Evaluate L_0 .. L_max_degree at each x, as a degree-major
+    (max_degree + 1, len(x)) array: row n holds L_n at every point.
 
     One recurrence pass shared by all degrees; used on hot paths where many
-    degrees are needed at the same points.
+    degrees are needed at the same points.  Each row is contiguous, so
+    gathering the rows of a list of degrees copies whole blocks.
     """
     _check_degree(max_degree, degree_cap)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((arr.size, max_degree + 1))
-    table[:, 0] = 1.0
+    table = np.empty((max_degree + 1, arr.size))
+    table[0] = 1.0
     if max_degree == 0:
         return table
-    table[:, 1] = arr
+    table[1] = arr
     for k in range(1, max_degree):
-        table[:, k + 1] = ((2 * k + 1) * arr * table[:, k] - k * table[:, k - 1]) / (k + 1)
+        table[k + 1] = ((2 * k + 1) * arr * table[k] - k * table[k - 1]) / (k + 1)
     return table

@@ -16,7 +16,10 @@ neighbourhood.
 
 Projection and evaluation share one sum-factorised kernel for both kinds of
 neighbourhood; no (points x terms) basis matrix is formed, and points go
-through it in chunks sized by the byte budget CHUNK_BYTES.
+through it in chunks sized by the byte budget CHUNK_BYTES.  The kernel is
+points-last: it takes points as a (dim, M) array, builds each half's basis
+rows as a (prefixes, points) block from degree-major Legendre tables, and
+so gathers whole contiguous rows rather than strided columns.
 
 Physical inputs live on [min, max] ranges and are rescaled to [-1, 1]
 internally; the black box is always called in physical units.
@@ -113,13 +116,8 @@ def _columns(points: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
     return points.T
 
 
-def rescale_points(values: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
-    """Columnwise rescale of an (M, N) physical array onto [-1, 1]^N."""
-    return np.column_stack([rescale(v, var) for v, var in zip(_columns(values, inputs), inputs)])
-
-
 def unscale_points(xi: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
-    """Columnwise inverse of rescale_points."""
+    """Columnwise map of an (M, N) array on [-1, 1]^N to physical units."""
     return np.column_stack([unscale(x, var) for x, var in zip(_columns(xi, inputs), inputs)])
 
 
@@ -152,11 +150,11 @@ class _Half:
             self.steps.insert(0, (parent, degrees))
 
     def rows(self, xi: np.ndarray) -> np.ndarray:
-        """(points, size): per point, prod_j L_{prefix_j}(xi_j) for each prefix."""
-        rows = np.ones((len(xi), 1))
-        for column, (parent, degrees) in zip(xi.T, self.steps):
-            table = polybasis.legendre_table(int(degrees.max()), column)
-            rows = np.take(rows, parent, axis=1) * np.take(table, degrees, axis=1)
+        """(size, points) from (dims, points): per prefix, prod_j L_{prefix_j}(xi_j)."""
+        rows = np.ones((1, xi.shape[1]))
+        for coordinates, (parent, degrees) in zip(xi, self.steps):
+            table = polybasis.legendre_table(int(degrees.max()), coordinates)
+            rows = rows[parent] * table[degrees]
         return rows
 
 
@@ -166,7 +164,8 @@ class _SplitKronecker:
     The dimensions split at s = (dim + 1) // 2.  Each term is the pair of
     its unique A-prefix (dimensions < s) and unique B-suffix, so a point's
     basis value for the term is W_A[a_t] * W_B[b_t], and sums over terms
-    become two small matrix products.
+    become two small matrix products.  Points come as a (dim, M) array and
+    W_A, W_B are (prefixes, points) blocks.
     """
 
     def __init__(self, index_array: np.ndarray) -> None:
@@ -176,29 +175,30 @@ class _SplitKronecker:
         self.half_a, self.half_b = _Half(prefixes), _Half(suffixes)
 
     def _chunks(self, xi: np.ndarray, n_outputs: int):
-        """Per chunk of points: its slice, W_A and W_B."""
+        """Per chunk of the (dim, M) points: its slice, W_A and W_B."""
         n_a, n_b = self.half_a.size, self.half_b.size
         # rows of both halves, the (outputs x B) partial, and one temporary each
         step = max(1, CHUNK_BYTES // (16 * (n_a + n_b + n_outputs * n_b)))
-        for start in range(0, len(xi), step):
-            chunk = xi[start:start + step]
+        for start in range(0, xi.shape[1], step):
+            chunk = xi[:, start:start + step]
             yield (
-                slice(start, start + len(chunk)),
-                self.half_a.rows(chunk[:, :self.split]),
-                self.half_b.rows(chunk[:, self.split:]),
+                slice(start, start + chunk.shape[1]),
+                self.half_a.rows(chunk[:self.split]),
+                self.half_b.rows(chunk[self.split:]),
             )
 
     def project(self, xi: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-        """Per term t and output o, sum_q weighted[q, o] * basis_t(xi_q): (terms, outputs).
+        """Per term t and output o, sum_q weighted[o, q] * basis_t(xi_q): (terms, outputs).
 
-        Accumulates W_A^T diag(weighted[:, o]) W_B over the points, then
-        reads each term's (a_t, b_t) entry.
+        Accumulates W_A diag(weighted[o]) W_B^T over the points, then reads
+        each term's (a_t, b_t) entry.
         """
-        n_outputs = weighted.shape[1]
+        n_outputs = len(weighted)
         gram = np.zeros((self.half_a.size, n_outputs * self.half_b.size))
         for rows, w_a, w_b in self._chunks(xi, n_outputs):
-            right = weighted[rows, :, None] * w_b[:, None, :]
-            gram += w_a.T @ right.reshape(len(w_b), -1)
+            # C order, so the reshape below is a view whatever weighted's layout
+            right = np.multiply(weighted[:, None, rows], w_b, order="C")
+            gram += w_a @ right.reshape(-1, w_b.shape[1]).T
         gram = gram.reshape(self.half_a.size, n_outputs, self.half_b.size)
         return gram[self.term_a, :, self.term_b]
 
@@ -209,12 +209,12 @@ class _SplitKronecker:
         return block.reshape(self.half_a.size, -1)
 
     def evaluate(self, xi: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """sum_t c_t * basis_t(xi) per point, (points, outputs), as W_B . (W_A @ block)."""
+        """sum_t c_t * basis_t(xi) per point, (points, outputs), as W_B . (block^T @ W_A)."""
         n_outputs = block.shape[1] // self.half_b.size
-        out = np.empty((len(xi), n_outputs))
+        out = np.empty((xi.shape[1], n_outputs))
         for rows, w_a, w_b in self._chunks(xi, n_outputs):
-            partial = (w_a @ block).reshape(len(w_a), n_outputs, self.half_b.size)
-            out[rows] = np.einsum("mob,mb->mo", partial, w_b)
+            partial = (block.T @ w_a).reshape(n_outputs, self.half_b.size, -1)
+            out[rows] = np.einsum("obm,bm->mo", partial, w_b)
         return out
 
 
@@ -287,10 +287,15 @@ class PceModel:
         """Evaluate the surrogate at many physical points, (M, outputs).
 
         One split-Kronecker kernel serves every neighbourhood kind; points
-        go through it in chunks, so transient memory stays near
-        CHUNK_BYTES whatever M and the term count are.
+        are rescaled straight into the (dim, M) array it reads and go
+        through it in chunks, so transient memory stays near CHUNK_BYTES
+        whatever M and the term count are.
         """
-        return self._kernel.evaluate(rescale_points(points, self.inputs), self._block)
+        columns = _columns(points, self.inputs)
+        xi = np.empty(columns.shape)
+        for row, column, var in zip(xi, columns, self.inputs):
+            row[:] = rescale(column, var)
+        return self._kernel.evaluate(xi, self._block)
 
     def mean(self) -> np.ndarray:
         """Analytic mean per output: the constant-term coefficient."""
@@ -382,7 +387,7 @@ def build_pce(
         )
 
     kernel = _SplitKronecker(index_array)
-    projected = kernel.project(grid.points, grid.weights[:, None] * outputs)
+    projected = kernel.project(grid.points.T, grid.weights * outputs.T)
     prefactor = np.prod((2.0 * index_array + 1.0) / 2.0, axis=1)
     coefficients = prefactor[:, None] * projected
 

@@ -307,14 +307,16 @@ class TestBatchedCache:
 
 def reference_scan(path):
     """The loader that parses every line and re-renders it with json.dumps
-    for the checksum: (index, valid line count, [(line number, error)])."""
+    for the checksum: (index, valid line count, [(line number, error)]).
+    A line that is not valid UTF-8 is corrupt, with the decoding error."""
     index, valid, corrupt = {}, 0, []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = json.loads(line)
                 fingerprint, inputs = record["fingerprint"], record["inputs"]
                 outputs = record["outputs"]
@@ -448,6 +450,21 @@ class TestLoaderDifferential:
         # CRLF endings, a stray carriage return and no final newline
         path.write_text("\r\n".join(lines) + "\r" + lines[0], encoding="utf-8", newline="")
         assert_loads_like_reference(path, caplog)
+
+    def test_lines_that_are_not_utf8_are_corrupt(self, tmp_path, caplog):
+        lines = [line.encode() for line in corpus_lines()[:12]]
+        lines[3:3] = [
+            b'{"fingerprint":"\xff"}',  # an undecodable line in the middle
+            lines[0].replace(FP.encode(), b"\xc3", 1),  # a truncated sequence
+            lines[1].replace(FP.encode(), b"\xed\xa0\x80", 1),  # an encoded surrogate
+            b"\xff\xfe" + lines[2],
+        ]
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n\xff\xfe")  # and a torn tail
+        assert_loads_like_reference(path, caplog)
+        index, valid, corrupt = reference_scan(path)
+        assert valid == 12 and [lineno for lineno, _ in corrupt] == [4, 5, 6, 7, 17]
+        assert all("can't decode" in error for _, error in corrupt)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -300,6 +300,24 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "81 valid lines, 0 corrupt lines" in out
 
+    @pytest.mark.parametrize("where", ["appended", "middle"])
+    def test_line_that_is_not_utf8_is_one_corrupt_line(self, tmp_path, capsys, where):
+        config = write_config(tmp_path)
+        assert main(["build", "--config", str(config)]) == 0
+        cache = tmp_path / "cache.jsonl"
+        lines = cache.read_bytes().splitlines(keepends=True)
+        if where == "appended":
+            lines.append(b"\xff\xfe")
+        else:
+            lines.insert(40, b'{"fingerprint":"\xff\xfe"}\n')
+        cache.write_bytes(b"".join(lines))
+        assert main(["build", "--config", str(config)]) == 0
+        log = (tmp_path / "report" / "run.log").read_text().splitlines()
+        assert "cache_hits=81 cache_misses=0" in log[-1]
+        capsys.readouterr()
+        assert main(["cache", "verify", "--config", str(config)]) == 0
+        assert "81 valid lines, 1 corrupt lines" in capsys.readouterr().out
+
     def test_stats(self, tmp_path, capsys):
         config = write_config(tmp_path)
         main(["build", "--config", str(config)])

@@ -63,8 +63,9 @@ def test_parity(n, x):
 def test_table_matches_scalar_evaluation():
     x = np.linspace(-1, 1, 17)
     table = legendre_table(6, x)
+    assert table.shape == (7, 17)  # degree-major
     for n in range(7):
-        assert np.allclose(table[:, n], legendre_eval(n, x), atol=1e-14)
+        assert np.allclose(table[n], legendre_eval(n, x), atol=1e-14)
 
 
 def test_degree_guards():

@@ -265,37 +265,79 @@ def smooth_outputs(points, n_outputs):
     return np.exp(0.4 * points.sum(axis=1))[:, None] * np.cos(points[:, :1] + shifts)
 
 
+def dense_cases(dim, kind):
+    """(method, grid, indices) per order of the dense-basis comparisons."""
+    # sparse levels above 3 * dim are rejected by the grid
+    top = 5 if kind == TENSOR_PRODUCT else min(5, 3 * dim)
+    for order in range(1, top + 1):
+        if kind == TENSOR_PRODUCT:
+            method, grid = FullGrid(order), full_grid(dim, order)
+        else:
+            method, grid = SparseGrid(order), sparse_grid(dim, order)
+        yield method, grid, enumerate_indices(Neighborhood(kind, order, dim))
+
+
+def assert_matches_dense(method, grid, indices, probe, n_outputs):
+    """Projection and evaluation through the kernel agree with the dense basis."""
+    inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(probe.shape[1])]
+    names = [f"y{o}" for o in range(n_outputs)]
+    model = build_pce(lambda pts: smooth_outputs(pts, n_outputs), inputs, names, method)
+    outputs = smooth_outputs(grid.points, n_outputs)
+    prefactor = np.prod((2.0 * np.array(indices) + 1.0) / 2.0, axis=1)
+    basis = dense_basis(indices, grid.points)
+    expected = prefactor[:, None] * (basis.T @ (grid.weights[:, None] * outputs))
+    scale = np.max(np.abs(expected), axis=0)
+    assert np.all(np.abs(model.coefficients - expected) <= 1e-13 * scale)
+    values = model.evaluate_batch(probe)
+    reference = dense_basis(indices, probe) @ model.coefficients
+    scale = np.max(np.abs(model.coefficients), axis=0)
+    assert np.all(np.abs(values - reference) <= 1e-13 * scale)
+
+
 class TestSplitKroneckerKernel:
     @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_dense_basis(self, dim, kind):
-        inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(dim)]
         rng = np.random.Generator(np.random.PCG64(dim))
         probe = rng.uniform(-1, 1, size=(257, dim))
-        # sparse levels above 3 * dim are rejected by the grid
-        top = 5 if kind == TENSOR_PRODUCT else min(5, 3 * dim)
-        for order in range(1, top + 1):
-            if kind == TENSOR_PRODUCT:
-                method, grid = FullGrid(order), full_grid(dim, order)
-            else:
-                method, grid = SparseGrid(order), sparse_grid(dim, order)
-            indices = enumerate_indices(Neighborhood(kind, order, dim))
-            basis = dense_basis(indices, grid.points)
-            probe_basis = dense_basis(indices, probe)
-            prefactor = np.prod((2.0 * np.array(indices) + 1.0) / 2.0, axis=1)
+        for method, grid, indices in dense_cases(dim, kind):
             for n_outputs in range(1, 4):
-                names = [f"y{o}" for o in range(n_outputs)]
-                model = build_pce(
-                    lambda pts: smooth_outputs(pts, n_outputs), inputs, names, method
-                )
-                outputs = smooth_outputs(grid.points, n_outputs)
-                expected = prefactor[:, None] * (basis.T @ (grid.weights[:, None] * outputs))
-                scale = np.max(np.abs(expected), axis=0)
-                assert np.all(np.abs(model.coefficients - expected) <= 1e-13 * scale)
-                values = model.evaluate_batch(probe)
-                reference = probe_basis @ model.coefficients
-                scale = np.max(np.abs(model.coefficients), axis=0)
-                assert np.all(np.abs(values - reference) <= 1e-13 * scale)
+                assert_matches_dense(method, grid, indices, probe, n_outputs)
+
+    @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_dense_basis_across_ragged_chunks(self, dim, kind, monkeypatch):
+        # A byte budget that splits both the grid and the probe into three or
+        # more chunks, the last one short.
+        rng = np.random.Generator(np.random.PCG64(dim))
+        probe = rng.uniform(-1, 1, size=(257, dim))
+        chunk_sizes = []
+        chunks = surrogate._SplitKronecker._chunks
+
+        def recorded(kernel, xi, n_outputs):
+            chunk_sizes.append([])
+            for chunk in chunks(kernel, xi, n_outputs):
+                chunk_sizes[-1].append(chunk[0].stop - chunk[0].start)
+                yield chunk
+
+        monkeypatch.setattr(surrogate._SplitKronecker, "_chunks", recorded)
+        checked = 0
+        for method, grid, indices in dense_cases(dim, kind):
+            sizes = (len(grid), len(probe))
+            steps = [s for s in range(2, len(grid)) if all(n % s and n > 2 * s for n in sizes)]
+            if not steps:
+                continue
+            kernel = surrogate._SplitKronecker(np.array(indices))
+            n_a, n_b = kernel.half_a.size, kernel.half_b.size
+            for n_outputs in range(1, 4):
+                budget = 16 * (n_a + n_b + n_outputs * n_b) * max(steps)
+                monkeypatch.setattr(surrogate, "CHUNK_BYTES", budget)
+                chunk_sizes.clear()
+                assert_matches_dense(method, grid, indices, probe, n_outputs)
+                assert [sum(c) for c in chunk_sizes] == list(sizes)
+                assert all(len(c) >= 3 and c[-1] < c[0] for c in chunk_sizes)
+                checked += 1
+        assert checked >= 3
 
     def test_projection_memory_is_bounded(self):
         # 16807 points and terms: a dense basis matrix alone would be 2.26 GB
@@ -310,6 +352,21 @@ class TestSplitKroneckerKernel:
             tracemalloc.stop()
         assert model.coefficients.shape == (16807, 2)
         assert peak < 128 * 2**20
+
+    def test_evaluation_memory_is_bounded(self):
+        # 2401 terms at 200k points: the output, the rescaled points and one
+        # chunk's transients, so one more full-size copy of the points fails
+        inputs = [InputVariable(f"v{j}", 0.0, 1.0 + j) for j in range(4)]
+        model = build_pce(lambda pts: smooth_outputs(pts, 2), inputs, ["a", "b"], FullGrid(6))
+        points = np.random.Generator(np.random.PCG64(5)).uniform(0.0, 1.0, size=(200_000, 4))
+        tracemalloc.start()
+        try:
+            values = model.evaluate_batch(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (200_000, 2)
+        assert peak < values.nbytes + points.nbytes + surrogate.CHUNK_BYTES
 
     def test_one_build_lays_out_one_kernel(self, monkeypatch):
         layouts = []

@@ -416,14 +416,21 @@ class EvaluationCache:
 
         Each line is the json.dumps rendering of its record.  The lines go
         out under the lock through one open of the file, in blocks of about
-        STORE_BLOCK_CHARS characters.
+        STORE_BLOCK_CHARS characters.  A last line left without its newline
+        by a write cut short is ended first, so that it stays one corrupt
+        line and the first new record is not joined onto it.
         """
         outputs = np.asarray(outputs, dtype=float)
         head = '{"fingerprint":' + json.dumps(fingerprint) + ',"inputs":["'
         tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
         cut = len(fingerprint) + 1
         rows = [tuple(row) for row in outputs.tolist()]
-        with self._lock, open(self.path, "a", encoding="utf-8") as handle:
+        with self._lock, open(self.path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
             block: list[str] = []
             size = 0
             for key, row in zip(keys, rows):
@@ -434,9 +441,9 @@ class EvaluationCache:
                 block.append(body + ',"checksum":"' + checksum + '"}\n')
                 size += len(block[-1])
                 if size >= STORE_BLOCK_CHARS:
-                    handle.write("".join(block))
+                    handle.write("".join(block).encode())
                     block, size = [], 0
-            handle.write("".join(block))
+            handle.write("".join(block).encode())
             self._index.update(zip(keys, rows))
 
     def verify(self) -> tuple[int, int]:

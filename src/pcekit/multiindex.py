@@ -1,7 +1,8 @@
 """Multi-index neighbourhoods: enumeration and cardinality.
 
-A multi-index is a tuple of per-dimension polynomial degrees.  Two families
-of neighbourhoods are supported:
+A multi-index is a row of per-dimension polynomial degrees, and a
+neighbourhood's members form one (terms, dim) int64 array.  Two families of
+neighbourhoods are supported:
 
 * total-order:    all indices whose component sum is at most p;
 * tensor-product: all indices whose every component is at most p.
@@ -13,10 +14,10 @@ first.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -66,42 +67,33 @@ def cardinality(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> int:
     return count
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to `total`, in
-    ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def index_array(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> np.ndarray:
+    """All members of the neighbourhood as a (terms, dim) int64 array, each
+    exactly once, in graded-lex order.
+
+    The count is checked against `cap` before anything is allocated.  Rows
+    are built one dimension at a time: each prefix is repeated once per
+    degree it still allows in the next dimension (order + 1 for a tensor
+    product, order - sum + 1 for total order), so no intermediate array is
+    larger than the result.  One stable lexsort by (total degree, then
+    lex) puts them in order.
+    """
+    count = cardinality(nbhd, cap=cap)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(nbhd.dim):
+        if nbhd.kind == TOTAL_ORDER:
+            room = nbhd.order + 1 - sums
+        else:
+            room = np.full(len(rows), nbhd.order + 1, dtype=np.int64)
+        starts = np.cumsum(room) - room
+        degrees = np.arange(int(room.sum()), dtype=np.int64) - np.repeat(starts, room)
+        rows = np.column_stack([np.repeat(rows, room, axis=0), degrees])
+        sums = np.repeat(sums, room) + degrees
+    assert len(rows) == count
+    return rows[np.lexsort(tuple(rows.T[::-1]) + (sums,))]
 
 
 def enumerate_indices(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> list[tuple[int, ...]]:
-    """All members of the neighbourhood, each exactly once, in graded-lex order.
-
-    The sequence is deterministic: two calls with equal arguments return
-    identical lists.
-    """
-    count = cardinality(nbhd, cap=cap)
-    if nbhd.kind == TOTAL_ORDER:
-        out: list[tuple[int, ...]] = []
-        for total in range(nbhd.order + 1):
-            out.extend(_compositions(total, nbhd.dim))
-    else:
-        out = sorted(
-            itertools.product(range(nbhd.order + 1), repeat=nbhd.dim),
-            key=lambda idx: (sum(idx), idx),
-        )
-    assert len(out) == count
-    return out
-
-
-def contains(nbhd: Neighborhood, index: Sequence[int]) -> bool:
-    """Membership test without enumeration."""
-    idx = tuple(index)
-    if len(idx) != nbhd.dim or any(component < 0 for component in idx):
-        return False
-    if nbhd.kind == TOTAL_ORDER:
-        return sum(idx) <= nbhd.order
-    return max(idx) <= nbhd.order
+    """The rows of index_array as tuples of Python ints, in the same order."""
+    return list(map(tuple, index_array(nbhd, cap=cap).tolist()))

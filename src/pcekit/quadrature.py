@@ -29,6 +29,7 @@ from typing import Callable, IO
 
 import numpy as np
 
+from . import multiindex
 from .errors import ConfigurationError, EvaluationError
 from .sampling import write_rows
 
@@ -197,16 +198,6 @@ def full_grid(dim: int, order: int, *, point_cap: int = POINT_COUNT_CAP) -> Grid
     return GridQuadrature(dim, points, weights, {"method": "full-grid", "order": order})
 
 
-def _positive_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Tuples of `parts` integers >= 1 summing to `total`, lexicographically."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        out.extend((first,) + rest for rest in _positive_compositions(total - first, parts - 1))
-    return out
-
-
 def _tensor_point_count(dim: int, level: int) -> int:
     """Points summed over the Smolyak tensor terms, before merging: the
     coefficients of (sum_k n_k x^k)^dim over the shells, in exact integers."""
@@ -269,17 +260,18 @@ def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> Gr
         lattice[k, :len(rule)] = np.searchsorted(rules[-1].nodes, rule.nodes)
         weight_table[k, :len(rule)] = rule.weights
 
-    terms = [
-        (k, (-1.0) ** (level + dim - shell) * math.comb(dim - 1, level + dim - shell))
-        for shell in range(level + 1, level + dim + 1)
-        for k in _positive_compositions(shell, dim)
-    ]
-    levels = np.array([k for k, _ in terms], dtype=np.int64).reshape(len(terms), dim)
+    # The tensor terms' level vectors k >= 1 with level < |k| <= level + dim,
+    # shell by shell and lexicographic within one: k - 1 runs over the
+    # total-order set of order `level` in graded-lex order.
+    members = multiindex.index_array(multiindex.Neighborhood(multiindex.TOTAL_ORDER, level, dim))
+    levels = members[members.sum(axis=1) > level - dim] + 1
+    gap = level + dim - levels.sum(axis=1)
+    coefficients = np.array([(-1.0) ** g * math.comb(dim - 1, g) for g in range(dim)])
 
     # Each row splits into one per node of its term's rule in the next
     # dimension, the last dimension fastest, as in a product over the axes.
-    term, weight = np.arange(len(terms)), np.array([c for _, c in terms])
-    keys = np.zeros(len(terms), dtype=np.int64)
+    term, weight = np.arange(len(levels)), coefficients[gap]
+    keys = np.zeros(len(levels), dtype=np.int64)
     prefixes = np.zeros((1, 0), dtype=np.int64)  # the lattice rows key ranks stand for
     bound = 1  # every key is below it
     for j in range(dim):

@@ -48,7 +48,7 @@ def _variance_by_pattern(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
     row k of the (patterns, outputs) table sums c_i^2 * prod 1/(2 i_j + 1)
     over the terms active exactly on patterns[k].
     """
-    patterns, group = np.unique(np.array(model.indices) > 0, axis=0, return_inverse=True)
+    patterns, group = np.unique(model.indices > 0, axis=0, return_inverse=True)
     table = np.zeros((len(patterns), len(model.output_names)))
     np.add.at(table, group.ravel(), model.basis_norms()[:, None] * model.coefficients**2)
     return patterns, table

@@ -222,45 +222,50 @@ class _SplitKronecker:
 class PceModel:
     """A built surrogate: inputs, outputs, neighbourhood, and coefficients.
 
-    `indices` is the graded-lex enumeration of the neighbourhood (the
-    all-zero index first) and `coefficients` the matching (terms, outputs)
-    array.  Instances are treated as immutable after construction.
+    `indices` is the neighbourhood as a (terms, dim) int64 array in
+    graded-lex order (the all-zero index first), exactly as
+    multiindex.index_array builds it, and `coefficients` the matching
+    (terms, outputs) array.  Instances are treated as immutable after
+    construction.
     """
 
     inputs: list[InputVariable]
     output_names: list[str]
     neighborhood: multiindex.Neighborhood
-    indices: list[tuple[int, ...]]
+    indices: np.ndarray
     coefficients: np.ndarray
     build_meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
         n = len(self.inputs)
         if self.neighborhood.dim != n:
             raise ConfigurationError(
                 f"neighbourhood dimension {self.neighborhood.dim} does not match "
                 f"{n} declared inputs"
             )
-        if len(self.indices) != multiindex.cardinality(self.neighborhood):
+        members = multiindex.index_array(self.neighborhood)
+        if len(self.indices) != len(members):
             raise ConfigurationError(
                 "coefficient table does not cover the neighbourhood: "
-                f"{len(self.indices)} entries for "
-                f"{multiindex.cardinality(self.neighborhood)} members"
+                f"{len(self.indices)} entries for {len(members)} members"
             )
-        if any(not multiindex.contains(self.neighborhood, idx) for idx in self.indices):
-            raise ConfigurationError("coefficient table has an index outside the neighbourhood")
+        if not np.array_equal(self.indices, members):
+            raise ConfigurationError(
+                "coefficient table has an index outside the neighbourhood "
+                "or out of graded-lex order"
+            )
         if self.coefficients.shape != (len(self.indices), len(self.output_names)):
             raise ConfigurationError(
                 f"coefficient array shape {self.coefficients.shape} does not match "
                 f"{len(self.indices)} indices x {len(self.output_names)} outputs"
             )
-        self._index_array = np.array(self.indices, dtype=int)
 
     @functools.cached_property
     def _kernel(self) -> _SplitKronecker:
         # Laid out on first evaluation; build_pce hands over its own.
-        return _SplitKronecker(self._index_array)
+        return _SplitKronecker(self.indices)
 
     @functools.cached_property
     def _block(self) -> np.ndarray:
@@ -272,7 +277,7 @@ class PceModel:
 
     def basis_norms(self) -> np.ndarray:
         """Per-term squared norms: prod_j 1 / (2 i_j + 1)."""
-        return np.prod(1.0 / (2.0 * self._index_array + 1.0), axis=1)
+        return np.prod(1.0 / (2.0 * self.indices + 1.0), axis=1)
 
     def evaluate(self, v: Sequence[float]) -> np.ndarray:
         """Evaluate the surrogate at one physical point: one value per output."""
@@ -317,7 +322,7 @@ class PceModel:
             self.inputs == other.inputs
             and self.output_names == other.output_names
             and self.neighborhood == other.neighborhood
-            and self.indices == other.indices
+            and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.coefficients, other.coefficients)
             and self.build_meta == other.build_meta
         )
@@ -367,8 +372,7 @@ def build_pce(
         raise ConfigurationError("output names must be unique")
 
     nbhd, grid, method_name, parameter = _method_pieces(method, len(inputs), point_cap)
-    indices = multiindex.enumerate_indices(nbhd)
-    index_array = np.array(indices, dtype=int)
+    indices = multiindex.index_array(nbhd)
 
     physical = unscale_points(grid.points, inputs)
     outputs = np.asarray(model(physical), dtype=float)
@@ -386,9 +390,9 @@ def build_pce(
             f"{physical[np.argmin(finite)].tolist()}"
         )
 
-    kernel = _SplitKronecker(index_array)
+    kernel = _SplitKronecker(indices)
     projected = kernel.project(grid.points.T, grid.weights * outputs.T)
-    prefactor = np.prod((2.0 * index_array + 1.0) / 2.0, axis=1)
+    prefactor = np.prod((2.0 * indices + 1.0) / 2.0, axis=1)
     coefficients = prefactor[:, None] * projected
 
     scale = np.max(np.abs(coefficients), axis=0)
@@ -410,10 +414,6 @@ def build_pce(
     return model
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save(model: PceModel, dest) -> None:
     """Write the model as a versioned JSON document.
 
@@ -427,8 +427,8 @@ def save(model: PceModel, dest) -> None:
         "inputs": [
             {
                 "name": var.name,
-                "min": _format_float(var.v_min),
-                "max": _format_float(var.v_max),
+                "min": "%.17g" % var.v_min,
+                "max": "%.17g" % var.v_max,
                 "distribution": var.distribution,
             }
             for var in model.inputs
@@ -440,8 +440,8 @@ def save(model: PceModel, dest) -> None:
             "dim": model.neighborhood.dim,
         },
         "coefficients": {
-            ",".join(map(str, idx)): [_format_float(c) for c in model.coefficients[t]]
-            for t, idx in enumerate(model.indices)
+            ",".join(map(str, index)): ["%.17g" % c for c in row]
+            for index, row in zip(model.indices.tolist(), model.coefficients.tolist())
         },
         "build_meta": model.build_meta,
     }
@@ -466,8 +466,9 @@ def load(source) -> PceModel:
     """Read a model written by save(); the round trip compares equal.
 
     Raises ModelFormatError naming the offending field for malformed or
-    truncated documents, and an explicit version error for documents
-    written by a future schema.
+    truncated documents, for a coefficient table whose keys are not the
+    neighbourhood in graded-lex order (reordered or repeated), and an
+    explicit version error for documents written by a future schema.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -512,17 +513,14 @@ def load(source) -> PceModel:
 
     output_names = [str(name) for name in _require(doc, "output_names", list)]
     raw_coeffs = _require(doc, "coefficients", dict)
-    indices: list[tuple[int, ...]] = []
-    rows: list[list[float]] = []
     try:
-        for key, values in raw_coeffs.items():
-            indices.append(tuple(int(part) for part in key.split(",")))
-            rows.append([float(v) for v in values])
-    except (TypeError, ValueError) as exc:
+        indices = np.array([key.split(",") for key in raw_coeffs], dtype=np.int64)
+        coefficients = np.array([[float(v) for v in values] for values in raw_coeffs.values()])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model field 'coefficients' is malformed: {exc}") from exc
 
     build_meta = _require(doc, "build_meta", dict)
     try:
-        return PceModel(inputs, output_names, neighborhood, indices, np.array(rows), build_meta)
+        return PceModel(inputs, output_names, neighborhood, indices, coefficients, build_meta)
     except ConfigurationError as exc:
         raise ModelFormatError(f"model document is inconsistent: {exc}") from exc

@@ -249,6 +249,18 @@ class TestBatchedCache:
         lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
         assert lines == "".join(json_dumps_record("fp", p, p[:1]) for p in points)
 
+    def test_store_many_after_torn_last_line_keeps_every_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        points = np.arange(9.0).reshape(3, 3)
+        keys = EvaluationCache.point_keys("fp", points)
+        EvaluationCache(path).store_many("fp", keys[:1], points[:1, :1])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"fingerprint":"fp","inputs":["1')  # a write cut short
+        EvaluationCache(path).store_many("fp", keys[1:], points[1:, :1])
+        reloaded = EvaluationCache(path)
+        assert len(reloaded) == 3 and reloaded.corrupt_lines == 1
+        assert reloaded.get_many(keys) == [(0.0,), (3.0,), (6.0,)]
+
     def test_concurrent_store_many_loses_no_record(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         batches = [np.column_stack([np.full(200, t), np.arange(200.0)]) for t in range(8)]

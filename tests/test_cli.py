@@ -275,6 +275,27 @@ class TestSobolCommand:
         main(["build", "--config", str(config)])
         assert main(["sobol", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("edit", ["zero-key-last", "repeated-index"])
+    def test_out_of_order_model_file_exit_code(self, tmp_path, capsys, edit):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        keys = list(doc["coefficients"])
+        if edit == "zero-key-last":
+            keys.append(keys.pop(0))
+            doc["coefficients"] = {key: doc["coefficients"][key] for key in keys}
+        else:
+            # "0,0,0,01" parses to (0, 0, 0, 1), already present as "0,0,0,1"
+            doc["coefficients"] = {
+                ("0,0,0,01" if key == "0,0,0,2" else key): values
+                for key, values in doc["coefficients"].items()
+            }
+        path.write_text(json.dumps(doc, indent=2))
+        capsys.readouterr()
+        assert main(["sobol", "--config", str(config)]) == 4
+        assert "graded-lex order" in capsys.readouterr().err
+
 
 class TestGridCommand:
     def test_sparse_export_row_count(self, tmp_path):

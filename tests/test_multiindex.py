@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pcekit.errors import ConfigurationError
@@ -8,8 +10,8 @@ from pcekit.multiindex import (
     TOTAL_ORDER,
     Neighborhood,
     cardinality,
-    contains,
     enumerate_indices,
+    index_array,
 )
 
 
@@ -19,6 +21,52 @@ def brute_force(nbhd):
     if nbhd.kind == TOTAL_ORDER:
         return {idx for idx in box if sum(idx) <= nbhd.order}
     return set(box)
+
+
+def compositions(total, parts):
+    """All tuples of `parts` non-negative integers summing to `total`, in
+    ascending lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_enumeration(nbhd):
+    """Oracle for the graded-lex order: compositions shell by shell for total
+    order, a sorted integer box for the tensor product."""
+    if nbhd.kind == TOTAL_ORDER:
+        return [idx for total in range(nbhd.order + 1) for idx in compositions(total, nbhd.dim)]
+    return sorted(
+        itertools.product(range(nbhd.order + 1), repeat=nbhd.dim),
+        key=lambda idx: (sum(idx), idx),
+    )
+
+
+@pytest.mark.parametrize("kind", [TOTAL_ORDER, TENSOR_PRODUCT])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_index_array_matches_reference_enumeration(kind, dim):
+    for order in range(0, 7):
+        nbhd = Neighborhood(kind, order, dim)
+        members = index_array(nbhd)
+        reference = reference_enumeration(nbhd)
+        assert members.dtype == np.int64 and members.shape == (len(reference), dim)
+        assert members.tolist() == [list(idx) for idx in reference]
+        assert enumerate_indices(nbhd) == reference
+
+
+def test_index_array_peak_memory_is_a_small_multiple_of_the_result():
+    nbhd = Neighborhood(TOTAL_ORDER, 10, 10)
+    tracemalloc.start()
+    try:
+        members = index_array(nbhd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members.shape == (184_756, 10)
+    assert peak < 4 * members.nbytes
 
 
 def test_total_order_small():
@@ -70,20 +118,13 @@ def test_total_order_is_subset_of_tensor_product():
         assert total <= tensor
 
 
-def test_contains_agrees_with_enumeration():
-    nbhd = Neighborhood(TOTAL_ORDER, 3, 2)
-    members = set(enumerate_indices(nbhd))
-    for idx in itertools.product(range(5), repeat=2):
-        assert contains(nbhd, idx) == (idx in members)
-    assert not contains(nbhd, (1,))
-    assert not contains(nbhd, (-1, 0))
-
-
 def test_count_cap_rejected():
     with pytest.raises(ConfigurationError, match="cap"):
         cardinality(Neighborhood(TENSOR_PRODUCT, 30, 6))
     with pytest.raises(ConfigurationError, match="cap"):
         enumerate_indices(Neighborhood(TOTAL_ORDER, 40, 10))
+    with pytest.raises(ConfigurationError, match="cap"):
+        index_array(Neighborhood(TOTAL_ORDER, 10, 10), cap=184_755)
 
 
 def test_invalid_construction():

@@ -89,7 +89,7 @@ class TestBuild:
         # 2/3 at (0,0), (2,0), (0,2) and nothing else
         model = build_pce(example_model_1(), UNIT_SQUARE, ["value"], FullGrid(2))
         assert model.neighborhood == Neighborhood(TENSOR_PRODUCT, 2, 2)
-        coeffs = dict(zip(model.indices, model.coefficients))
+        coeffs = dict(zip(map(tuple, model.indices.tolist()), model.coefficients))
         for index, expected in [((0, 0), 2 / 3), ((2, 0), 2 / 3), ((0, 2), 2 / 3)]:
             assert coeffs[index][0] == pytest.approx(expected, abs=1e-12)
         for index, values in coeffs.items():
@@ -123,7 +123,7 @@ class TestBuild:
 
         model = build_pce(example_model_2(), UNIT_SQUARE, ["value"], SparseGrid(3))
         assert model.neighborhood == Neighborhood(TOTAL_ORDER, 3, 2)
-        coeffs = dict(zip(model.indices, model.coefficients))
+        coeffs = dict(zip(map(tuple, model.indices.tolist()), model.coefficients))
         for index, expected in oracle.items():
             assert coeffs[index][0] == pytest.approx(expected, abs=1e-12)
         untouched = set(coeffs) - set(oracle)
@@ -457,6 +457,50 @@ class TestPersistence:
         del doc["coefficients"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="coefficients"):
+            load(path)
+
+    def saved_doc(self):
+        buffer = io.StringIO()
+        save(self.build_small(), buffer)
+        return json.loads(buffer.getvalue())
+
+    def test_indices_are_one_int64_array(self, tmp_path):
+        model = self.build_small()
+        path = tmp_path / "model.json"
+        save(model, path)
+        for candidate in (model, load(path)):
+            assert candidate.indices.dtype == np.int64
+            assert candidate.indices.shape == (9, 2)
+
+    def test_reordered_coefficients_rejected(self, tmp_path):
+        doc = self.saved_doc()
+        coefficients = doc["coefficients"]
+        zero = coefficients.pop("0,0")
+        coefficients["0,0"] = zero  # the zero index last: mean() would read row 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ModelFormatError, match="graded-lex order"):
+            load(path)
+
+    def test_repeated_index_rejected(self, tmp_path):
+        doc = self.saved_doc()
+        # "0,01" parses to (0, 1), which is already present; (0, 2) goes missing
+        doc["coefficients"] = {
+            ("0,01" if key == "0,2" else key): values
+            for key, values in doc["coefficients"].items()
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ModelFormatError, match="graded-lex order"):
+            load(path)
+
+    @pytest.mark.parametrize("keys", [["0,0", "1"], ["0,x"], ["99999999999999999999,0"]])
+    def test_malformed_keys_rejected(self, tmp_path, keys):
+        doc = self.saved_doc()
+        doc["coefficients"] = {key: ["1"] for key in keys}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc, indent=2))
         with pytest.raises(ModelFormatError, match="coefficients"):
             load(path)
 

@@ -1,0 +1,153 @@
+"""Alternating parent/change pairs of the benchmark, written to BENCH_<n>.json.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/bench_pairs.py --base REF --out BENCH_7.json \
+        --workload csg-full6 --pairs 10 --seed 701 [--workload ... --pairs ... --seed ...]
+
+The base side is the commit REF, extracted with `git archive` into a
+temporary directory; the change side is this checkout as it stands.  Each
+side runs its own perfbench/run.py (--trace 0) with the same --seconds and
+seed, so the benchmark code is the one each tree ships.  Pair i uses seed
+SEED + i and runs the base first when i is even, the change first when it
+is odd.  Pairs run one after another, never concurrently.
+
+The output file keeps both sides of every pair: the result line (correct,
+attempted, failed, metrics) and the details line (per-command samples and
+the machine record) of each run, plus a summary per workload and metric:
+each side's median and quartiles, the median difference, and how many
+pairs the change won by the direction BENCHMARK.json gives the metric.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def extract(ref: str, dest: Path) -> str:
+    """Write the tree of `ref` under dest; return its full commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = dest.parent / "base.tar"
+    with open(archive, "wb") as handle:
+        subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, stdout=handle)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
+    archive.unlink()
+    return commit
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of a tree: its result and details lines, and wall time."""
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"benchmark failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
+    return {
+        "result": json.loads(lines[-1]),
+        "details": json.loads(lines[-2]),
+        "wall_s": time.perf_counter() - started,
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, median, high
+
+
+def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+    summary = {}
+    for name, better in sorted(directions.items()):
+        base = [p["base"]["result"]["metrics"].get(name, {}).get("value") for p in pairs]
+        change = [p["change"]["result"]["metrics"].get(name, {}).get("value") for p in pairs]
+        if None in base or None in change:
+            continue
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
+        q_base, q_change = quartiles(base), quartiles(change)
+        summary[name] = {
+            "better": better,
+            "base_quartiles": q_base,
+            "change_quartiles": q_change,
+            "median_change": q_change[1] - q_base[1],
+            "relative_change": (q_change[1] - q_base[1]) / q_base[1] if q_base[1] else None,
+            "base_quartile_distance": q_base[2] - q_base[0],
+            "change_wins": wins,
+            "change_losses": losses,
+            "pairs": len(pairs),
+        }
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git ref of the parent commit")
+    parser.add_argument("--out", required=True, help="output file, BENCH_<n>.json")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, action="append", required=True,
+                        help="pairs to run, one per --workload")
+    parser.add_argument("--seed", type=int, action="append", required=True,
+                        help="seed of the first pair, one per --workload")
+    parser.add_argument("--seconds", type=float, default=55.0,
+                        help="run length of every run (BENCHMARK.json's run_seconds)")
+    args = parser.parse_args()
+    if not len(args.workload) == len(args.pairs) == len(args.seed):
+        parser.error("give --pairs and --seed once per --workload")
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    record = {"base": args.base, "change": "working tree", "seconds": args.seconds,
+              "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        base_tree = Path(tmp) / "base"
+        base_tree.mkdir()
+        record["base_commit"] = extract(args.base, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
+        for workload, count, first_seed in zip(args.workload, args.pairs, args.seed):
+            pairs = []
+            for i in range(count):
+                seed = first_seed + i
+                order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+                pair = {"pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_side(trees[side], workload, seed, args.seconds)
+                pairs.append(pair)
+                record.setdefault("machine", pair["change"]["details"].get("machine"))
+                print(f"{workload} pair {i} seed {seed}: "
+                      + "  ".join(f"{side} correct={pair[side]['result']['correct']}"
+                                  for side in ("base", "change")), flush=True)
+                record["workloads"][workload] = {
+                    "pairs": pairs, "summary": summarize(pairs, directions)
+                }
+                # Written after each pair, so a cut run keeps what finished.
+                Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, data in record["workloads"].items():
+        for name, s in data["summary"].items():
+            print(f"{workload:18s} {name:14s} base {s['base_quartiles'][1]:.4g} "
+                  f"change {s['change_quartiles'][1]:.4g} "
+                  f"wins {s['change_wins']}/{s['pairs']} "
+                  f"(base quartile distance {s['base_quartile_distance']:.3g})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

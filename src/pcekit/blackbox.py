@@ -1,15 +1,17 @@
 """Uniform access to the expensive model: builtins, external processes, cache.
 
 A ModelSpec binds either a registered builtin function or an external
-command to declared input/output names.  The external protocol is CSV in,
-CSV out: the command is launched once per batch, receives the input rows
-(header = input names) either on a file path appended as its final argument
-or on standard input, and must write the output rows (header = output
-names) in the same order to standard output, exiting 0.  Failed launches
-are retried once before erroring.
-
-The solver runs in a session of its own; a timeout kills its whole process
-group, so nothing it started outlives the launch.
+command to declared input/output names.  A builtin maps an (M, inputs)
+array to an (M, outputs) array in one call, its parameters checked when it
+is resolved.  The external protocol is CSV in, CSV out: the command is
+launched once per batch, receives the input rows (header = input names)
+either on a file path appended as its final argument or on standard input,
+and must write the output rows (header = output names) in the same order
+to standard output, exiting 0.  Failed launches are retried once before
+erroring.  The solver runs in a session of its own; a timeout kills its
+whole process group, so nothing it started outlives the launch.  What only
+a launch or a warning needs (subprocess, tempfile, signal, csv,
+concurrent.futures, logging) is imported where it is used.
 
 Evaluations are memoized in an append-only JSON-lines cache.  Keys combine
 the spec fingerprint with the inputs rendered as decimal strings (17
@@ -28,19 +30,13 @@ forced with the PCEKIT_CACHE environment variable.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
-import logging
 import math
+import numbers
 import os
 import re
-import signal
-import subprocess
-import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -50,20 +46,17 @@ import numpy as np
 from . import polybasis
 from .errors import ConfigurationError, EvaluationError
 
-logger = logging.getLogger(__name__)
-
 BUILTIN = "builtin"
 EXTERNAL = "external"
 IO_ARGFILE = "argfile"
 IO_STDIN = "stdin"
 
-FRESH = "fresh"
-CACHED = "cached"
-
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store_many.
 STORE_BLOCK_CHARS = 2**20
 DEFAULT_TIMEOUT_SECONDS = 3600.0
+# Basis values (points x terms) the polynomial builtin holds at once.
+POLYNOMIAL_CHUNK_VALUES = 2**20
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
 CSG_PROXY_INPUTS = (
@@ -73,6 +66,13 @@ CSG_PROXY_INPUTS = (
     ("langmuir_volume", 0.2, 1.0),
 )
 CSG_PROXY_OUTPUTS = ("cumulative_gas", "peak_gas")
+
+
+def _warn(message: str, *args) -> None:
+    """A warning on this module's logger, the only use of logging here."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 @dataclass(frozen=True)
@@ -124,36 +124,50 @@ class ModelSpec:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One model evaluation: inputs, outputs, and whether the cache served it."""
+def _reals(raw) -> list[float] | None:
+    """A list of numbers as floats, or None for anything else: text, booleans,
+    integers beyond the float range, or not a list at all."""
+    if not isinstance(raw, (list, tuple)) or not all(
+        isinstance(value, numbers.Real) and not isinstance(value, bool) for value in raw
+    ):
+        return None
+    try:
+        return [float(value) for value in raw]
+    except OverflowError:
+        return None
 
-    input: tuple[float, ...]
-    output: tuple[float, ...]
-    source: str
-    model_fingerprint: str
+
+def _scalar(function: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """function (math.exp, math.pow) applied per element, as Python floats.
+
+    numpy's exp and power can differ from the C library's in the last bit,
+    and a builtin's values are part of the cache and the model bytes.
+    """
+    return np.array([function(value, *args) for value in x.tolist()])
 
 
 def _make_constant(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     values = spec.parameters.get("values")
-    if isinstance(values, (int, float)):
+    if isinstance(values, numbers.Real):
         values = [values]
+    values = _reals(values)
     if values is None or len(values) != len(spec.output_names):
         raise ConfigurationError(
             "constant model needs parameters.values with one number per output"
         )
-    out = np.array([float(v) for v in values])
-    return lambda point: out.copy()
+    out = np.array(values)
+    return lambda points: np.tile(out, (len(points), 1))
 
 
 def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """A Legendre-combination polynomial over declared multi-index terms.
 
     parameters.terms is a list of {"orders": [...], "coefficients": [...]}
-    with one coefficient per output; parameters.variables, when present,
-    gives [min, max] per input for rescaling, otherwise inputs are taken to
-    be on [-1, 1] already.  Matches the surrogate's own expansion form, so a
-    polynomial built from a surrogate's coefficient map reproduces it.
+    with one order in 0..DEGREE_CAP per input and one finite coefficient per
+    output; parameters.variables, when present, gives [min, max] per input
+    for rescaling, otherwise inputs are taken to be on [-1, 1] already.
+    Matches the surrogate's own expansion form, so a polynomial built from a
+    surrogate's coefficient map reproduces it.
     """
     dim = len(spec.input_names)
     n_out = len(spec.output_names)
@@ -163,49 +177,53 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     orders = []
     coefficients = []
     for term in terms:
-        try:
-            order = tuple(int(o) for o in term["orders"])
-            coeff = [float(c) for c in term["coefficients"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        order = coeff = None
+        if isinstance(term, Mapping):
+            order, coeff = _reals(term.get("orders")), _reals(term.get("coefficients"))
+        if (
+            order is None or len(order) != dim
+            or not all(o.is_integer() and 0 <= o <= polybasis.DEGREE_CAP for o in order)
+            or coeff is None or len(coeff) != n_out or not all(map(math.isfinite, coeff))
+        ):
             raise ConfigurationError(
-                f"polynomial term {term!r} needs numeric 'orders' and 'coefficients' "
-                f"lists ({type(exc).__name__}: {exc})"
-            ) from exc
-        if min(order, default=0) < 0:
-            raise ConfigurationError(f"polynomial term {order} has a negative order")
-        if len(order) != dim:
-            raise ConfigurationError(
-                f"polynomial term {order} does not match {dim} declared inputs"
-            )
-        if len(coeff) != n_out:
-            raise ConfigurationError(
-                f"polynomial term {order} needs one coefficient per output ({n_out})"
+                f"polynomial term {term!r} needs 'orders', one integer in "
+                f"0..{polybasis.DEGREE_CAP} for each of the {dim} declared inputs, and "
+                f"'coefficients', one finite number for each of the {n_out} outputs"
             )
         orders.append(order)
         coefficients.append(coeff)
-    index_array = np.array(orders, dtype=int)
+    index_array = np.array(orders, dtype=np.int64)
     coeff_array = np.array(coefficients)
 
     ranges = spec.parameters.get("variables")
+    lo = hi = None
     if ranges is not None:
-        if len(ranges) != dim:
-            raise ConfigurationError("polynomial parameters.variables must list one range per input")
-        lo = np.array([float(r[0]) for r in ranges])
-        hi = np.array([float(r[1]) for r in ranges])
-        if np.any(lo >= hi):
-            raise ConfigurationError("polynomial variable ranges must have min < max")
-    else:
-        lo = hi = None
+        bounds = [_reals(r) for r in ranges] if isinstance(ranges, (list, tuple)) else []
+        if len(bounds) != dim or any(b is None or len(b) != 2 for b in bounds):
+            raise ConfigurationError(
+                "polynomial parameters.variables must list one [min, max] pair per input"
+            )
+        lo, hi = np.array(bounds).T
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo < hi)):
+            raise ConfigurationError("polynomial variable ranges must be finite with min < max")
 
-    max_degrees = index_array.max(axis=0)
+    max_degrees = index_array.max(axis=0).tolist()
+    step = max(1, POLYNOMIAL_CHUNK_VALUES // len(index_array))
 
-    def evaluate(point: np.ndarray) -> np.ndarray:
-        xi = point if lo is None else 2.0 * (point - lo) / (hi - lo) - 1.0
-        basis = np.ones(index_array.shape[0])
-        for j in range(dim):
-            table = polybasis.legendre_table(int(max_degrees[j]), xi[j])[:, 0]
-            basis *= table[index_array[:, j]]
-        return basis @ coeff_array
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        xi = points if lo is None else 2.0 * (points - lo) / (hi - lo) - 1.0
+        out = np.empty((len(points), n_out))
+        for start in range(0, len(points), step):
+            chunk = xi[start:start + step]
+            basis = np.ones((len(chunk), len(index_array)))
+            for j in range(dim):
+                table = polybasis.legendre_table(max_degrees[j], chunk[:, j])
+                basis *= table[index_array[:, j]].T
+            # One vector-matrix product per point sums the terms in the same
+            # order whatever the batch; a matrix product would not.
+            for row, basis_row in enumerate(basis, start):
+                out[row] = basis_row @ coeff_array
+        return out
 
     return evaluate
 
@@ -213,13 +231,15 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
 def _make_sobol_example_1(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     if len(spec.input_names) != 2 or len(spec.output_names) != 1:
         raise ConfigurationError("sobol-example-1 takes exactly 2 inputs and 1 output")
-    return lambda point: np.array([point[0] ** 2 + point[1] ** 2])
+    return lambda points: (
+        _scalar(math.pow, points[:, 0], 2.0) + _scalar(math.pow, points[:, 1], 2.0)
+    )[:, None]
 
 
 def _make_sobol_example_2(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     if len(spec.input_names) != 2 or len(spec.output_names) != 1:
         raise ConfigurationError("sobol-example-2 takes exactly 2 inputs and 1 output")
-    return lambda point: np.array([point[0] ** 3 + point[1]])
+    return lambda points: (_scalar(math.pow, points[:, 0], 3.0) + points[:, 1])[:, None]
 
 
 def _make_csg_proxy(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -245,8 +265,8 @@ def _make_csg_proxy(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     if len(spec.input_names) != 4 or len(spec.output_names) != 2:
         raise ConfigurationError("csg-proxy takes exactly 4 inputs and 2 outputs")
 
-    def evaluate(point: np.ndarray) -> np.ndarray:
-        porosity, permeability, inv_pressure, volume = point
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        porosity, permeability, inv_pressure, volume = points.T
         release = (
             inv_pressure * 2750.0 / (1.0 + inv_pressure * 2750.0)
             - inv_pressure * 101.3 / (1.0 + inv_pressure * 101.3)
@@ -255,17 +275,17 @@ def _make_csg_proxy(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             1.6e8
             * volume
             * release
-            * (0.3 + 0.7 * (1.0 - math.exp(-permeability / 250.0)))
-            * math.exp(-3.0 * porosity)
+            * (0.3 + 0.7 * (1.0 - _scalar(math.exp, -permeability / 250.0)))
+            * _scalar(math.exp, -3.0 * porosity)
         )
         peak = (
             3.2e5
-            * (1.0 - math.exp(-permeability / 180.0))
-            * (0.35 + 0.65 * (1.0 - math.exp(-40.0 * porosity)))
+            * (1.0 - _scalar(math.exp, -permeability / 180.0))
+            * (0.35 + 0.65 * (1.0 - _scalar(math.exp, -40.0 * porosity)))
             * (0.55 + 0.45 * volume)
             * (1.0 + 0.1 * inv_pressure * 2750.0)
         )
-        return np.array([cumulative, peak])
+        return np.column_stack([cumulative, peak])
 
     return evaluate
 
@@ -280,10 +300,23 @@ BUILTIN_MODELS: dict[str, Callable[[ModelSpec], Callable[[np.ndarray], np.ndarra
 
 
 def builtin_function(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a builtin spec to its (pure, deterministic) point function."""
+    """Resolve a builtin spec to its (pure, deterministic) array function.
+
+    The function maps (M, inputs) points to (M, outputs) values; one 1-D
+    point is evaluated as a one-row array and gives a 1-D array of outputs.
+    Malformed parameters raise ConfigurationError here.
+    """
     if spec.kind != BUILTIN:
         raise ConfigurationError("builtin_function requires a builtin model spec")
-    return BUILTIN_MODELS[spec.name](spec)
+    function = BUILTIN_MODELS[spec.name](spec)
+
+    def evaluate(points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            return function(points[None, :])[0]
+        return function(points)
+
+    return evaluate
 
 
 def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) -> str:
@@ -380,9 +413,7 @@ class EvaluationCache:
         self._index, _, corrupt = self._scan()
         self.corrupt_lines = len(corrupt)
         for lineno, exc in corrupt:
-            logger.warning(
-                "cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc
-            )
+            _warn("cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -455,6 +486,9 @@ class EvaluationCache:
 
 
 def _input_csv(names: Sequence[str], points: np.ndarray) -> str:
+    import csv
+    import io
+
     header = io.StringIO()
     csv.writer(header).writerow(names)
     template = ",".join(["%.17g"] * points.shape[1]) + "\r\n"
@@ -462,6 +496,9 @@ def _input_csv(names: Sequence[str], points: np.ndarray) -> str:
 
 
 def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int) -> np.ndarray:
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
@@ -483,8 +520,10 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
         raise EvaluationError(f"external model wrote a non-numeric value: {exc}") from exc
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
+def _kill_group(proc) -> None:
     """SIGKILL the process group the solver leads, then reap the solver."""
+    import signal
+
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -493,6 +532,9 @@ def _kill_group(proc: subprocess.Popen) -> None:
 
 
 def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
+    import subprocess
+    import tempfile
+
     csv_text = _input_csv(spec.input_names, points)
 
     command = list(spec.command)
@@ -568,7 +610,7 @@ def _run_external_batch(
         try:
             outputs = _launch_external(spec, points[rows])
         except EvaluationError as exc:
-            logger.warning("external model failed (%s); retrying once", exc)
+            _warn("external model failed (%s); retrying once", exc)
             outputs = _launch_external(spec, points[rows])
         commit(rows, outputs)
 
@@ -576,6 +618,8 @@ def _run_external_batch(
     if workers <= 1 or len(points) <= 1:
         run_chunk(rows)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = np.array_split(rows, min(workers, len(points)))
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         # Leaving the block waits for every chunk, so all successful chunks
@@ -583,102 +627,54 @@ def _run_external_batch(
         list(pool.map(run_chunk, chunks))
 
 
-def _checked_points(spec: ModelSpec, points) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != len(spec.input_names):
-        raise ConfigurationError(
-            f"points have {points.shape[1]} columns but the model declares "
-            f"{len(spec.input_names)} inputs"
-        )
-    return points
-
-
-def _evaluate(
+def _run_builtin(
     spec: ModelSpec,
-    fingerprint: str,
+    function: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
-    cache: EvaluationCache | None,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs at each point, (M, outputs), and the mask of cache hits.
+    commit: Callable[[np.ndarray, np.ndarray], None],
+) -> None:
+    """Evaluate a builtin over all the points in one call and commit the values.
 
-    Hits come back bit-identically to the original evaluation.  Misses are
-    computed and committed to the cache as they complete: per external
-    chunk, and for builtins once, after the last point or before raising on
-    a failing one.
+    If that call fails (it raises, or returns a wrong shape or a non-finite
+    value), the points are evaluated again one row at a time, so that exactly
+    the rows before the first failing one are committed and the error names
+    its point.
     """
-    outputs = np.empty((len(points), len(spec.output_names)))
-    cached = np.zeros(len(points), dtype=bool)
-    keys: list[str] = []
-    if cache is not None:
-        keys = cache.point_keys(fingerprint, points)
-        hits = cache.get_many(keys)
-        cached[:] = [hit is not None for hit in hits]
-        if cached.any():
-            outputs[cached] = [hit for hit in hits if hit is not None]
-    misses = np.flatnonzero(~cached)
-    if not len(misses):
-        return outputs, cached
+    n_out = len(spec.output_names)
 
-    def commit(rows: np.ndarray, values: np.ndarray) -> None:
-        rows = misses[rows]
-        outputs[rows] = values
-        if cache is not None and len(rows):
-            cache.store_many(fingerprint, [keys[i] for i in rows], values)
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        try:
+            values = np.asarray(function(rows), dtype=float)
+        except Exception as exc:
+            raise EvaluationError(
+                f"builtin model {spec.name!r} failed at point {rows[0].tolist()}: {exc}"
+            ) from exc
+        if values.shape != (len(rows), n_out) or not np.isfinite(values).all():
+            raise EvaluationError(
+                f"builtin model {spec.name!r} returned an invalid value at "
+                f"point {rows[0].tolist()}"
+            )
+        return values
 
-    if spec.kind != BUILTIN:
-        _run_external_batch(spec, points[misses], workers, commit)
-        return outputs, cached
-    func = builtin_function(spec)
-    values = np.empty((len(misses), len(spec.output_names)))
-    done = 0
     try:
-        for point in points[misses]:
-            try:
-                value = np.asarray(func(point), dtype=float)
-            except Exception as exc:
-                raise EvaluationError(
-                    f"builtin model {spec.name!r} failed at point {point.tolist()}: {exc}"
-                ) from exc
-            if value.shape != values.shape[1:] or not np.all(np.isfinite(value)):
-                raise EvaluationError(
-                    f"builtin model {spec.name!r} returned an invalid value at "
-                    f"point {point.tolist()}"
-                )
-            values[done] = value
-            done += 1
-    finally:
-        commit(np.arange(done), values[:done])
-    return outputs, cached
-
-
-def evaluate_batch(
-    spec: ModelSpec,
-    points,
-    *,
-    cache: EvaluationCache | None = None,
-    workers: int = 1,
-) -> list[EvaluationRecord]:
-    """Evaluate the model at each point, in order, through the cache.
-
-    Cache hits are returned bit-identically to the original evaluation;
-    misses are computed (builtin call or external launch) and appended to
-    the cache as they complete.  Builtin failures are reported per point.
-    """
-    points = _checked_points(spec, points)
-    fingerprint = spec.fingerprint()
-    outputs, cached = _evaluate(spec, fingerprint, points, cache, workers)
-    return [
-        EvaluationRecord(tuple(point), tuple(output), CACHED if hit else FRESH, fingerprint)
-        for point, output, hit in zip(points.tolist(), outputs.tolist(), cached.tolist())
-    ]
+        values = evaluate(points)
+    except EvaluationError:  # located and raised again by the row-by-row pass
+        rows: list[np.ndarray] = []
+        try:
+            for row in range(len(points)):
+                rows.append(evaluate(points[row:row + 1])[0])
+        finally:
+            commit(np.arange(len(rows)), np.array(rows).reshape(len(rows), n_out))
+        return
+    commit(np.arange(len(points)), values)
 
 
 class BlackBoxModel:
     """Callable adapter: (points, dim) physical array -> (points, outputs) array.
 
     Wraps a spec plus an optional shared cache, counts fresh and cached
-    evaluations, and exposes the spec fingerprint for build metadata.
+    evaluations, and exposes the spec fingerprint for build metadata.  A
+    builtin is resolved, and its parameters checked, on construction.
     Instances are safe to call from several threads; counters are summed
     under a lock.
     """
@@ -696,12 +692,52 @@ class BlackBoxModel:
         self.fresh_count = 0
         self.cached_count = 0
         self._lock = threading.Lock()
+        self._builtin = builtin_function(spec) if spec.kind == BUILTIN else None
 
     def __call__(self, points) -> np.ndarray:
-        points = _checked_points(self.spec, points)
-        outputs, cached = _evaluate(self.spec, self.fingerprint, points, self.cache, self.workers)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != len(self.spec.input_names):
+            raise ConfigurationError(
+                f"points have {points.shape[1]} columns but the model declares "
+                f"{len(self.spec.input_names)} inputs"
+            )
+        outputs, cached = self._evaluate(points)
         hits = int(cached.sum())
         with self._lock:
             self.fresh_count += len(points) - hits
             self.cached_count += hits
         return outputs
+
+    def _evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs at each point, (M, outputs), and the mask of cache hits.
+
+        Hits come back bit-identically to the original evaluation.  Misses
+        are computed and committed to the cache as they complete: per
+        external chunk, and for builtins once, after the last point or
+        before raising on a failing one.
+        """
+        cache = self.cache
+        outputs = np.empty((len(points), len(self.spec.output_names)))
+        cached = np.zeros(len(points), dtype=bool)
+        keys: list[str] = []
+        if cache is not None:
+            keys = cache.point_keys(self.fingerprint, points)
+            hits = cache.get_many(keys)
+            cached[:] = [hit is not None for hit in hits]
+            if cached.any():
+                outputs[cached] = [hit for hit in hits if hit is not None]
+        misses = np.flatnonzero(~cached)
+        if not len(misses):
+            return outputs, cached
+
+        def commit(rows: np.ndarray, values: np.ndarray) -> None:
+            rows = misses[rows]
+            outputs[rows] = values
+            if cache is not None and len(rows):
+                cache.store_many(self.fingerprint, [keys[i] for i in rows], values)
+
+        if self._builtin is None:
+            _run_external_batch(self.spec, points[misses], self.workers, commit)
+        else:
+            _run_builtin(self.spec, self._builtin, points[misses], commit)
+        return outputs, cached

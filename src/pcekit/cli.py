@@ -9,6 +9,9 @@ With --reproducible, volatile content (timestamps, wall times, cache
 hit/miss counts) is kept out of the written artifacts, so repeated runs of
 the same config and seed produce byte-identical files; the volatile values
 still go to stdout.
+
+Each command imports the modules it runs when it runs, so that sobol, for
+one, loads neither the quadrature nor the sampling module.
 """
 from __future__ import annotations
 
@@ -17,9 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, sampling, sobol, surrogate
-from .blackbox import BlackBoxModel, EvaluationCache, resolve_cache_path
-from .config import RunConfig, load_config
+from . import __version__
 from .errors import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -30,9 +31,6 @@ from .errors import (
     ModelFormatError,
     ZeroVarianceError,
 )
-from .quadrature import full_grid, sparse_grid, write_grid_csv
-from .sampling import latin_hypercube
-from .surrogate import unscale_points
 
 
 def _append_log(report_dir: Path, line: str) -> None:
@@ -41,15 +39,21 @@ def _append_log(report_dir: Path, line: str) -> None:
         handle.write(line + "\n")
 
 
-def _open_cache(cfg: RunConfig) -> EvaluationCache | None:
+def _black_box(cfg, workers: int):
+    """The config's model behind its evaluation cache, if one is configured."""
+    from .blackbox import BlackBoxModel, EvaluationCache, resolve_cache_path
+
     path = resolve_cache_path(cfg.paths.cache)
-    if path is None:
-        return None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return EvaluationCache(path)
+    cache = None
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cache = EvaluationCache(path)
+    return BlackBoxModel(cfg.model, cache=cache, workers=workers)
 
 
-def _load_model(cfg: RunConfig, override: str | None) -> surrogate.PceModel:
+def _load_model(cfg, override: str | None):
+    from . import surrogate
+
     return surrogate.load(Path(override) if override else cfg.paths.model_file)
 
 
@@ -65,9 +69,10 @@ def _ordinal(q: float) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    cache = _open_cache(cfg)
-    box = BlackBoxModel(cfg.model, cache=cache, workers=args.workers)
+    from . import config, surrogate
+
+    cfg = config.load_config(args.config)
+    box = _black_box(cfg, args.workers)
     started = time.perf_counter()
     model = surrogate.build_pce(
         box,
@@ -104,15 +109,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    model = _load_model(cfg, args.model)
-    cache = _open_cache(cfg)
-    box = BlackBoxModel(cfg.model, cache=cache, workers=args.workers)
+    from . import config, sampling, surrogate
 
-    design = latin_hypercube(
+    cfg = config.load_config(args.config)
+    model = _load_model(cfg, args.model)
+    box = _black_box(cfg, args.workers)
+
+    design = sampling.latin_hypercube(
         cfg.validation.lhs_strata, model.dim, cfg.validation.lhs_repeats, cfg.validation.seed
     )
-    physical = unscale_points(design.points, model.inputs)
+    physical = surrogate.unscale_points(design.points, model.inputs)
     truths = box(physical)
     predictions = model.evaluate_batch(physical)
 
@@ -164,14 +170,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_uq(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    from . import config, sampling, surrogate
+
+    cfg = config.load_config(args.config)
     model = _load_model(cfg, args.model)
     count = args.samples if args.samples is not None else cfg.report.uq_samples
     if count < 2:
         raise ConfigurationError(f"uq needs at least 2 samples, got {count}")
 
-    design = latin_hypercube(count, model.dim, 1, cfg.validation.seed)
-    physical = unscale_points(design.points, model.inputs)
+    design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
+    physical = surrogate.unscale_points(design.points, model.inputs)
     started = time.perf_counter()
     values = model.evaluate_batch(physical)
     elapsed = time.perf_counter() - started
@@ -227,7 +235,9 @@ def cmd_uq(args: argparse.Namespace) -> int:
 
 
 def cmd_sobol(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    from . import config, sobol
+
+    cfg = config.load_config(args.config)
     model = _load_model(cfg, args.model)
     size = (
         args.max_subset_size
@@ -258,6 +268,8 @@ def cmd_sobol(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from .quadrature import full_grid, sparse_grid, write_grid_csv
+
     if args.full is not None:
         grid = full_grid(args.dim, args.full)
     else:
@@ -272,10 +284,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from . import config
+    from .blackbox import EvaluationCache, resolve_cache_path
+
     if args.path:
         path = resolve_cache_path(args.path)
     elif args.config:
-        path = resolve_cache_path(load_config(args.config).paths.cache)
+        path = resolve_cache_path(config.load_config(args.config).paths.cache)
     else:
         raise ConfigurationError("cache command needs --path or --config")
     if path is None:

@@ -26,38 +26,6 @@ from .errors import ConfigurationError
 DEGREE_CAP = 64
 
 
-def _check_degree(n: int, degree_cap: int) -> None:
-    if n < 0:
-        raise ConfigurationError(f"polynomial degree must be >= 0, got {n}")
-    if n > degree_cap:
-        raise ConfigurationError(
-            f"polynomial degree {n} exceeds the cap of {degree_cap}; "
-            "raise degree_cap explicitly if this is intentional"
-        )
-
-
-def legendre_eval(n: int, x, *, degree_cap: int = DEGREE_CAP):
-    """Evaluate the Legendre polynomial L_n at x.
-
-    Uses the upward three-term recurrence in double precision, accurate to
-    near machine precision for the moderate degrees used here.  `x` may be
-    a scalar or an ndarray; values slightly outside [-1, 1] are evaluated
-    as-is (the polynomial is total on the reals).
-    """
-    _check_degree(n, degree_cap)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = arr.copy()
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * arr * cur - k * prev) / (k + 1)
-    return float(cur[0]) if scalar else cur
-
-
 def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.ndarray:
     """Evaluate L_0 .. L_max_degree at each x, as a degree-major
     (max_degree + 1, len(x)) array: row n holds L_n at every point.
@@ -66,7 +34,13 @@ def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.nd
     degrees are needed at the same points.  Each row is contiguous, so
     gathering the rows of a list of degrees copies whole blocks.
     """
-    _check_degree(max_degree, degree_cap)
+    if max_degree < 0:
+        raise ConfigurationError(f"polynomial degree must be >= 0, got {max_degree}")
+    if max_degree > degree_cap:
+        raise ConfigurationError(
+            f"polynomial degree {max_degree} exceeds the cap of {degree_cap}; "
+            "raise degree_cap explicitly if this is intentional"
+        )
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((max_degree + 1, arr.size))
     table[0] = 1.0

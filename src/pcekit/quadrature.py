@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
 from . import multiindex
-from .errors import ConfigurationError, EvaluationError
-from .sampling import write_rows
+from .errors import ConfigurationError
 
 GAUSS_LEGENDRE = "gauss-legendre"
 CLENSHAW_CURTIS = "clenshaw-curtis"
@@ -297,29 +296,13 @@ def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> Gr
     return GridQuadrature(dim, points, merged, {"method": "sparse-grid", "level": level})
 
 
-def integrate(grid: GridQuadrature, f: Callable[[np.ndarray], float]) -> float:
-    """Weighted sum of f over the grid points.
-
-    Evaluation failures are re-raised with the offending point attached.
-    The reduction runs in the stored point order, so the result is
-    deterministic regardless of how f was evaluated.
-    """
-    values = np.empty(len(grid))
-    for idx, point in enumerate(grid.points):
-        try:
-            values[idx] = f(point)
-        except Exception as exc:
-            raise EvaluationError(
-                f"integrand evaluation failed at point {point.tolist()}: {exc}"
-            ) from exc
-    return float(values @ grid.weights)
-
-
 def write_grid_csv(grid: GridQuadrature, dest: IO[str]) -> None:
     """Write one row per point: the coordinates, then the weight.
 
     All values use 17 significant digits, which round-trips doubles exactly.
     """
+    from .sampling import write_rows  # only the grid command writes a grid
+
     dest.write(",".join([f"x{j + 1}" for j in range(grid.dim)] + ["weight"]) + "\n")
     template = ",".join(["%.17g"] * (grid.dim + 1)) + "\n"
     write_rows(dest, template, list(grid.points.T) + [grid.weights])

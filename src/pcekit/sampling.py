@@ -8,8 +8,6 @@ because goldens depend on it.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -192,10 +190,12 @@ def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
 
 
 def _csv_cell(text: str) -> str:
-    """One cell as csv.writer renders it, quoted where needed."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow([text, ""])
-    return buffer.getvalue()[:-1]
+    """One cell of a row of several as csv.writer's default dialect writes it:
+    quoted, with its quotes doubled, where it holds a comma, a quote or a
+    line break.  (The csv module itself is not loaded for this.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
@@ -221,9 +221,8 @@ def write_cdf_csv(
     try:
         _write_comments(handle, comments)
         names = list(distributions)
-        csv.writer(handle).writerow(
-            sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
-        )
+        header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
+        handle.write(",".join(map(_csv_cell, header)) + "\r\n")
         # Between consecutive distinct lengths the outputs present stay fixed.
         start = 0
         for stop in sorted({d.values.size for d in distributions.values()}):
@@ -251,7 +250,7 @@ def write_histogram_csv(
     handle, owned = _open_dest(dest)
     try:
         _write_comments(handle, comments)
-        csv.writer(handle).writerow(["output", "bin_left", "bin_right", "count"])
+        handle.write("output,bin_left,bin_right,count\r\n")
         for name, dist in distributions.items():
             template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
             write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import multiindex, polybasis, quadrature
+from . import multiindex, polybasis
 from .errors import ConfigurationError, EvaluationError, ModelFormatError
 
 MODEL_SCHEMA = "pcekit/pce-model"
@@ -47,6 +48,8 @@ COEFFICIENT_SNAP = 1e-14
 # Byte budget for the transient arrays of one projection or evaluation
 # chunk; it sets how many points each chunk takes.
 CHUNK_BYTES = 32 * 2**20
+# Coefficient rows formatted per join by save.
+SAVE_BLOCK_ROWS = 4096
 
 FULL_GRID = "full-grid"
 SPARSE_GRID = "sparse-grid"
@@ -329,8 +332,13 @@ class PceModel:
 
 
 def _method_pieces(
-    method: FullGrid | SparseGrid, dim: int, point_cap: int
+    method: FullGrid | SparseGrid, dim: int, point_cap: int | None
 ) -> tuple[multiindex.Neighborhood, quadrature.GridQuadrature, str, int]:
+    # Only a build needs grids, so only a build loads the quadrature module.
+    from . import quadrature
+
+    if point_cap is None:
+        point_cap = quadrature.POINT_COUNT_CAP
     if isinstance(method, FullGrid):
         nbhd = multiindex.Neighborhood(multiindex.TENSOR_PRODUCT, method.order, dim)
         grid = quadrature.full_grid(dim, method.order, point_cap=point_cap)
@@ -348,7 +356,7 @@ def build_pce(
     output_names: Sequence[str],
     method: FullGrid | SparseGrid,
     *,
-    point_cap: int = quadrature.POINT_COUNT_CAP,
+    point_cap: int | None = None,
     model_identity: str | None = None,
     record_timestamp: bool = True,
 ) -> PceModel:
@@ -358,7 +366,8 @@ def build_pce(
     in physical units, and must return a (points, outputs) array (a 1D array
     is accepted for a single output).  Evaluation failures raised by the
     model propagate and abort the build; a non-finite output raises
-    EvaluationError naming the first point that produced one.
+    EvaluationError naming the first point that produced one.  `point_cap`
+    bounds the grid size (default quadrature.POINT_COUNT_CAP).
     """
     inputs = list(inputs)
     output_names = list(output_names)
@@ -419,33 +428,38 @@ def save(model: PceModel, dest) -> None:
 
     All floating-point values are serialized as decimal strings with 17
     significant digits, which reproduce the doubles bit-for-bit on load.
+    The text is json.dumps(document, indent=2) byte for byte; the
+    coefficient table is formatted in blocks rather than through json.
     `dest` is a path or an open text file.
     """
-    doc = {
+    head = {
         "schema": MODEL_SCHEMA,
         "schema_version": MODEL_SCHEMA_VERSION,
         "inputs": [
-            {
-                "name": var.name,
-                "min": "%.17g" % var.v_min,
-                "max": "%.17g" % var.v_max,
-                "distribution": var.distribution,
-            }
+            {"name": var.name, "min": "%.17g" % var.v_min, "max": "%.17g" % var.v_max,
+             "distribution": var.distribution}
             for var in model.inputs
         ],
         "output_names": list(model.output_names),
-        "neighborhood": {
-            "kind": model.neighborhood.kind,
-            "order": model.neighborhood.order,
-            "dim": model.neighborhood.dim,
-        },
-        "coefficients": {
-            ",".join(map(str, index)): ["%.17g" % c for c in row]
-            for index, row in zip(model.indices.tolist(), model.coefficients.tolist())
-        },
-        "build_meta": model.build_meta,
+        "neighborhood": {key: getattr(model.neighborhood, key) for key in ("kind", "order", "dim")},
     }
-    text = json.dumps(doc, indent=2)
+    # One %-template per coefficient entry, as json.dumps(indent=2) lays it
+    # out inside the document, formatted SAVE_BLOCK_ROWS rows at a time.
+    n_out = model.coefficients.shape[1]
+    values = "[\n      " + ",\n      ".join(['"%.17g"'] * n_out) + "\n    ]" if n_out else "[]"
+    template = '    "' + ",".join(["%d"] * model.dim) + '": ' + values
+    table = np.hstack([model.indices, model.coefficients])
+    entries = ",\n".join(
+        ",\n".join([template % tuple(row) for row in table[start:start + SAVE_BLOCK_ROWS].tolist()])
+        for start in range(0, len(table), SAVE_BLOCK_ROWS)
+    )
+    # The head without its closing "\n}", the table, then build_meta without
+    # the opening "{\n" of its own one-member document.
+    text = (
+        json.dumps(head, indent=2)[:-2]
+        + ',\n  "coefficients": {\n' + entries + "\n  },\n"
+        + json.dumps({"build_meta": model.build_meta}, indent=2)[2:]
+    )
     if hasattr(dest, "write"):
         dest.write(text)
     else:
@@ -460,6 +474,28 @@ def _require(doc: dict, key: str, kind) -> object:
     if not isinstance(value, kind):
         raise ModelFormatError(f"model field {key!r} has the wrong type: {type(value).__name__}")
     return value
+
+
+def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The "coefficients" object as a (terms, dim) int64 array of its keys and
+    a (terms, outputs) array of its values, each converted in one call.
+
+    Keys must be ASCII decimal integers, as many in each key, separated by
+    commas; the values, sequences of one length, are converted as float()
+    converts them.
+    """
+    keys = ",".join(raw)
+    rows = list(raw.values())
+    values = list(itertools.chain.from_iterable(rows))
+    fields = set(map(str.count, raw, [","] * len(raw)))
+    if keys.lstrip("0123456789,") or len(fields) != 1:
+        raise ValueError("keys must be comma-separated decimal integers, as many in each")
+    if len(set(map(len, rows))) != 1 or None in values:
+        raise ValueError("values must be lists of numbers, all of one length")
+    indices = np.fromstring(keys, dtype=np.int64, sep=",")
+    if indices.size != len(rows) * (fields.pop() + 1) or indices.max() == np.iinfo(np.int64).max:
+        raise ValueError("keys hold an empty field or an integer beyond int64")
+    return indices.reshape(len(rows), -1), np.array(values, dtype=float).reshape(len(rows), -1)
 
 
 def load(source) -> PceModel:
@@ -502,7 +538,7 @@ def load(source) -> PceModel:
             )
             for entry in _require(doc, "inputs", list)
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ModelFormatError(f"model field 'inputs' is malformed: {exc}") from exc
 
     nb = _require(doc, "neighborhood", dict)
@@ -512,10 +548,8 @@ def load(source) -> PceModel:
         raise ModelFormatError(f"model field 'neighborhood' is malformed: {exc}") from exc
 
     output_names = [str(name) for name in _require(doc, "output_names", list)]
-    raw_coeffs = _require(doc, "coefficients", dict)
     try:
-        indices = np.array([key.split(",") for key in raw_coeffs], dtype=np.int64)
-        coefficients = np.array([[float(v) for v in values] for values in raw_coeffs.values()])
+        indices, coefficients = _coefficient_table(_require(doc, "coefficients", dict))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model field 'coefficients' is malformed: {exc}") from exc
 

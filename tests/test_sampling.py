@@ -212,7 +212,8 @@ class TestCsvExports:
         rng = np.random.default_rng(3)
         distributions = {
             name: empirical_distribution(rng.normal(size=size), bins=3)
-            for name, size in [("a", 9), ('b,"q"', 2), ("c%s", 13), ("d", 9)]
+            for name, size in [("a", 9), ('b,"q"', 2), ("c%s", 13), ("d", 9), ("e\nf", 5),
+                               ("g\rh", 1), (" i;j ", 3)]
         }
         expected_cdf, expected_hist = io.StringIO(), io.StringIO()
         for handle in (expected_cdf, expected_hist):

@@ -17,6 +17,15 @@ attempted, failed, metrics) and the details line (per-command samples and
 the machine record) of each run, plus a summary per workload and metric:
 each side's median and quartiles, the median difference, and how many
 pairs the change won by the direction BENCHMARK.json gives the metric.
+
+With --claim METRIC@WORKLOAD (repeatable) the script ends with a verdict,
+printed and kept in the file: one line per claim saying whether it holds
+(at least 10 pairs, of which the change wins at least 9 in 10, and its
+median is better than the base's by more than the base's quartile
+distance), then every other metric and workload whose change median is
+worse than the base's by more than the metric's relative `bound` in
+BENCHMARK.json.  The exit status is 1 when a claim fails or a bound is
+broken.
 """
 from __future__ import annotations
 
@@ -98,6 +107,45 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def verdict(record: dict, claims: list[str], bounds: dict[str, float]) -> tuple[list[str], bool]:
+    """The verdict lines on a record's summaries, and whether all is well."""
+    lines, ok = [], True
+    for claim in claims:
+        name, _, workload = claim.partition("@")
+        s = record["workloads"].get(workload, {}).get("summary", {}).get(name)
+        if s is None:
+            lines.append(f"claim {claim}: no pairs recorded")
+            ok = False
+            continue
+        sign = 1.0 if s["better"] == "lower" else -1.0
+        gain = -sign * s["median_change"]
+        holds = (
+            s["pairs"] >= 10 and s["change_wins"] * 10 >= 9 * s["pairs"]
+            and gain > s["base_quartile_distance"]
+        )
+        ok &= holds
+        lines.append(
+            f"claim {claim} {'holds' if holds else 'does not hold'}: change wins "
+            f"{s['change_wins']}/{s['pairs']} pairs; median {s['base_quartiles'][1]:.4g} -> "
+            f"{s['change_quartiles'][1]:.4g}, better by {gain:.4g} against a base "
+            f"quartile distance of {s['base_quartile_distance']:.4g}"
+        )
+    worse = []
+    for workload, data in record["workloads"].items():
+        for name, s in data["summary"].items():
+            base = s["base_quartiles"][1]
+            excess = (s["median_change"] if s["better"] == "lower" else -s["median_change"])
+            if f"{name}@{workload}" not in claims and excess > bounds[name] * abs(base):
+                worse.append(
+                    f"  {name}@{workload}: median {base:.4g} -> {s['change_quartiles'][1]:.4g}, "
+                    f"worse by more than the bound {bounds[name]:g} (relative)"
+                )
+    ok &= not worse
+    lines.append("worse than the base beyond the bound:" if worse
+                 else "no other metric is worse than the base beyond its bound")
+    return lines + worse, ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the parent commit")
@@ -109,12 +157,20 @@ def main() -> int:
                         help="seed of the first pair, one per --workload")
     parser.add_argument("--seconds", type=float, default=55.0,
                         help="run length of every run (BENCHMARK.json's run_seconds)")
+    parser.add_argument("--claim", action="append", default=[], metavar="METRIC@WORKLOAD",
+                        help="a claimed gain to give a verdict on")
     args = parser.parse_args()
-    if not len(args.workload) == len(args.pairs) == len(args.seed):
-        parser.error("give --pairs and --seed once per --workload")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    for claim in args.claim:
+        if claim.partition("@")[0] not in directions or "@" not in claim:
+            parser.error(f"--claim {claim!r} is not METRIC@WORKLOAD with a metric "
+                         "of BENCHMARK.json")
+    if not len(args.workload) == len(args.pairs) == len(args.seed):
+        parser.error("give --pairs and --seed once per --workload")
+
     record = {"base": args.base, "change": "working tree", "seconds": args.seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -146,7 +202,13 @@ def main() -> int:
                   f"change {s['change_quartiles'][1]:.4g} "
                   f"wins {s['change_wins']}/{s['pairs']} "
                   f"(base quartile distance {s['base_quartile_distance']:.3g})")
-    return 0
+    if not args.claim:
+        return 0
+    lines, ok = verdict(record, args.claim, bounds)
+    record["verdict"] = lines
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Uniform access to the expensive model: builtins, external processes, cache.
 
-A ModelSpec binds either a registered builtin function or an external
-command to declared input/output names.  A builtin maps an (M, inputs)
-array to an (M, outputs) array in one call, its parameters checked when it
-is resolved.  The external protocol is CSV in, CSV out: the command is
+A ModelSpec (defined with the config, which checks it without loading this
+module) binds either a registered builtin function or an external command
+to declared input/output names.  A builtin maps an (M, inputs) array to an
+(M, outputs) array in one call, its parameters checked when it is
+resolved.  The external protocol is CSV in, CSV out: the command is
 launched once per batch, receives the input rows (header = input names)
 either on a file path appended as its final argument or on standard input,
 and must write the output rows (header = output names) in the same order
@@ -13,20 +14,23 @@ whole process group, so nothing it started outlives the launch.  What only
 a launch or a warning needs (subprocess, tempfile, signal, csv,
 concurrent.futures, logging) is imported where it is used.
 
-Evaluations are memoized in an append-only JSON-lines cache.  Keys combine
-the spec fingerprint with the inputs rendered as decimal strings (17
-significant digits), so regenerated grids hit the cache reliably; every
-line carries a checksum, and corrupt lines are logged and treated as
-misses, never returned as data.  The checksum is the sha256 of the compact
-sorted-key JSON of the line's other three fields, and the cache writes each
-line in exactly that byte form followed by ',"checksum":"<hex>"}'.  On
-load, a line in that canonical form whose strings hold only printable
-ASCII other than the quote and the backslash is checked against its own
-text and read by slicing; any other line is parsed and re-rendered as JSON
-for the check, which accepts and rejects the same lines.  Fresh results are
-appended in batches as they complete (per external launch, per builtin
-batch), so a failed batch keeps what succeeded.  The cache location can be
-forced with the PCEKIT_CACHE environment variable.
+Evaluations are memoized in an append-only JSON-lines cache.  A batch's
+rows are rendered as text once ("%.17g" values, comma-separated, each
+distinct value of a column formatted once; a quadrature grid has a few per
+column), and that text makes the cache keys (after the spec fingerprint,
+so regenerated grids hit the cache reliably), the cache lines and the
+solver's input rows.  Every cache line carries a checksum, and corrupt
+lines are logged and treated as misses, never returned as data.  The
+checksum is the sha256 of the compact sorted-key JSON of the line's other
+three fields, and the cache writes each line in exactly that byte form
+followed by ',"checksum":"<hex>"}'.  On load, a line in that canonical form
+whose strings hold only printable ASCII other than the quote and the
+backslash is checked against its own text and read by slicing; any other
+line is parsed and re-rendered as JSON for the check, which accepts and
+rejects the same lines.  Fresh results are appended in batches as they
+complete (per external launch, per builtin batch), so a failed batch keeps
+what succeeded.  The cache location can be forced with the PCEKIT_CACHE
+environment variable.
 """
 from __future__ import annotations
 
@@ -37,24 +41,19 @@ import numbers
 import os
 import re
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import polybasis
+# ModelSpec lives with the config, which checks specs without this module.
+from .config import BUILTIN, IO_ARGFILE, ModelSpec  # noqa: F401  (re-exported)
 from .errors import ConfigurationError, EvaluationError
-
-BUILTIN = "builtin"
-EXTERNAL = "external"
-IO_ARGFILE = "argfile"
-IO_STDIN = "stdin"
 
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store_many.
 STORE_BLOCK_CHARS = 2**20
-DEFAULT_TIMEOUT_SECONDS = 3600.0
 # Basis values (points x terms) the polynomial builtin holds at once.
 POLYNOMIAL_CHUNK_VALUES = 2**20
 
@@ -73,55 +72,6 @@ def _warn(message: str, *args) -> None:
     import logging
 
     logging.getLogger(__name__).warning(message, *args)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Binding of a black-box model: a builtin by name, or an external command."""
-
-    kind: str
-    input_names: tuple[str, ...]
-    output_names: tuple[str, ...]
-    name: str = ""
-    parameters: Mapping = field(default_factory=dict)
-    command: tuple[str, ...] = ()
-    working_dir: str = "."
-    io_format: str = IO_ARGFILE
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
-
-    def __post_init__(self) -> None:
-        if self.kind not in (BUILTIN, EXTERNAL):
-            raise ConfigurationError(f"model kind must be builtin or external, got {self.kind!r}")
-        if not self.input_names:
-            raise ConfigurationError("model needs at least one input name")
-        if not self.output_names:
-            raise ConfigurationError("model needs at least one output name")
-        if self.kind == BUILTIN:
-            if self.name not in BUILTIN_MODELS:
-                raise ConfigurationError(
-                    f"unknown builtin model {self.name!r}; "
-                    f"registered: {sorted(BUILTIN_MODELS)}"
-                )
-        else:
-            if not self.command:
-                raise ConfigurationError("external model needs a non-empty command")
-            if self.io_format not in (IO_ARGFILE, IO_STDIN):
-                raise ConfigurationError(
-                    f"io_format must be {IO_ARGFILE!r} or {IO_STDIN!r}, got {self.io_format!r}"
-                )
-
-    def fingerprint(self) -> str:
-        """Stable hash of everything that determines the model's outputs."""
-        payload = {
-            "kind": self.kind,
-            "name": self.name,
-            "parameters": self.parameters,
-            "command": list(self.command),
-            "input_names": list(self.input_names),
-            "output_names": list(self.output_names),
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _reals(raw) -> list[float] | None:
@@ -339,6 +289,24 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+def _render_rows(points: np.ndarray, prefix: str = "") -> list[str]:
+    """Each row of an (M, N) array as prefix + "v1,...,vN", every v "%.17g".
+
+    A column's distinct values, told apart by their bits so that -0.0 stays
+    "-0", are formatted in one operation and gathered back into place.
+    """
+    points = np.asarray(points, dtype=float)
+    last = points.shape[1] - 1
+    columns = [[prefix] * len(points)]
+    for j, column in enumerate(points.T):
+        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        # Each text ends in its separator, so a row is the plain join of its cells.
+        cell = "%.17g\n" if j == last else "%.17g,\n"
+        texts = (cell * len(distinct) % tuple(distinct.view(float).tolist())).split("\n")
+        columns.append(np.array(texts, dtype=object)[inverse].tolist())
+    return list(map("".join, zip(*columns)))
+
+
 def resolve_cache_path(configured: str | os.PathLike | None) -> Path | None:
     """Configured cache path, unless the environment variable overrides it."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -422,9 +390,7 @@ class EvaluationCache:
     def point_keys(fingerprint: str, points: np.ndarray) -> list[str]:
         """One key per row of an (M, N) array: the fingerprint, "|", and the
         row's values as canonical decimals ("%.17g"), comma-separated."""
-        points = np.asarray(points, dtype=float)
-        template = fingerprint.replace("%", "%%") + "|" + ",".join(["%.17g"] * points.shape[1])
-        return [template % tuple(row) for row in points.tolist()]
+        return _render_rows(points, fingerprint + "|")
 
     @staticmethod
     def point_key(fingerprint: str, values: Sequence[float]) -> str:
@@ -438,9 +404,7 @@ class EvaluationCache:
         return self._index.get(self.point_key(fingerprint, values))
 
     def store(self, fingerprint: str, values: Sequence[float], outputs: Sequence[float]) -> None:
-        self.store_many(
-            fingerprint, [self.point_key(fingerprint, values)], np.atleast_2d(outputs)
-        )
+        self.store_many(fingerprint, [self.point_key(fingerprint, values)], np.atleast_2d(outputs))
 
     def store_many(self, fingerprint: str, keys: Sequence[str], outputs: np.ndarray) -> None:
         """Append one record per key (from point_keys) with its row of outputs.
@@ -485,14 +449,15 @@ class EvaluationCache:
         return valid, len(corrupt)
 
 
-def _input_csv(names: Sequence[str], points: np.ndarray) -> str:
+def _input_csv(names: Sequence[str], rendered: Sequence[str], cut: int) -> str:
+    """The solver's input: the header row, then each row from _render_rows
+    without the first `cut` characters (a cache key's prefix)."""
     import csv
     import io
 
     header = io.StringIO()
     csv.writer(header).writerow(names)
-    template = ",".join(["%.17g"] * points.shape[1]) + "\r\n"
-    return header.getvalue() + "".join([template % tuple(row) for row in points.tolist()])
+    return header.getvalue() + "\r\n".join([text[cut:] for text in rendered] + [""])
 
 
 def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int) -> np.ndarray:
@@ -531,11 +496,12 @@ def _kill_group(proc) -> None:
     proc.wait()
 
 
-def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
+def _launch_external(spec: ModelSpec, rendered: Sequence[str], cut: int) -> np.ndarray:
+    """One launch of the solver over rows rendered as text (see _input_csv)."""
     import subprocess
     import tempfile
 
-    csv_text = _input_csv(spec.input_names, points)
+    csv_text = _input_csv(spec.input_names, rendered, cut)
 
     command = list(spec.command)
     stdin_text = None
@@ -580,7 +546,7 @@ def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
             raise EvaluationError(
                 f"external model exited with code {proc.returncode}; stderr: {excerpt!r}"
             )
-        outputs = _parse_output_csv(stdout, spec.output_names, len(points))
+        outputs = _parse_output_csv(stdout, spec.output_names, len(rendered))
         if not np.all(np.isfinite(outputs)):
             raise EvaluationError("external model wrote a non-finite value")
         return outputs
@@ -594,33 +560,35 @@ def _launch_external(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
 
 def _run_external_batch(
     spec: ModelSpec,
-    points: np.ndarray,
+    rendered: Sequence[str],
+    cut: int,
     workers: int,
-    commit: Callable[[np.ndarray, np.ndarray], None],
+    commit: Callable[[slice, np.ndarray], None],
 ) -> None:
-    """Launch the external command over the points, retrying each launch once.
+    """Launch the external command over rows rendered as text (see
+    _input_csv), retrying each launch once.
 
     With workers == 1 the whole batch goes through a single launch; more
     workers split it into that many contiguous chunks run concurrently.
-    Each chunk's (row positions, outputs) go to commit as soon as its launch
+    Each chunk's (row slice, outputs) go to commit as soon as its launch
     returns, so a failing chunk loses none of the others' results.
     """
 
-    def run_chunk(rows: np.ndarray) -> None:
+    def run_chunk(rows: slice) -> None:
         try:
-            outputs = _launch_external(spec, points[rows])
+            outputs = _launch_external(spec, rendered[rows], cut)
         except EvaluationError as exc:
             _warn("external model failed (%s); retrying once", exc)
-            outputs = _launch_external(spec, points[rows])
+            outputs = _launch_external(spec, rendered[rows], cut)
         commit(rows, outputs)
 
-    rows = np.arange(len(points))
-    if workers <= 1 or len(points) <= 1:
-        run_chunk(rows)
+    if workers <= 1 or len(rendered) <= 1:
+        run_chunk(slice(0, len(rendered)))
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    chunks = np.array_split(rows, min(workers, len(points)))
+    rows = np.array_split(np.arange(len(rendered)), min(workers, len(rendered)))
+    chunks = [slice(chunk[0], chunk[-1] + 1) for chunk in rows]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         # Leaving the block waits for every chunk, so all successful chunks
         # are committed before the first failure (in chunk order) is raised.
@@ -631,7 +599,7 @@ def _run_builtin(
     spec: ModelSpec,
     function: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
-    commit: Callable[[np.ndarray, np.ndarray], None],
+    commit: Callable[[slice, np.ndarray], None],
 ) -> None:
     """Evaluate a builtin over all the points in one call and commit the values.
 
@@ -664,9 +632,9 @@ def _run_builtin(
             for row in range(len(points)):
                 rows.append(evaluate(points[row:row + 1])[0])
         finally:
-            commit(np.arange(len(rows)), np.array(rows).reshape(len(rows), n_out))
+            commit(slice(0, len(rows)), np.array(rows).reshape(len(rows), n_out))
         return
-    commit(np.arange(len(points)), values)
+    commit(slice(0, len(points)), values)
 
 
 class BlackBoxModel:
@@ -719,9 +687,11 @@ class BlackBoxModel:
         cache = self.cache
         outputs = np.empty((len(points), len(self.spec.output_names)))
         cached = np.zeros(len(points), dtype=bool)
-        keys: list[str] = []
+        # Rendered once: the cache keys, and after their prefix the solver's
+        # rows, sliced as a launch writes them (no second list of row strings).
+        prefix = "" if cache is None else self.fingerprint + "|"
+        keys = _render_rows(points, prefix) if cache is not None or self._builtin is None else []
         if cache is not None:
-            keys = cache.point_keys(self.fingerprint, points)
             hits = cache.get_many(keys)
             cached[:] = [hit is not None for hit in hits]
             if cached.any():
@@ -730,14 +700,15 @@ class BlackBoxModel:
         if not len(misses):
             return outputs, cached
 
-        def commit(rows: np.ndarray, values: np.ndarray) -> None:
+        def commit(rows: slice, values: np.ndarray) -> None:
             rows = misses[rows]
             outputs[rows] = values
             if cache is not None and len(rows):
-                cache.store_many(self.fingerprint, [keys[i] for i in rows], values)
+                cache.store_many(self.fingerprint, [keys[i] for i in rows.tolist()], values)
 
         if self._builtin is None:
-            _run_external_batch(self.spec, points[misses], self.workers, commit)
+            miss_keys = [keys[i] for i in misses.tolist()]
+            _run_external_batch(self.spec, miss_keys, len(prefix), self.workers, commit)
         else:
             _run_builtin(self.spec, self._builtin, points[misses], commit)
         return outputs, cached

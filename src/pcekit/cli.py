@@ -140,14 +140,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     header.append("evaluations")
     row.append(str(meta.get("evaluation_count")))
     with open(report_dir / "validate.csv", "w", encoding="utf-8", newline="") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
+        handle.writelines(f"# {comment}\n" for comment in comments)
         handle.write(",".join(header) + "\n")
         handle.write(",".join(row) + "\n")
 
     with open(report_dir / "scatter.csv", "w", encoding="utf-8", newline="") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
+        handle.writelines(f"# {comment}\n" for comment in comments)
         cols = []
         for name in model.output_names:
             cols += [f"{name}_model", f"{name}_surrogate"]
@@ -170,7 +168,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_uq(args: argparse.Namespace) -> int:
-    from . import config, sampling, surrogate
+    from . import config, sampling
 
     cfg = config.load_config(args.config)
     model = _load_model(cfg, args.model)
@@ -179,9 +177,8 @@ def cmd_uq(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"uq needs at least 2 samples, got {count}")
 
     design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
-    physical = surrogate.unscale_points(design.points, model.inputs)
     started = time.perf_counter()
-    values = model.evaluate_batch(physical)
+    values = model.evaluate_scaled(design.points)
     elapsed = time.perf_counter() - started
 
     mean = model.mean()
@@ -215,8 +212,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
         cells.append([label] + [f"{v:.6g}" for v in numbers] + [derivation])
     widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
     with open(report_dir / "uq_summary.txt", "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
+        handle.writelines(f"# {comment}\n" for comment in comments)
         for row in cells:
             handle.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 

@@ -40,18 +40,61 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
-from .blackbox import (
-    BUILTIN,
-    DEFAULT_TIMEOUT_SECONDS,
-    EXTERNAL,
-    IO_ARGFILE,
-    ModelSpec,
-)
 from .errors import ConfigurationError
 from .surrogate import FullGrid, InputVariable, SparseGrid
+
+BUILTIN = "builtin"
+EXTERNAL = "external"
+IO_ARGFILE = "argfile"
+IO_STDIN = "stdin"
+DEFAULT_TIMEOUT_SECONDS = 3600.0
+# The names of blackbox.BUILTIN_MODELS, checked without loading that module.
+BUILTIN_NAMES = ("constant", "polynomial", "sobol-example-1", "sobol-example-2", "csg-proxy")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Binding of a black-box model: a builtin by name, or an external command."""
+
+    kind: str
+    input_names: tuple[str, ...]
+    output_names: tuple[str, ...]
+    name: str = ""
+    parameters: Mapping = field(default_factory=dict)
+    command: tuple[str, ...] = ()
+    working_dir: str = "."
+    io_format: str = IO_ARGFILE
+    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+
+    def __post_init__(self) -> None:
+        if self.kind not in (BUILTIN, EXTERNAL):
+            raise ConfigurationError(f"model kind must be builtin or external, got {self.kind!r}")
+        if not self.input_names:
+            raise ConfigurationError("model needs at least one input name")
+        if not self.output_names:
+            raise ConfigurationError("model needs at least one output name")
+        if self.kind == BUILTIN and self.name not in BUILTIN_NAMES:
+            raise ConfigurationError(
+                f"unknown builtin model {self.name!r}; registered: {sorted(BUILTIN_NAMES)}"
+            )
+        if self.kind == EXTERNAL and not self.command:
+            raise ConfigurationError("external model needs a non-empty command")
+        if self.kind == EXTERNAL and self.io_format not in (IO_ARGFILE, IO_STDIN):
+            raise ConfigurationError(
+                f"io_format must be {IO_ARGFILE!r} or {IO_STDIN!r}, got {self.io_format!r}"
+            )
+
+    def fingerprint(self) -> str:
+        """Stable hash of everything that determines the model's outputs."""
+        # json.dumps writes the tuples as lists
+        fields = ("kind", "name", "parameters", "command", "input_names", "output_names")
+        payload = {key: getattr(self, key) for key in fields}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,7 @@ def write_cdf_csv(
 
     Cells use 17 significant digits, rows end in CRLF as csv.writer's do,
     and an output with fewer samples than the longest leaves its cells blank.
+    Outputs of one sample count share their k/n column, formatted once.
     """
     handle, owned = _open_dest(dest)
     try:
@@ -227,13 +228,15 @@ def write_cdf_csv(
         start = 0
         for stop in sorted({d.values.size for d in distributions.values()}):
             present = [distributions[n].values.size >= stop for n in names]
-            template = ",".join("%.17g,%.17g" if p else "," for p in present) + "\r\n"
-            columns = []
-            for name, p in zip(names, present):
-                if p:
-                    dist = distributions[name]
-                    columns += [dist.values[start:stop], dist.cumulative[start:stop]]
-            write_rows(handle, template, columns)
+            template = ",".join("%.17g,%s" if p else "," for p in present) + "\r\n"
+            shown = [distributions[n] for n, p in zip(names, present) if p]
+            shared = {d.values.size: d.cumulative for d in shown}
+            for block in range(start, stop, CSV_BLOCK_ROWS):
+                rows = slice(block, min(block + CSV_BLOCK_ROWS, stop))
+                cells = "%.17g\n" * (rows.stop - rows.start)
+                text = {n: (cells % tuple(c[rows].tolist())).split("\n") for n, c in shared.items()}
+                columns = sum(([d.values[rows].tolist(), text[d.values.size]] for d in shown), [])
+                handle.write("".join([template % row for row in zip(*columns)]))
             start = stop
     finally:
         if owned:

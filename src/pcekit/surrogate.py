@@ -292,18 +292,22 @@ class PceModel:
         return self.evaluate_batch(v[None, :])[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the surrogate at many physical points, (M, outputs).
-
-        One split-Kronecker kernel serves every neighbourhood kind; points
-        are rescaled straight into the (dim, M) array it reads and go
-        through it in chunks, so transient memory stays near CHUNK_BYTES
-        whatever M and the term count are.
-        """
+        """Evaluate the surrogate at many physical points, (M, outputs): they
+        are rescaled into a (dim, M) array whose transpose evaluate_scaled reads."""
         columns = _columns(points, self.inputs)
         xi = np.empty(columns.shape)
         for row, column, var in zip(xi, columns, self.inputs):
             row[:] = rescale(column, var)
-        return self._kernel.evaluate(xi, self._block)
+        return self.evaluate_scaled(xi.T)
+
+    def evaluate_scaled(self, xi: np.ndarray) -> np.ndarray:
+        """Evaluate the surrogate at many points on [-1, 1]^dim, (M, outputs).
+
+        One split-Kronecker kernel serves every neighbourhood kind.  It reads
+        xi's (dim, M) transpose, a view, in chunks, so transient memory stays
+        near CHUNK_BYTES whatever M and the term count are.
+        """
+        return self._kernel.evaluate(_columns(xi, self.inputs), self._block)
 
     def mean(self) -> np.ndarray:
         """Analytic mean per output: the constant-term coefficient."""

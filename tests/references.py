@@ -1,4 +1,6 @@
 """Direct, one-value-at-a-time implementations the tests use as oracles."""
+import csv
+
 import numpy as np
 
 from pcekit.errors import ConfigurationError, EvaluationError
@@ -37,3 +39,25 @@ def integrate(grid, f):
                 f"integrand evaluation failed at point {point.tolist()}: {exc}"
             ) from exc
     return float(values @ grid.weights)
+
+
+def write_cdf_csv(handle, distributions, *, comments=None):
+    """cdf.csv as sampling.write_cdf_csv wrote it before outputs of equal
+    sample count shared one formatted k/n column: every cell of a row goes
+    through one %.17g template, segment by segment."""
+    for line in comments or ():
+        handle.write(f"# {line}\n")
+    names = list(distributions)
+    header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
+    csv.writer(handle).writerow(header)
+    start = 0
+    for stop in sorted({d.values.size for d in distributions.values()}):
+        present = [distributions[n].values.size >= stop for n in names]
+        template = ",".join("%.17g,%.17g" if p else "," for p in present) + "\r\n"
+        columns = []
+        for name, p in zip(names, present):
+            if p:
+                dist = distributions[name]
+                columns += [dist.values[start:stop], dist.cumulative[start:stop]]
+        handle.write("".join([template % row for row in zip(*[c.tolist() for c in columns])]))
+        start = stop

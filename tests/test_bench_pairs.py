@@ -1,0 +1,54 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+DIRECTIONS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+
+
+def record(workload, base, change):
+    """A record whose pairs carry the given per-metric values of each side."""
+    pairs = [
+        {side: {"result": {"metrics": {name: {"value": values[name][i]}
+                                       for name in values}}}
+         for side, values in (("base", base), ("change", change))}
+        for i in range(len(next(iter(base.values()))))
+    ]
+    return {"workloads": {workload: {"summary": bench_pairs.summarize(pairs, DIRECTIONS)}}}
+
+
+def test_claim_holds_on_nine_wins_and_a_clear_median():
+    base = {"build_cold_s": [1.0] * 5 + [1.02] * 5, "sobol_s": [0.3] * 10}
+    change = {"build_cold_s": [0.8] * 9 + [1.1], "sobol_s": [0.3] * 10}
+    lines, ok = bench_pairs.verdict(record("w", base, change), ["build_cold_s@w"], BOUNDS)
+    assert ok and lines[0].startswith("claim build_cold_s@w holds: change wins 9/10")
+    assert lines[1] == "no other metric is worse than the base beyond its bound"
+
+
+def test_claim_fails_on_eight_wins_or_a_median_inside_the_base_spread():
+    base = {"build_cold_s": [1.0, 1.2] * 5}
+    lines, ok = bench_pairs.verdict(
+        record("w", base, {"build_cold_s": [0.5] * 8 + [1.3] * 2}), ["build_cold_s@w"], BOUNDS
+    )
+    assert not ok and "does not hold" in lines[0]
+    lines, ok = bench_pairs.verdict(
+        record("w", base, {"build_cold_s": [0.99, 1.19] * 5}), ["build_cold_s@w"], BOUNDS
+    )
+    assert not ok and "does not hold" in lines[0]
+
+
+def test_metrics_worse_beyond_their_bound_are_listed():
+    base = {"build_cold_s": [1.0] * 10, "validate_s": [1.0] * 10, "passed_share": [1.0] * 10}
+    change = {"build_cold_s": [0.5] * 10, "validate_s": [1.3] * 10, "passed_share": [0.98] * 10}
+    lines, ok = bench_pairs.verdict(record("w", base, change), ["build_cold_s@w"], BOUNDS)
+    assert not ok
+    assert lines[1] == "worse than the base beyond the bound:"
+    assert [line.split(":")[0].strip() for line in lines[2:]] == [
+        "passed_share@w", "validate_s@w"
+    ]

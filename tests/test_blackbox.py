@@ -30,6 +30,7 @@ from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.multiindex import TOTAL_ORDER, Neighborhood, enumerate_indices
 from pcekit.polybasis import legendre_table
 from pcekit.quadrature import full_grid, sparse_grid
+from pcekit.sampling import latin_hypercube
 
 
 def builtin_spec(name, inputs=("x1", "x2"), outputs=("value",), parameters=None):
@@ -338,6 +339,128 @@ def json_dumps_record(fingerprint, values, outputs):
         "checksum": hashlib.sha256(payload.encode()).hexdigest(),
     }
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def template_rows(points):
+    """Rows as one "%.17g" template per row rendered them before each
+    column's distinct values were formatted once."""
+    points = np.asarray(points, dtype=float)
+    template = ",".join(["%.17g"] * points.shape[1])
+    return [template % tuple(row) for row in points.tolist()]
+
+
+def template_input_csv(names, points):
+    """The solver's argfile as it was rendered from the points, row by row."""
+    return ",".join(names) + "\r\n" + "".join(row + "\r\n" for row in template_rows(points))
+
+
+def odd_values():
+    """Signed zeros, subnormals, huge values, infinities and NaNs whose
+    payloads and signs differ, each in a column next to repeats of itself."""
+    nans = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+        dtype=np.uint64,
+    ).view(float)
+    column = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+         np.inf, -np.inf, 1.0, -1.0, 0.1],
+        nans,
+    ])
+    return np.column_stack([column, column[::-1], np.roll(column, 3)])
+
+
+def rendering_cases():
+    rng = np.random.default_rng(8)
+    repeats = rng.choice(rng.normal(size=7) * 1e3, size=(500, 3))
+    return {
+        "full-6 4-D": full_grid(4, 6).points,
+        "sparse-5 8-D": 1e4 + 50.0 * sparse_grid(8, 5).points,
+        "lhs": latin_hypercube(30, 4, 10, 2).points,
+        "random with repeats": repeats,
+        "odd values": odd_values(),
+        "no rows": np.empty((0, 3)),
+        "one row": np.array([[-0.0, 1.0 / 3.0, np.nan]]),
+    }
+
+
+class TestRowRendering:
+    @pytest.mark.parametrize("case", list(rendering_cases()))
+    def test_point_keys_match_the_per_row_template(self, case):
+        points = rendering_cases()[case]
+        fingerprint = 'fp "%s" |'
+        keys = EvaluationCache.point_keys(fingerprint, points)
+        assert keys == [fingerprint + "|" + row for row in template_rows(points)]
+        # a strided view renders as its copy does
+        assert EvaluationCache.point_keys("fp", points[:, ::-1]) == [
+            "fp|" + row for row in template_rows(np.ascontiguousarray(points[:, ::-1]))
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "partly-cached"])
+    def test_argfiles_match_the_template_rendering(self, tmp_path, workers, cached):
+        copies = tmp_path / "argfiles"
+        copies.mkdir()
+        script = tmp_path / "copier.py"
+        script.write_text(ARGFILE_COPIER.format(copies=str(copies)))
+        spec = external_spec(script)
+        points = np.vstack([odd_values()[:9, :2], 3.0 + sparse_grid(2, 3).points])
+        cache = EvaluationCache(tmp_path / "cache.jsonl") if cached else None
+        if cached:
+            BlackBoxModel(spec, cache=cache)(points[::3])
+            for path in copies.iterdir():
+                path.unlink()
+        box = BlackBoxModel(spec, cache=cache, workers=workers)
+        np.testing.assert_array_equal(box(points), np.where(np.isfinite(points), points, 0.0))
+        misses = np.arange(len(points))
+        if cached:
+            misses = misses[misses % 3 != 0]
+        expected = sorted(
+            template_input_csv(("a", "b"), points[chunk]).encode()
+            for chunk in np.array_split(misses, workers)
+        )
+        assert sorted(path.read_bytes() for path in copies.iterdir()) == expected
+
+    def test_cache_written_by_the_template_renderer_hits_fully(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes((DATA / "template_rendered_cache.jsonl").read_bytes())
+        cache = EvaluationCache(path)
+        assert cache.corrupt_lines == 0 and len(cache) == 147
+        for spec, points in template_cache_cases():
+            box = BlackBoxModel(spec, cache=cache)
+            box(points)
+            assert (box.fresh_count, box.cached_count) == (0, len(points))
+        assert path.read_bytes() == (DATA / "template_rendered_cache.jsonl").read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+
+# Copies its argfile into a directory, then echoes the inputs as outputs
+# (NaN and infinite inputs become 0, which the protocol accepts).
+ARGFILE_COPIER = """\
+import csv, math, os, shutil, sys
+shutil.copy(sys.argv[1], os.path.join({copies!r}, str(os.getpid()) + ".csv"))
+rows = list(csv.reader(open(sys.argv[1], newline="")))
+print("y1,y2")
+for row in rows[1:]:
+    print(",".join(cell if math.isfinite(float(cell)) else "0" for cell in row))
+"""
+
+
+def template_cache_cases():
+    """The specs and points of tests/data/template_rendered_cache.jsonl,
+    written by the per-row template renderer: csg-proxy at the full order-2
+    and sparse level-2 grids and two LHS designs, and a constant model at
+    signed zeros, subnormals, huge values, infinities and a NaN."""
+    lo = np.array([lo for _, lo, _ in CSG_PROXY_INPUTS])
+    hi = np.array([hi for _, _, hi in CSG_PROXY_INPUTS])
+    unit = np.vstack([
+        full_grid(4, 2).points, sparse_grid(4, 2).points, latin_hypercube(10, 4, 2, 3).points
+    ])
+    csg = builtin_spec("csg-proxy", tuple(n for n, _, _ in CSG_PROXY_INPUTS), CSG_PROXY_OUTPUTS)
+    const = builtin_spec("constant", ("a", "b"), ("y",), {"values": [1.5]})
+    odd = np.array([[0.0, -0.0], [-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
+                    [1e300, -1e300], [np.inf, -np.inf], [np.nan, 1.0]])
+    return [(csg, lo + 0.5 * (unit + 1.0) * (hi - lo)), (const, odd)]
 
 
 class TestBatchedCache:

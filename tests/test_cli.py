@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +89,20 @@ class TestBuild:
         config = write_config(tmp_path, extra_knob=1)
         assert main(["build", "--config", str(config)]) == 2
         assert "extra_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["build"], ["validate"], ["uq"], ["sobol"], ["cache", "stats"],
+    ])
+    def test_unknown_builtin_exits_2_at_config_load(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, model={"kind": "builtin", "name": "no-such-model"})
+        assert main(command + ["--config", str(config)]) == 2
+        assert "unknown builtin model 'no-such-model'" in capsys.readouterr().err
+
+    def test_builtin_names_are_the_registry(self):
+        from pcekit import config
+
+        assert config.BUILTIN_NAMES == tuple(blackbox.BUILTIN_MODELS)
+        assert blackbox.ModelSpec is config.ModelSpec
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["build", "--config", str(tmp_path / "nope.json")]) == 4
@@ -262,6 +277,20 @@ class TestUq:
         assert len(cdf) == 1 + 40
         hist = read_data_lines(tmp_path / "report" / "hist.csv")
         assert len(hist) == 1 + 8 * 2
+
+    def test_cdf_holds_the_design_evaluated_where_drawn(self, tmp_path):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        assert main(["uq", "--config", str(config)]) == 0
+        model = surrogate.load(tmp_path / "model.json")
+        design = latin_hypercube(40, 4, 1, 11).points
+        values = np.sort(model.evaluate_scaled(design), axis=0)
+        rows = read_data_lines(tmp_path / "report" / "cdf.csv")[1:]
+        cdf = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        assert cdf[:, [0, 2]].tobytes() == values.tobytes()
+        # within 1e-12 of the values through physical units and back
+        round_trip = np.sort(model.evaluate_batch(unscale_points(design, model.inputs)), axis=0)
+        assert np.all(np.abs(values - round_trip) <= 1e-12 * np.abs(round_trip))
 
     def test_sample_override(self, tmp_path):
         config = write_config(tmp_path)
@@ -449,6 +478,9 @@ class TestStartup:
         assert "pcekit.surrogate" in sobol and "pcekit.sobol" in sobol
         assert {"pcekit.sampling", "pcekit.quadrature"} & sobol == set()
         assert "pcekit.sobol" not in build and "pcekit.sampling" not in build
+        # the config checks builtin names without the module that evaluates models
+        assert "pcekit.blackbox" not in uq and "pcekit.blackbox" not in sobol
+        assert "pcekit.blackbox" in build
 
     def test_package_import_loads_no_submodule(self, tmp_path):
         code = "import sys, pcekit; print(sorted(m for m in sys.modules if 'pcekit' in m))"

@@ -17,6 +17,7 @@ from pcekit.sampling import (
     write_cdf_csv,
     write_histogram_csv,
 )
+import references
 
 
 def stratum_of(x, n):
@@ -237,3 +238,23 @@ class TestCsvExports:
         write_histogram_csv(hist, distributions, comments=["note"])
         assert cdf.getvalue() == expected_cdf.getvalue()
         assert hist.getvalue() == expected_hist.getvalue()
+
+    @pytest.mark.parametrize("sizes", [
+        {"a": 11, "b": 11, "c": 11},
+        {"a": 11, "b": 3, "c": 11, "d": 7, "e": 3},
+        {"only": 11},
+        {"only": 1},
+    ], ids=["equal", "unequal", "single", "single-row"])
+    def test_cdf_matches_the_per_cell_writer(self, monkeypatch, sizes):
+        # shared k/n columns formatted once give the bytes of formatting
+        # every cell, across block boundaries
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(len(sizes))
+        distributions = {
+            name: empirical_distribution(rng.normal(size=size) * 10.0 ** rng.integers(-5, 5), 3)
+            for name, size in sizes.items()
+        }
+        expected, cdf = io.StringIO(), io.StringIO()
+        references.write_cdf_csv(expected, distributions, comments=["note"])
+        write_cdf_csv(cdf, distributions, comments=["note"])
+        assert cdf.getvalue() == expected.getvalue()

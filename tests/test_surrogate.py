@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pcekit.surrogate as surrogate
-from pcekit.blackbox import BlackBoxModel, ModelSpec
+from pcekit.blackbox import CSG_PROXY_INPUTS, CSG_PROXY_OUTPUTS, BlackBoxModel, ModelSpec
 from pcekit.errors import ConfigurationError, EvaluationError, ModelFormatError
 from pcekit.multiindex import TENSOR_PRODUCT, TOTAL_ORDER, Neighborhood, enumerate_indices
 from pcekit.quadrature import full_grid, sparse_grid
+from pcekit.sampling import latin_hypercube
 from pcekit.surrogate import (
     FullGrid,
     InputVariable,
@@ -221,6 +222,24 @@ class TestEvaluate:
         batch = model.evaluate_batch(points)
         singles = np.array([model.evaluate(p) for p in points])
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-14)
+
+    def test_scaled_points_skip_the_unit_round_trip(self):
+        inputs = [InputVariable(n, lo, hi) for n, lo, hi in CSG_PROXY_INPUTS]
+        spec = ModelSpec(
+            kind="builtin", name="csg-proxy",
+            input_names=tuple(var.name for var in inputs), output_names=CSG_PROXY_OUTPUTS,
+        )
+        model = build_pce(BlackBoxModel(spec), inputs, CSG_PROXY_OUTPUTS, FullGrid(3))
+        design = latin_hypercube(500, 4, 1, 7).points
+        scaled = model.evaluate_scaled(design)
+        round_trip = model.evaluate_batch(surrogate.unscale_points(design, inputs))
+        assert np.all(np.abs(scaled - round_trip) <= 1e-12 * np.abs(round_trip))
+        # evaluate_batch is evaluate_scaled after the rescale, bit for bit
+        physical = surrogate.unscale_points(design, inputs)
+        xi = np.column_stack([rescale(column, var) for column, var in zip(physical.T, inputs)])
+        assert model.evaluate_scaled(xi).tobytes() == model.evaluate_batch(physical).tobytes()
+        with pytest.raises(ConfigurationError, match="columns"):
+            model.evaluate_scaled(design[:, :3])
 
     def test_dimension_mismatch(self):
         model = build_pce(example_model_1(), UNIT_SQUARE, ["value"], FullGrid(1))

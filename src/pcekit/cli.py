@@ -41,6 +41,8 @@ def _append_log(report_dir: Path, line: str) -> None:
 
 def _black_box(cfg, workers: int):
     """The config's model behind its evaluation cache, if one is configured."""
+    if workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {workers}")
     from .blackbox import BlackBoxModel, EvaluationCache, resolve_cache_path
 
     path = resolve_cache_path(cfg.paths.cache)
@@ -171,10 +173,10 @@ def cmd_uq(args: argparse.Namespace) -> int:
     from . import config, sampling
 
     cfg = config.load_config(args.config)
-    model = _load_model(cfg, args.model)
     count = args.samples if args.samples is not None else cfg.report.uq_samples
-    if count < 2:
-        raise ConfigurationError(f"uq needs at least 2 samples, got {count}")
+    if not 2 <= count <= config.POINT_COUNT_CAP:
+        raise ConfigurationError(f"uq needs 2 to {config.POINT_COUNT_CAP} samples, got {count}")
+    model = _load_model(cfg, args.model)
 
     design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
     started = time.perf_counter()

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigurationError
+from .multiindex import POINT_COUNT_CAP
 from .surrogate import FullGrid, InputVariable, SparseGrid
 
 BUILTIN = "builtin"
@@ -165,14 +166,16 @@ def _float(value, name: str) -> float:
     return value
 
 
-def _int(value, name: str, low: int | None = None) -> int:
-    """A JSON integer (or integral float) of at least `low`; booleans and strings are rejected."""
+def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A JSON integer (or integral float) in [low, high]; booleans and strings are rejected."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigurationError(f"{name} must be <= {high}, got {value}")
     return value
 
 
@@ -243,12 +246,15 @@ def _parse_validation(raw: dict) -> ValidationSettings:
     _reject_unknown(raw, {"lhs_strata", "lhs_repeats", "seed"}, "validation")
     defaults = ValidationSettings()
     lows = {"lhs_strata": 1, "lhs_repeats": 1, "seed": 0}
-    return ValidationSettings(
+    settings = ValidationSettings(
         **{
             key: _int(raw.get(key, getattr(defaults, key)), f"validation.{key}", low)
             for key, low in lows.items()
         }
     )
+    points = settings.lhs_strata * settings.lhs_repeats
+    _int(points, "validation.lhs_strata x lhs_repeats", high=POINT_COUNT_CAP)
+    return settings
 
 
 def _parse_report(raw: dict) -> ReportSettings:
@@ -264,12 +270,17 @@ def _parse_report(raw: dict) -> ReportSettings:
     percentiles = tuple(_float(q, "report.percentiles entry") for q in percentiles)
     if not all(0 <= q <= 100 for q in percentiles):
         raise ConfigurationError("report.percentiles must be numbers in [0, 100]")
-    lows = {"histogram_bins": 1, "sobol_max_subset_size": 1, "uq_samples": 2}
+    # (low, high): the bin and sample counts size arrays
+    bounds = {
+        "histogram_bins": (1, POINT_COUNT_CAP),
+        "sobol_max_subset_size": (1, None),
+        "uq_samples": (2, POINT_COUNT_CAP),
+    }
     return ReportSettings(
         percentiles=percentiles,
         **{
-            key: _int(raw.get(key, getattr(defaults, key)), f"report.{key}", low)
-            for key, low in lows.items()
+            key: _int(raw.get(key, getattr(defaults, key)), f"report.{key}", *bounds[key])
+            for key in bounds
         },
     )
 

@@ -27,6 +27,9 @@ TENSOR_PRODUCT = "tensor-product"
 # Reject configurations that would enumerate absurdly many indices before
 # any memory is committed.
 INDEX_COUNT_CAP = 10_000_000
+# The same for grid points, and for every other array size a config or the
+# command line sets (quadrature and config read it from here).
+POINT_COUNT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ MAX_GAUSS_NODES = 64
 MAX_CC_LEVEL = 12
 
 # Default ceiling on grid sizes; protects against misconfigured builds.
-POINT_COUNT_CAP = 10_000_000
+POINT_COUNT_CAP = multiindex.POINT_COUNT_CAP
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,18 @@ class SummaryStats:
 
 
 def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """Percentiles (q in 0..100) by linear order-statistic interpolation."""
-    return np.percentile(np.asarray(samples, dtype=float), list(qs), method="linear")
+    """Percentiles (q in 0..100) by linear order-statistic interpolation.
+
+    The values of np.percentile(method="linear"), computed as it computes
+    them, from the sorted samples; np.percentile itself loads numpy.ma.
+    """
+    x = np.sort(np.asarray(samples, dtype=float))
+    h = (len(x) - 1) * (np.asarray(qs, dtype=float) / 100)
+    lo = np.floor(h).astype(np.intp)
+    below, above = x[lo], x[np.minimum(lo + 1, len(x) - 1)]
+    gamma, diff = h - lo, above - below
+    # from the nearer neighbour, as numpy interpolates
+    return np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
 
 
 def summarize(

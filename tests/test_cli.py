@@ -15,6 +15,7 @@ from pcekit import blackbox, sampling, surrogate
 from pcekit.blackbox import BlackBoxModel
 from pcekit.cli import main
 from pcekit.config import load_config
+from pcekit.quadrature import POINT_COUNT_CAP
 from pcekit.sampling import latin_hypercube
 from pcekit.surrogate import unscale_points
 
@@ -125,6 +126,31 @@ class TestBuild:
         config = write_config(tmp_path, **overrides)
         assert main(["build", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"report": {"uq_samples": POINT_COUNT_CAP + 1}}, "uq_samples"),
+            ({"report": {"histogram_bins": POINT_COUNT_CAP + 1}}, "histogram_bins"),
+            (
+                {"validation": {"lhs_strata": 10, "lhs_repeats": POINT_COUNT_CAP // 10 + 1}},
+                "lhs_strata x lhs_repeats",
+            ),
+        ],
+    )
+    def test_array_size_above_the_cap_is_config_error(self, tmp_path, capsys, overrides, key):
+        # refused at config load, before the build, validation or uq allocates
+        config = write_config(tmp_path, **overrides)
+        for command in ("build", "validate", "uq"):
+            assert main([command, "--config", str(config)]) == 2
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, workers", [("build", "0"), ("validate", "-3")])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, command, workers):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        assert main([command, "--config", str(config), "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -298,6 +324,14 @@ class TestUq:
         assert main(["uq", "--config", str(config), "--samples", "64"]) == 0
         cdf = read_data_lines(tmp_path / "report" / "cdf.csv")
         assert len(cdf) == 1 + 64
+
+    def test_sample_override_above_the_point_cap_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        argv = ["uq", "--config", str(config), "--samples", str(POINT_COUNT_CAP + 1)]
+        assert main(argv) == 2
+        assert "samples" in capsys.readouterr().err
+        assert not (tmp_path / "report" / "cdf.csv").exists()
 
     def test_constant_model_degenerates_gracefully(self, tmp_path):
         config = write_config(
@@ -481,6 +515,13 @@ class TestStartup:
         # the config checks builtin names without the module that evaluates models
         assert "pcekit.blackbox" not in uq and "pcekit.blackbox" not in sobol
         assert "pcekit.blackbox" in build
+        # np.percentile loads numpy.ma on numpy 2; numpy 1 loads it with numpy
+        code = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        bare = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        )
+        if bare.stdout.strip() == "False":
+            assert "numpy.ma" not in uq
 
     def test_package_import_loads_no_submodule(self, tmp_path):
         code = "import sys, pcekit; print(sorted(m for m in sys.modules if 'pcekit' in m))"

@@ -163,6 +163,20 @@ class TestSummaries:
         # h = (4 - 1) * 0.5 + 1 = 2.5 -> halfway between 20 and 30
         assert percentile_values(samples, [50])[0] == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "constant"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 101, 3000, 200_000])
+    def test_percentile_helper_matches_numpy_exactly(self, kind, size):
+        rng = np.random.Generator(np.random.PCG64(size))
+        samples = {
+            "random": rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size),
+            "duplicated": rng.integers(-3, 4, size=size) * 0.7,
+            "constant": np.full(size, -1.3),
+        }[kind]
+        qs = [0, 10, 25, 33.3, 50, 75, 90, 100]
+        expected = np.percentile(samples, qs, method="linear")
+        assert np.array_equal(percentile_values(samples, qs), expected)
+        assert np.array_equal(percentile_values(np.sort(samples), qs), expected)
+
 
 class TestEmpiricalDistribution:
     def test_two_bins(self):

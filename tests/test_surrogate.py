@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 import pcekit.surrogate as surrogate
 from pcekit.blackbox import CSG_PROXY_INPUTS, CSG_PROXY_OUTPUTS, BlackBoxModel, ModelSpec
 from pcekit.errors import ConfigurationError, EvaluationError, ModelFormatError
-from pcekit.multiindex import TENSOR_PRODUCT, TOTAL_ORDER, Neighborhood, enumerate_indices
+from pcekit.multiindex import (
+    TENSOR_PRODUCT,
+    TOTAL_ORDER,
+    Neighborhood,
+    enumerate_indices,
+    index_array,
+)
 from pcekit.quadrature import full_grid, sparse_grid
 from pcekit.sampling import latin_hypercube
 from pcekit.surrogate import (
@@ -327,16 +333,18 @@ class TestSplitKroneckerKernel:
     @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_dense_basis_across_ragged_chunks(self, dim, kind, monkeypatch):
-        # A byte budget that splits both the grid and the probe into three or
-        # more chunks, the last one short.
+        # Per call, the byte budget whose step splits both the grid and the
+        # probe into three or more chunks, the last one short.
         rng = np.random.Generator(np.random.PCG64(dim))
         probe = rng.uniform(-1, 1, size=(257, dim))
         chunk_sizes = []
         chunks = surrogate._SplitKronecker._chunks
 
-        def recorded(kernel, xi, n_outputs):
+        def recorded(kernel, xi, n_outputs, reserved=0):
+            held = kernel._widths(n_outputs)[-1]
+            monkeypatch.setattr(surrogate, "CHUNK_BYTES", 2**16 + reserved + 8 * held * step)
             chunk_sizes.append([])
-            for chunk in chunks(kernel, xi, n_outputs):
+            for chunk in chunks(kernel, xi, n_outputs, reserved):
                 chunk_sizes[-1].append(chunk[0].stop - chunk[0].start)
                 yield chunk
 
@@ -347,20 +355,48 @@ class TestSplitKroneckerKernel:
             steps = [s for s in range(2, len(grid)) if all(n % s and n > 2 * s for n in sizes)]
             if not steps:
                 continue
-            kernel = surrogate._SplitKronecker(np.array(indices))
-            n_a, n_b = kernel.half_a.size, kernel.half_b.size
+            step = max(steps)
             for n_outputs in range(1, 4):
-                budget = 16 * (n_a + n_b + n_outputs * n_b) * max(steps)
-                monkeypatch.setattr(surrogate, "CHUNK_BYTES", budget)
                 chunk_sizes.clear()
                 assert_matches_dense(method, grid, indices, probe, n_outputs)
                 assert [sum(c) for c in chunk_sizes] == list(sizes)
-                assert all(len(c) >= 3 and c[-1] < c[0] for c in chunk_sizes)
+                for c in chunk_sizes:
+                    assert len(c) >= 3 and set(c[:-1]) == {step} and c[-1] < step
                 checked += 1
         assert checked >= 3
 
+    @pytest.mark.parametrize("n_outputs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind, dim, order",
+        [
+            (TENSOR_PRODUCT, 1, 12), (TENSOR_PRODUCT, 2, 8),
+            (TENSOR_PRODUCT, 4, 6), (TENSOR_PRODUCT, 8, 2),
+            (TOTAL_ORDER, 1, 20), (TOTAL_ORDER, 2, 10),
+            (TOTAL_ORDER, 4, 5), (TOTAL_ORDER, 8, 5),
+        ],
+    )
+    def test_chunk_transients_stay_within_the_budget(self, kind, dim, order, n_outputs):
+        # Peak minus inputs and output, over points enough for several chunks
+        indices = index_array(Neighborhood(kind, order, dim))
+        kernel = surrogate._SplitKronecker(indices)
+        rng = np.random.Generator(np.random.PCG64(dim))
+        xi = rng.uniform(-1, 1, size=(dim, 50_000))
+        weighted = rng.uniform(-1, 1, size=(n_outputs, 50_000))
+        block = kernel.block(rng.uniform(-1, 1, size=(len(indices), n_outputs)))
+        for call in (lambda: kernel.project(xi, weighted), lambda: kernel.evaluate(xi, block)):
+            tracemalloc.start()
+            try:
+                result = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - result.nbytes <= surrogate.CHUNK_BYTES
+
     def test_projection_memory_is_bounded(self):
-        # 16807 points and terms: a dense basis matrix alone would be 2.26 GB
+        # 16807 points and terms: a dense basis matrix alone would be 2.26 GB.
+        # Beyond the kernel's budget, the build holds the grid, its physical
+        # copy, the index array, outputs and coefficients: each at most the
+        # size of the (16807, 5) grid.
         inputs = [InputVariable(f"v{j}", -1.0, 1.0) for j in range(5)]
         tracemalloc.start()
         try:
@@ -371,7 +407,7 @@ class TestSplitKroneckerKernel:
         finally:
             tracemalloc.stop()
         assert model.coefficients.shape == (16807, 2)
-        assert peak < 128 * 2**20
+        assert peak < surrogate.CHUNK_BYTES + 6 * 16807 * 5 * 8
 
     def test_evaluation_memory_is_bounded(self):
         # 2401 terms at 200k points: the output, the rescaled points and one

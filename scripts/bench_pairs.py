@@ -22,10 +22,10 @@ With --claim METRIC@WORKLOAD (repeatable) the script ends with a verdict,
 printed and kept in the file: one line per claim saying whether it holds
 (at least 10 pairs, of which the change wins at least 9 in 10, and its
 median is better than the base's by more than the base's quartile
-distance), then every other metric and workload whose change median is
-worse than the base's by more than the metric's relative `bound` in
-BENCHMARK.json.  The exit status is 1 when a claim fails or a bound is
-broken.
+distance) and, when it does not, which of these conditions failed; then
+every other metric and workload whose change median is worse than the
+base's by more than the metric's relative `bound` in BENCHMARK.json.
+The exit status is 1 when a claim fails or a bound is broken.
 """
 from __future__ import annotations
 
@@ -119,13 +119,15 @@ def verdict(record: dict, claims: list[str], bounds: dict[str, float]) -> tuple[
             continue
         sign = 1.0 if s["better"] == "lower" else -1.0
         gain = -sign * s["median_change"]
-        holds = (
-            s["pairs"] >= 10 and s["change_wins"] * 10 >= 9 * s["pairs"]
-            and gain > s["base_quartile_distance"]
-        )
-        ok &= holds
+        failed = [reason for reason, broken in (
+            ("fewer than 10 pairs", s["pairs"] < 10),
+            ("fewer than 9 in 10 wins", s["change_wins"] * 10 < 9 * s["pairs"]),
+            ("gain within the base quartile distance", gain <= s["base_quartile_distance"]),
+        ) if broken]
+        ok &= not failed
+        status = f"does not hold ({'; '.join(failed)})" if failed else "holds"
         lines.append(
-            f"claim {claim} {'holds' if holds else 'does not hold'}: change wins "
+            f"claim {claim} {status}: change wins "
             f"{s['change_wins']}/{s['pairs']} pairs; median {s['base_quartiles'][1]:.4g} -> "
             f"{s['change_quartiles'][1]:.4g}, better by {gain:.4g} against a base "
             f"quartile distance of {s['base_quartile_distance']:.4g}"

@@ -10,9 +10,11 @@ either on a file path appended as its final argument or on standard input,
 and must write the output rows (header = output names) in the same order
 to standard output, exiting 0.  Failed launches are retried once before
 erroring.  The solver runs in a session of its own; a timeout kills its
-whole process group, so nothing it started outlives the launch.  What only
-a launch or a warning needs (subprocess, tempfile, signal, csv,
-concurrent.futures, logging) is imported where it is used.
+whole process group, so nothing it started outlives the launch.  Launches
+run at once size their OpenMP/BLAS thread pools to their share of the
+cores, unless the environment sizes them.  What only a launch or a warning
+needs (subprocess, tempfile, signal, csv, concurrent.futures, logging) is
+imported where it is used.
 
 Evaluations are memoized in an append-only JSON-lines cache.  A batch's
 rows are rendered as text once ("%.17g" values, comma-separated, each
@@ -56,6 +58,8 @@ CACHE_ENV_VAR = "PCEKIT_CACHE"
 STORE_BLOCK_CHARS = 2**20
 # Basis values (points x terms) the polynomial builtin holds at once.
 POLYNOMIAL_CHUNK_VALUES = 2**20
+# Thread-pool sizes set, where the environment leaves them unset, for launches run at once.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
 CSG_PROXY_INPUTS = (
@@ -496,8 +500,11 @@ def _kill_group(proc) -> None:
     proc.wait()
 
 
-def _launch_external(spec: ModelSpec, rendered: Sequence[str], cut: int) -> np.ndarray:
-    """One launch of the solver over rows rendered as text (see _input_csv)."""
+def _launch_external(
+    spec: ModelSpec, rendered: Sequence[str], cut: int, env: Mapping[str, str] | None = None
+) -> np.ndarray:
+    """One launch of the solver over rows rendered as text (see _input_csv),
+    in the environment env (None: this process's)."""
     import subprocess
     import tempfile
 
@@ -524,6 +531,7 @@ def _launch_external(spec: ModelSpec, rendered: Sequence[str], cut: int) -> np.n
                 stderr=subprocess.PIPE,
                 text=True,
                 cwd=spec.working_dir,
+                env=env,
                 start_new_session=True,
             )
         except OSError as exc:
@@ -558,6 +566,19 @@ def _launch_external(spec: ModelSpec, rendered: Sequence[str], cut: int) -> np.n
                 pass
 
 
+def _thread_share_env(launches: int) -> dict[str, str] | None:
+    """The environment of each of `launches` solver launches run at once:
+    this process's, with each of THREAD_ENV_VARS that it leaves unset set to
+    max(1, usable cores // launches).  None, the environment unchanged, for
+    a single launch."""
+    if launches <= 1:
+        return None
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    share = str(max(1, cores // launches))
+    return {**dict.fromkeys(THREAD_ENV_VARS, share), **os.environ}
+
+
 def _run_external_batch(
     spec: ModelSpec,
     rendered: Sequence[str],
@@ -571,23 +592,27 @@ def _run_external_batch(
     With workers == 1 the whole batch goes through a single launch; more
     workers split it into that many contiguous chunks run concurrently.
     Each chunk's (row slice, outputs) go to commit as soon as its launch
-    returns, so a failing chunk loses none of the others' results.
+    returns, so a failing chunk loses none of the others' results.  Every
+    launch of the batch, retries included, runs in one environment (see
+    _thread_share_env).
     """
+    launches = min(workers, len(rendered))
+    env = _thread_share_env(launches)
 
     def run_chunk(rows: slice) -> None:
         try:
-            outputs = _launch_external(spec, rendered[rows], cut)
+            outputs = _launch_external(spec, rendered[rows], cut, env)
         except EvaluationError as exc:
             _warn("external model failed (%s); retrying once", exc)
-            outputs = _launch_external(spec, rendered[rows], cut)
+            outputs = _launch_external(spec, rendered[rows], cut, env)
         commit(rows, outputs)
 
-    if workers <= 1 or len(rendered) <= 1:
+    if launches <= 1:
         run_chunk(slice(0, len(rendered)))
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = np.array_split(np.arange(len(rendered)), min(workers, len(rendered)))
+    rows = np.array_split(np.arange(len(rendered)), launches)
     chunks = [slice(chunk[0], chunk[-1] + 1) for chunk in rows]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         # Leaving the block waits for every chunk, so all successful chunks

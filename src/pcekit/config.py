@@ -10,7 +10,7 @@ The schema (defaults in parentheses; unknown keys anywhere are rejected):
         "command": ["...", ...],        # external only
         "working_dir": ".",             # external, optional
         "io_format": "argfile"|"stdin", # external, optional ("argfile")
-        "timeout_seconds": 3600         # external, optional
+        "timeout_seconds": 3600         # external, optional, > 0
       },
       "inputs":  [{"name": "...", "min": ..., "max": ...}, ...],
       "outputs": ["...", ...],
@@ -87,6 +87,10 @@ class ModelSpec:
         if self.kind == EXTERNAL and self.io_format not in (IO_ARGFILE, IO_STDIN):
             raise ConfigurationError(
                 f"io_format must be {IO_ARGFILE!r} or {IO_STDIN!r}, got {self.io_format!r}"
+            )
+        if self.kind == EXTERNAL and not self.timeout_seconds > 0:
+            raise ConfigurationError(
+                f"model.timeout_seconds must be > 0, got {self.timeout_seconds!r}"
             )
 
     def fingerprint(self) -> str:
@@ -217,12 +221,15 @@ def _parse_model(raw: dict, inputs, outputs) -> ModelSpec:
         command = _expect(raw, "command", list, "model")
         if not all(isinstance(part, str) for part in command):
             raise ConfigurationError("model.command must be a list of strings")
+        working_dir = raw.get("working_dir", ".")
+        if not isinstance(working_dir, str):
+            raise ConfigurationError(f"model.working_dir must be a string, got {working_dir!r}")
         return ModelSpec(
             kind=EXTERNAL,
             input_names=input_names,
             output_names=tuple(outputs),
             command=tuple(command),
-            working_dir=str(raw.get("working_dir", ".")),
+            working_dir=working_dir,
             io_format=str(raw.get("io_format", IO_ARGFILE)),
             timeout_seconds=_float(
                 raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS), "model.timeout_seconds"

@@ -31,16 +31,32 @@ def test_claim_holds_on_nine_wins_and_a_clear_median():
     assert lines[1] == "no other metric is worse than the base beyond its bound"
 
 
+def failed_claim(base, change):
+    """The verdict line of a failed build_cold_s claim, without the prefix."""
+    lines, ok = bench_pairs.verdict(
+        record("w", {"build_cold_s": base}, {"build_cold_s": change}), ["build_cold_s@w"], BOUNDS
+    )
+    assert not ok and lines[0].startswith("claim build_cold_s@w does not hold (")
+    return lines[0].removeprefix("claim build_cold_s@w does not hold ")
+
+
 def test_claim_fails_on_eight_wins_or_a_median_inside_the_base_spread():
-    base = {"build_cold_s": [1.0, 1.2] * 5}
-    lines, ok = bench_pairs.verdict(
-        record("w", base, {"build_cold_s": [0.5] * 8 + [1.3] * 2}), ["build_cold_s@w"], BOUNDS
+    base = [1.0, 1.2] * 5
+    assert failed_claim(base, [0.5] * 8 + [1.3] * 2).startswith("(fewer than 9 in 10 wins): ")
+    assert failed_claim(base, [0.99, 1.19] * 5).startswith(
+        "(gain within the base quartile distance): "
     )
-    assert not ok and "does not hold" in lines[0]
-    lines, ok = bench_pairs.verdict(
-        record("w", base, {"build_cold_s": [0.99, 1.19] * 5}), ["build_cold_s@w"], BOUNDS
+
+
+def test_a_failed_claim_names_every_condition_it_missed():
+    # 4 of 4 pairs won by 40 times the base quartile distance
+    assert failed_claim([1.0, 1.01, 1.0, 1.01], [0.6] * 4).startswith(
+        "(fewer than 10 pairs): change wins 4/4 pairs"
     )
-    assert not ok and "does not hold" in lines[0]
+    assert failed_claim([1.0] * 4, [1.1] * 4).startswith(
+        "(fewer than 10 pairs; fewer than 9 in 10 wins; "
+        "gain within the base quartile distance): "
+    )
 
 
 def test_metrics_worse_beyond_their_bound_are_listed():

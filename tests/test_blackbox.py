@@ -932,6 +932,112 @@ class TestResume:
         assert box.fresh_count == 2 and box.cached_count == 6
 
 
+# Writes, as each row's outputs, the thread-pool variables it was launched
+# with (-1 where unset).  With a directory given, the first launch of a
+# chunk (named by its first row's first value) writes them to a file there
+# instead and fails, so that the chunk is retried.
+THREAD_ECHO = """\
+import csv, os, sys
+names = {names!r}
+seen = [os.environ.get(name, "-1") for name in names]
+data = list(csv.reader(open(sys.argv[1])))
+if {fail_dir!r}:
+    marker = os.path.join({fail_dir!r}, data[1][0])
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write(" ".join(seen))
+        sys.exit("transient")
+writer = csv.writer(sys.stdout)
+writer.writerow(names)
+for row in data[1:]:
+    writer.writerow(seen)
+"""
+
+
+def thread_echo(tmp_path, fail_dir=""):
+    """A model whose outputs are the thread variables its solver launch saw."""
+    script = tmp_path / "threads.py"
+    script.write_text(THREAD_ECHO.format(names=blackbox.THREAD_ENV_VARS, fail_dir=str(fail_dir)))
+    return ModelSpec(
+        kind="external",
+        input_names=("a", "b"),
+        output_names=blackbox.THREAD_ENV_VARS,
+        command=(sys.executable, str(script)),
+    )
+
+
+def usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.fixture
+def unset_thread_vars(monkeypatch):
+    for name in blackbox.THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestThreadShare:
+    def test_concurrent_launches_get_their_share_of_the_cores(self, tmp_path, unset_thread_vars):
+        points = np.arange(8.0).reshape(4, 2)
+        seen = BlackBoxModel(thread_echo(tmp_path), workers=2)(points)
+        assert (seen == max(1, usable_cores() // 2)).all()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, workers, rows, share",
+        [
+            (8, None, 2, 4, 4),
+            (8, None, 3, 2, 4),  # two rows make two launches, not three
+            (8, None, 3, 9, 2),
+            (1, None, 2, 2, 1),
+            (None, 6, 2, 2, 3),  # no sched_getaffinity: os.cpu_count()
+            (None, None, 4, 4, 1),  # and no count either
+        ],
+    )
+    def test_share_divides_the_usable_cores_among_the_launches(
+        self, tmp_path, unset_thread_vars, affinity, cpu_count, workers, rows, share
+    ):
+        if affinity is None:
+            unset_thread_vars.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            unset_thread_vars.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False
+            )
+        unset_thread_vars.setattr(os, "cpu_count", lambda: cpu_count)
+        points = np.arange(2.0 * rows).reshape(rows, 2)
+        seen = BlackBoxModel(thread_echo(tmp_path), workers=workers)(points)
+        assert (seen == share).all()
+
+    @pytest.mark.parametrize("workers, rows", [(1, 4), (2, 1)])
+    def test_a_single_launch_inherits_the_environment(
+        self, tmp_path, unset_thread_vars, workers, rows
+    ):
+        unset_thread_vars.setenv("OMP_NUM_THREADS", "3")
+        points = np.arange(2.0 * rows).reshape(rows, 2)
+        seen = BlackBoxModel(thread_echo(tmp_path), workers=workers)(points)
+        assert seen.tolist() == [[3.0, -1.0, -1.0]] * rows
+
+    def test_a_variable_the_user_set_is_kept(self, tmp_path, unset_thread_vars):
+        unset_thread_vars.setenv("OMP_NUM_THREADS", "3")
+        points = np.arange(8.0).reshape(4, 2)
+        seen = BlackBoxModel(thread_echo(tmp_path), workers=2)(points)
+        share = max(1, usable_cores() // 2)
+        assert seen.tolist() == [[3.0, share, share]] * 4
+
+    def test_a_retried_launch_gets_the_same_environment(self, tmp_path, unset_thread_vars):
+        unset_thread_vars.setenv("MKL_NUM_THREADS", "5")
+        fail_dir = tmp_path / "failed"
+        fail_dir.mkdir()
+        points = np.arange(8.0).reshape(4, 2)
+        seen = BlackBoxModel(thread_echo(tmp_path, fail_dir), workers=2)(points)
+        share = str(max(1, usable_cores() // 2))
+        first_attempts = {path.name: path.read_text() for path in fail_dir.iterdir()}
+        assert first_attempts == {"0": f"{share} {share} 5", "4": f"{share} {share} 5"}
+        assert seen.tolist() == [[float(share), float(share), 5.0]] * 4
+
+
 class TestBatchSemantics:
     def test_outputs_follow_input_order_with_mixed_sources(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")

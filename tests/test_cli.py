@@ -116,6 +116,20 @@ class TestBuild:
                 {"model": {"kind": "external", "command": ["true"], "timeout_seconds": "x"}},
                 "timeout_seconds",
             ),
+            # A launch of "true" would run and fail (exit 3): these stop at load.
+            (
+                {"model": {"kind": "external", "command": ["true"], "timeout_seconds": 0}},
+                "timeout_seconds must be > 0",
+            ),
+            (
+                {"model": {"kind": "external", "command": ["true"], "timeout_seconds": -5}},
+                "timeout_seconds must be > 0",
+            ),
+            (
+                {"model": {"kind": "external", "command": ["true"],
+                           "working_dir": ["not", "a", "string"]}},
+                "working_dir must be a string",
+            ),
             ({"method": {"type": "full-grid", "order": True}}, "order"),
             ({"validation": {"lhs_strata": True}}, "lhs_strata"),
             ({"report": {"histogram_bins": 2.5}}, "histogram_bins"),

@@ -5,12 +5,15 @@ Usage (from the root of a checkout):
     python3 scripts/bench_pairs.py --base REF --out BENCH_7.json \
         --workload csg-full6 --pairs 10 --seed 701 [--workload ... --pairs ... --seed ...]
 
-The base side is the commit REF, extracted with `git archive` into a
-temporary directory; the change side is this checkout as it stands.  Each
-side runs its own perfbench/run.py (--trace 0) with the same --seconds and
-seed, so the benchmark code is the one each tree ships.  Pair i uses seed
-SEED + i and runs the base first when i is even, the change first when it
-is odd.  Pairs run one after another, never concurrently.
+Both sides run from sibling directories under one temporary parent, so
+neither tree's place on disk favours it: the base side is the commit REF,
+extracted with `git archive`; the change side is a copy of this checkout
+as it stands (its tracked files and the untracked ones git does not
+ignore).  Each side runs its own perfbench/run.py (--trace 0) with the same
+--seconds and seed, so the benchmark code is the one each tree ships.
+Pair i uses seed SEED + i and runs the base first when i is even, the
+change first when it is odd.  Pairs run one after another, never
+concurrently.
 
 The output file keeps both sides of every pair: the result line (correct,
 attempted, failed, metrics) and the details line (per-command samples and
@@ -18,19 +21,21 @@ the machine record) of each run, plus a summary per workload and metric:
 each side's median and quartiles, the median difference, and how many
 pairs the change won by the direction BENCHMARK.json gives the metric.
 
-With --claim METRIC@WORKLOAD (repeatable) the script ends with a verdict,
-printed and kept in the file: one line per claim saying whether it holds
-(at least 10 pairs, of which the change wins at least 9 in 10, and its
-median is better than the base's by more than the base's quartile
-distance) and, when it does not, which of these conditions failed; then
-every other metric and workload whose change median is worse than the
-base's by more than the metric's relative `bound` in BENCHMARK.json.
-The exit status is 1 when a claim fails or a bound is broken.
+The script ends with a verdict, printed and kept in the file.  With
+--claim METRIC@WORKLOAD (repeatable) it starts with one line per claim
+saying whether it holds (at least 10 pairs, of which the change wins at
+least 9 in 10, and its median is better than the base's by more than the
+base's quartile distance) and, when it does not, which of these
+conditions failed.  With or without claims, it then lists every other
+metric and workload whose change median is worse than the base's by more
+than the metric's relative `bound` in BENCHMARK.json.  The exit status is
+1 when a claim fails or a bound is broken.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +60,19 @@ def extract(ref: str, dest: Path) -> str:
         tar.extractall(dest)
     archive.unlink()
     return commit
+
+
+def copy_checkout(dest: Path) -> None:
+    """Copy the checkout's tracked files and its untracked, unignored ones to dest."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.exists() or source.is_symlink():  # not a tracked file deleted since
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,8 +162,18 @@ def verdict(record: dict, claims: list[str], bounds: dict[str, float]) -> tuple[
                 )
     ok &= not worse
     lines.append("worse than the base beyond the bound:" if worse
-                 else "no other metric is worse than the base beyond its bound")
+                 else f"no {'other ' if claims else ''}metric is worse than the base "
+                 "beyond its bound")
     return lines + worse, ok
+
+
+def finish(record: dict, claims: list[str], bounds: dict[str, float], out: Path) -> int:
+    """Print the verdict, keep it in the record at out, and return the exit status."""
+    lines, ok = verdict(record, claims, bounds)
+    record["verdict"] = lines
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 def main() -> int:
@@ -176,10 +204,11 @@ def main() -> int:
     record = {"base": args.base, "change": "working tree", "seconds": args.seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_tree = Path(tmp) / "base"
-        base_tree.mkdir()
-        record["base_commit"] = extract(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        for tree in trees.values():
+            tree.mkdir()
+        record["base_commit"] = extract(args.base, trees["base"])
+        copy_checkout(trees["change"])
         for workload, count, first_seed in zip(args.workload, args.pairs, args.seed):
             pairs = []
             for i in range(count):
@@ -204,13 +233,7 @@ def main() -> int:
                   f"change {s['change_quartiles'][1]:.4g} "
                   f"wins {s['change_wins']}/{s['pairs']} "
                   f"(base quartile distance {s['base_quartile_distance']:.3g})")
-    if not args.claim:
-        return 0
-    lines, ok = verdict(record, args.claim, bounds)
-    record["verdict"] = lines
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    return 0 if ok else 1
+    return finish(record, args.claim, bounds, Path(args.out))
 
 
 if __name__ == "__main__":

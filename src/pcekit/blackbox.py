@@ -324,15 +324,16 @@ class EvaluationCache:
 
     Each line is {"fingerprint", "inputs", "outputs", "checksum"} with the
     numbers as canonical decimal strings.  The in-memory index is loaded
-    once at construction; appends are serialized through a lock so batch
-    workers can share one cache.
+    once at construction, by the one checksum scan of the file, which also
+    counts its valid_lines and corrupt_lines; appends are serialized through
+    a lock so batch workers can share one cache.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._index: dict[str, tuple[float, ...]] = {}
-        self.corrupt_lines = 0
+        self.valid_lines = self.corrupt_lines = 0
         if self.path.exists():
             self._load()
 
@@ -382,7 +383,7 @@ class EvaluationCache:
         return index, valid, corrupt
 
     def _load(self) -> None:
-        self._index, _, corrupt = self._scan()
+        self._index, self.valid_lines, corrupt = self._scan()
         self.corrupt_lines = len(corrupt)
         for lineno, exc in corrupt:
             _warn("cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc)
@@ -444,13 +445,6 @@ class EvaluationCache:
                     block, size = [], 0
             handle.write("".join(block).encode())
             self._index.update(zip(keys, rows))
-
-    def verify(self) -> tuple[int, int]:
-        """Re-scan the file; returns (valid_lines, corrupt_lines)."""
-        if not self.path.exists():
-            return 0, 0
-        _, valid, corrupt = self._scan()
-        return valid, len(corrupt)
 
 
 def _input_csv(names: Sequence[str], rendered: Sequence[str], cut: int) -> str:

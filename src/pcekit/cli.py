@@ -299,8 +299,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"cache {path}: {len(cache)} entries, {size} bytes, "
               f"{cache.corrupt_lines} corrupt lines skipped at load")
     else:
-        valid, corrupt = cache.verify()
-        print(f"cache {path}: {valid} valid lines, {corrupt} corrupt lines")
+        print(f"cache {path}: {cache.valid_lines} valid lines, {cache.corrupt_lines} corrupt lines")
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ The schema (defaults in parentheses; unknown keys anywhere are rejected):
         "name": "...",                  # builtin only
         "parameters": {...},            # builtin only, optional ({})
         "command": ["...", ...],        # external only
-        "working_dir": ".",             # external, optional
+        "working_dir": ".",             # external, optional; relative to the config
         "io_format": "argfile"|"stdin", # external, optional ("argfile")
         "timeout_seconds": 3600         # external, optional, > 0
       },
@@ -200,7 +200,7 @@ def _parse_inputs(raw: list, context: str) -> tuple[InputVariable, ...]:
     return tuple(out)
 
 
-def _parse_model(raw: dict, inputs, outputs) -> ModelSpec:
+def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
     kind = _expect(raw, "kind", str, "model")
     input_names = tuple(var.name for var in inputs)
     if kind == BUILTIN:
@@ -229,7 +229,7 @@ def _parse_model(raw: dict, inputs, outputs) -> ModelSpec:
             input_names=input_names,
             output_names=tuple(outputs),
             command=tuple(command),
-            working_dir=working_dir,
+            working_dir=str(base / working_dir),
             io_format=str(raw.get("io_format", IO_ARGFILE)),
             timeout_seconds=_float(
                 raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS), "model.timeout_seconds"
@@ -332,13 +332,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError("outputs must be a non-empty list of names")
     outputs = tuple(outputs_raw)
 
+    base = path.resolve().parent
     return RunConfig(
-        model=_parse_model(_expect(doc, "model", dict, "config"), inputs, outputs),
+        model=_parse_model(_expect(doc, "model", dict, "config"), inputs, outputs, base),
         inputs=inputs,
         outputs=outputs,
         method=_parse_method(_expect(doc, "method", dict, "config")),
         validation=_parse_validation(_optional_object(doc, "validation")),
         report=_parse_report(_optional_object(doc, "report")),
-        paths=_parse_paths(_optional_object(doc, "paths"), path.resolve().parent),
+        paths=_parse_paths(_optional_object(doc, "paths"), base),
         config_hash=config_hash,
     )

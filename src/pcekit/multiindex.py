@@ -52,36 +52,36 @@ class Neighborhood:
             raise ConfigurationError(f"neighbourhood dim must be >= 1, got {self.dim}")
 
 
-def cardinality(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> int:
+def cardinality(nbhd: Neighborhood) -> int:
     """Number of members, from the closed forms C(p+N, N) and (p+1)^N.
 
     Python integers do not overflow, so the count is exact; counts above
-    `cap` are rejected to catch runaway configurations early.
+    INDEX_COUNT_CAP are rejected to catch runaway configurations early.
     """
     if nbhd.kind == TOTAL_ORDER:
         count = math.comb(nbhd.order + nbhd.dim, nbhd.dim)
     else:
         count = (nbhd.order + 1) ** nbhd.dim
-    if count > cap:
+    if count > INDEX_COUNT_CAP:
         raise ConfigurationError(
             f"{nbhd.kind} neighbourhood with order {nbhd.order} in dimension "
-            f"{nbhd.dim} has {count} members, above the cap of {cap}"
+            f"{nbhd.dim} has {count} members, above the cap of {INDEX_COUNT_CAP}"
         )
     return count
 
 
-def index_array(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> np.ndarray:
+def index_array(nbhd: Neighborhood) -> np.ndarray:
     """All members of the neighbourhood as a (terms, dim) int64 array, each
     exactly once, in graded-lex order.
 
-    The count is checked against `cap` before anything is allocated.  Rows
+    The count is checked against the cap before anything is allocated.  Rows
     are built one dimension at a time: each prefix is repeated once per
     degree it still allows in the next dimension (order + 1 for a tensor
     product, order - sum + 1 for total order), so no intermediate array is
     larger than the result.  One stable lexsort by (total degree, then
     lex) puts them in order.
     """
-    count = cardinality(nbhd, cap=cap)
+    count = cardinality(nbhd)
     rows = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(nbhd.dim):
@@ -97,6 +97,6 @@ def index_array(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> np.ndarray
     return rows[np.lexsort(tuple(rows.T[::-1]) + (sums,))]
 
 
-def enumerate_indices(nbhd: Neighborhood, *, cap: int = INDEX_COUNT_CAP) -> list[tuple[int, ...]]:
+def enumerate_indices(nbhd: Neighborhood) -> list[tuple[int, ...]]:
     """The rows of index_array as tuples of Python ints, in the same order."""
-    return list(map(tuple, index_array(nbhd, cap=cap).tolist()))
+    return list(map(tuple, index_array(nbhd).tolist()))

@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 DEGREE_CAP = 64
 
 
-def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.ndarray:
+def legendre_table(max_degree: int, x) -> np.ndarray:
     """Evaluate L_0 .. L_max_degree at each x, as a degree-major
     (max_degree + 1, len(x)) array: row n holds L_n at every point.
 
@@ -36,11 +36,8 @@ def legendre_table(max_degree: int, x, *, degree_cap: int = DEGREE_CAP) -> np.nd
     """
     if max_degree < 0:
         raise ConfigurationError(f"polynomial degree must be >= 0, got {max_degree}")
-    if max_degree > degree_cap:
-        raise ConfigurationError(
-            f"polynomial degree {max_degree} exceeds the cap of {degree_cap}; "
-            "raise degree_cap explicitly if this is intentional"
-        )
+    if max_degree > DEGREE_CAP:
+        raise ConfigurationError(f"polynomial degree {max_degree} exceeds the cap of {DEGREE_CAP}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((max_degree + 1, arr.size))
     table[0] = 1.0

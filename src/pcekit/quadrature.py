@@ -32,13 +32,10 @@ import numpy as np
 from . import multiindex
 from .errors import ConfigurationError
 
-GAUSS_LEGENDRE = "gauss-legendre"
-CLENSHAW_CURTIS = "clenshaw-curtis"
-
 MAX_GAUSS_NODES = 64
 MAX_CC_LEVEL = 12
 
-# Default ceiling on grid sizes; protects against misconfigured builds.
+# Ceiling on grid sizes; protects against misconfigured builds.
 POINT_COUNT_CAP = multiindex.POINT_COUNT_CAP
 
 
@@ -48,8 +45,6 @@ class QuadratureRule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    family: str
-    exact_degree: int
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -57,16 +52,11 @@ class QuadratureRule1D:
 
 @dataclass(frozen=True)
 class GridQuadrature:
-    """An N-dimensional rule: points (one row each) with signed weights.
-
-    `provenance` records how the grid was built:
-    {"method": "full-grid", "order": p} or {"method": "sparse-grid", "level": l}.
-    """
+    """An N-dimensional rule: points (one row each) with signed weights."""
 
     dim: int
     points: np.ndarray
     weights: np.ndarray
-    provenance: dict
 
     def __len__(self) -> int:
         return self.weights.size
@@ -96,7 +86,7 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
             f"Gauss-Legendre node count must be in [1, {MAX_GAUSS_NODES}], got {n}"
         )
     if n == 1:
-        return QuadratureRule1D(np.array([0.0]), np.array([2.0]), GAUSS_LEGENDRE, 1)
+        return QuadratureRule1D(np.array([0.0]), np.array([2.0]))
 
     half = (n + 1) // 2
     i = np.arange(1, half + 1, dtype=float)
@@ -122,7 +112,7 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
     if n % 2 == 1:
         nodes[pairs] = 0.0
         weights[pairs] = w[half - 1]
-    return QuadratureRule1D(nodes, weights, GAUSS_LEGENDRE, 2 * n - 1)
+    return QuadratureRule1D(nodes, weights)
 
 
 def cc_node_count(level: int) -> int:
@@ -150,7 +140,7 @@ def clenshaw_curtis_1d(level: int) -> QuadratureRule1D:
     """
     count = cc_node_count(level)
     if count == 1:
-        return QuadratureRule1D(np.array([0.0]), np.array([2.0]), CLENSHAW_CURTIS, 1)
+        return QuadratureRule1D(np.array([0.0]), np.array([2.0]))
 
     m = count - 1  # number of intervals, a power of two
     j = np.arange(m // 2 + 1)
@@ -167,11 +157,10 @@ def clenshaw_curtis_1d(level: int) -> QuadratureRule1D:
 
     nodes = np.concatenate([half_nodes[:-1], [0.0], -half_nodes[:-1][::-1]])
     weights = np.concatenate([half_weights[:-1], [half_weights[-1]], half_weights[:-1][::-1]])
-    # count is odd and the rule symmetric, so degree count is integrated too.
-    return QuadratureRule1D(nodes, weights, CLENSHAW_CURTIS, count)
+    return QuadratureRule1D(nodes, weights)
 
 
-def full_grid(dim: int, order: int, *, point_cap: int = POINT_COUNT_CAP) -> GridQuadrature:
+def full_grid(dim: int, order: int) -> GridQuadrature:
     """Tensor product of (order + 1)-node Gauss-Legendre rules in each dimension.
 
     Has exactly (order + 1)^dim points and integrates every polynomial whose
@@ -182,10 +171,10 @@ def full_grid(dim: int, order: int, *, point_cap: int = POINT_COUNT_CAP) -> Grid
         raise ConfigurationError(f"grid dimension must be >= 1, got {dim}")
     n1 = order + 1
     count = n1**dim
-    if count > point_cap:
+    if count > POINT_COUNT_CAP:
         raise ConfigurationError(
             f"full grid with order {order} in dimension {dim} has {count} points, "
-            f"above the cap of {point_cap}"
+            f"above the cap of {POINT_COUNT_CAP}"
         )
     rule = gauss_legendre_1d(n1)
     coord_grids = np.meshgrid(*([rule.nodes] * dim), indexing="ij")
@@ -194,7 +183,7 @@ def full_grid(dim: int, order: int, *, point_cap: int = POINT_COUNT_CAP) -> Grid
     weights = np.ones(count)
     for g in weight_grids:
         weights *= g.ravel()
-    return GridQuadrature(dim, points, weights, {"method": "full-grid", "order": order})
+    return GridQuadrature(dim, points, weights)
 
 
 def _tensor_point_count(dim: int, level: int) -> int:
@@ -218,7 +207,7 @@ def _decode(keys: np.ndarray, prefixes: np.ndarray, radix: int, width: int) -> n
     return np.hstack([prefixes[keys], digits])
 
 
-def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> GridQuadrature:
+def sparse_grid(dim: int, level: int) -> GridQuadrature:
     """Smolyak sparse grid over nested Clenshaw-Curtis rules, on an integer lattice.
 
     Every rule up to level + 1 has its nodes on the finest rule's, so a
@@ -243,10 +232,10 @@ def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> Gr
             f"above the cap of {MAX_CC_LEVEL}"
         )
     count = _tensor_point_count(dim, level)
-    if count > point_cap:
+    if count > POINT_COUNT_CAP:
         raise ConfigurationError(
             f"sparse grid at level {level} in dimension {dim} has {count} tensor "
-            f"points before merging, above the cap of {point_cap}"
+            f"points before merging, above the cap of {POINT_COUNT_CAP}"
         )
 
     # Row k: the level-k rule's node count, lattice positions and weights.
@@ -293,7 +282,7 @@ def sparse_grid(dim: int, level: int, *, point_cap: int = POINT_COUNT_CAP) -> Gr
     merged = np.zeros(len(unique))
     np.add.at(merged, inverse.ravel(), weight)
     points = rules[-1].nodes[_decode(unique, prefixes, radix, dim - prefixes.shape[1])]
-    return GridQuadrature(dim, points, merged, {"method": "sparse-grid", "level": level})
+    return GridQuadrature(dim, points, merged)
 
 
 def write_grid_csv(grid: GridQuadrature, dest: IO[str]) -> None:

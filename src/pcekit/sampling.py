@@ -1,4 +1,4 @@
-"""Latin hypercube designs, validation metrics, and empirical summaries.
+"""Latin hypercube designs, validation metrics, and empirical distributions.
 
 Random numbers come from numpy's PCG64 generator, seeded explicitly, so any
 design is reproducible bit-for-bit from its seed.  Percentiles use linear
@@ -13,9 +13,6 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-ANALYTIC = "analytic"
-EMPIRICAL = "empirical"
-
 # Rows formatted per write by write_rows.
 CSV_BLOCK_ROWS = 4096
 
@@ -24,14 +21,10 @@ CSV_BLOCK_ROWS = 4096
 class LhsDesign:
     """One or more stratified designs on [-1, 1]^dim, concatenated.
 
-    Within each design, every dimension has exactly one point in each of
-    the `strata` equal-width bins [-1 + 2k/n, -1 + 2(k+1)/n).
+    Within each design of n points, every dimension has exactly one point
+    in each of the n equal-width bins [-1 + 2k/n, -1 + 2(k+1)/n).
     """
 
-    strata: int
-    dim: int
-    repeats: int
-    seed: int
     points: np.ndarray
 
 
@@ -57,7 +50,7 @@ def latin_hypercube(strata: int, dim: int, repeats: int = 1, seed: int = 0) -> L
             cells = rng.permutation(strata)
             offsets = rng.random(strata)
             block[:, j] = -1.0 + 2.0 * (cells + offsets) / strata
-    return LhsDesign(strata, dim, repeats, seed, points)
+    return LhsDesign(points)
 
 
 def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
@@ -88,26 +81,6 @@ def rrmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
     return float(np.sqrt(np.mean(((p - t) / t) ** 2)))
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Mean, spread, and standard percentiles of one output.
-
-    `derivations` records, per field, whether the value came from samples
-    or from the surrogate's analytic moments.
-    """
-
-    mean: float
-    std_dev: float
-    sample_min: float
-    p10: float
-    p25: float
-    p50: float
-    p75: float
-    p90: float
-    sample_max: float
-    derivations: Mapping[str, str]
-
-
 def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     """Percentiles (q in 0..100) by linear order-statistic interpolation.
 
@@ -121,47 +94,6 @@ def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     gamma, diff = h - lo, above - below
     # from the nearer neighbour, as numpy interpolates
     return np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
-
-
-def summarize(
-    samples: Sequence[float],
-    *,
-    analytic_mean: float | None = None,
-    analytic_std: float | None = None,
-) -> SummaryStats:
-    """Summary statistics of a sample vector (n >= 2; std dev uses n - 1).
-
-    When a surrogate's analytic mean/std are supplied they replace the
-    empirical ones and are tagged accordingly; percentiles and extremes stay
-    empirical.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 samples, got {x.size}")
-    p10, p25, p50, p75, p90 = percentile_values(x, [10, 25, 50, 75, 90])
-    derivations = {
-        "mean": ANALYTIC if analytic_mean is not None else EMPIRICAL,
-        "std_dev": ANALYTIC if analytic_std is not None else EMPIRICAL,
-        "sample_min": EMPIRICAL,
-        "p10": EMPIRICAL,
-        "p25": EMPIRICAL,
-        "p50": EMPIRICAL,
-        "p75": EMPIRICAL,
-        "p90": EMPIRICAL,
-        "sample_max": EMPIRICAL,
-    }
-    return SummaryStats(
-        mean=float(analytic_mean) if analytic_mean is not None else float(np.mean(x)),
-        std_dev=float(analytic_std) if analytic_std is not None else float(np.std(x, ddof=1)),
-        sample_min=float(np.min(x)),
-        p10=float(p10),
-        p25=float(p25),
-        p50=float(p50),
-        p75=float(p75),
-        p90=float(p90),
-        sample_max=float(np.max(x)),
-        derivations=derivations,
-    )
 
 
 @dataclass(frozen=True)

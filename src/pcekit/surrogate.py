@@ -82,16 +82,10 @@ class InputVariable:
     name: str
     v_min: float
     v_max: float
-    distribution: str = "uniform"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("input variable needs a non-empty name")
-        if self.distribution != "uniform":
-            raise ConfigurationError(
-                f"variable {self.name!r}: only the uniform distribution is supported, "
-                f"got {self.distribution!r}"
-            )
         if not (np.isfinite(self.v_min) and np.isfinite(self.v_max)):
             raise ConfigurationError(f"variable {self.name!r}: range must be finite")
         if not self.v_min < self.v_max:
@@ -382,20 +376,18 @@ class PceModel:
 
 
 def _method_pieces(
-    method: FullGrid | SparseGrid, dim: int, point_cap: int | None
+    method: FullGrid | SparseGrid, dim: int
 ) -> tuple[multiindex.Neighborhood, quadrature.GridQuadrature, str, int]:
     # Only a build needs grids, so only a build loads the quadrature module.
     from . import quadrature
 
-    if point_cap is None:
-        point_cap = quadrature.POINT_COUNT_CAP
     if isinstance(method, FullGrid):
         nbhd = multiindex.Neighborhood(multiindex.TENSOR_PRODUCT, method.order, dim)
-        grid = quadrature.full_grid(dim, method.order, point_cap=point_cap)
+        grid = quadrature.full_grid(dim, method.order)
         return nbhd, grid, FULL_GRID, method.order
     if isinstance(method, SparseGrid):
         nbhd = multiindex.Neighborhood(multiindex.TOTAL_ORDER, method.level, dim)
-        grid = quadrature.sparse_grid(dim, method.level, point_cap=point_cap)
+        grid = quadrature.sparse_grid(dim, method.level)
         return nbhd, grid, SPARSE_GRID, method.level
     raise ConfigurationError(f"unknown build method {method!r}")
 
@@ -406,8 +398,6 @@ def build_pce(
     output_names: Sequence[str],
     method: FullGrid | SparseGrid,
     *,
-    point_cap: int | None = None,
-    model_identity: str | None = None,
     record_timestamp: bool = True,
 ) -> PceModel:
     """Build a surrogate by quadrature projection against a black box.
@@ -416,8 +406,9 @@ def build_pce(
     in physical units, and must return a (points, outputs) array (a 1D array
     is accepted for a single output).  Evaluation failures raised by the
     model propagate and abort the build; a non-finite output raises
-    EvaluationError naming the first point that produced one.  `point_cap`
-    bounds the grid size (default quadrature.POINT_COUNT_CAP).
+    EvaluationError naming the first point that produced one.  The grid
+    size is bounded by quadrature.POINT_COUNT_CAP.  The model's
+    `fingerprint` attribute, if it has one, is recorded as its identity.
     """
     inputs = list(inputs)
     output_names = list(output_names)
@@ -430,7 +421,7 @@ def build_pce(
     if len(set(output_names)) != len(output_names):
         raise ConfigurationError("output names must be unique")
 
-    nbhd, grid, method_name, parameter = _method_pieces(method, len(inputs), point_cap)
+    nbhd, grid, method_name, parameter = _method_pieces(method, len(inputs))
     indices = multiindex.index_array(nbhd)
 
     physical = unscale_points(grid.points, inputs)
@@ -457,13 +448,11 @@ def build_pce(
     scale = np.max(np.abs(coefficients), axis=0)
     coefficients[np.abs(coefficients) < COEFFICIENT_SNAP * scale] = 0.0
 
-    if model_identity is None:
-        model_identity = getattr(model, "fingerprint", None)
     build_meta = {
         "method": method_name,
         "parameter": parameter,
         "evaluation_count": len(grid),
-        "model_identity": model_identity,
+        "model_identity": getattr(model, "fingerprint", None),
         "timestamp": (
             _dt.datetime.now(_dt.timezone.utc).isoformat() if record_timestamp else None
         ),
@@ -487,7 +476,7 @@ def save(model: PceModel, dest) -> None:
         "schema_version": MODEL_SCHEMA_VERSION,
         "inputs": [
             {"name": var.name, "min": "%.17g" % var.v_min, "max": "%.17g" % var.v_max,
-             "distribution": var.distribution}
+             "distribution": "uniform"}
             for var in model.inputs
         ],
         "output_names": list(model.output_names),
@@ -579,15 +568,15 @@ def load(source) -> PceModel:
         )
 
     try:
-        inputs = [
-            InputVariable(
-                name=entry["name"],
-                v_min=float(entry["min"]),
-                v_max=float(entry["max"]),
-                distribution=entry.get("distribution", "uniform"),
-            )
-            for entry in _require(doc, "inputs", list)
-        ]
+        inputs = []
+        for entry in _require(doc, "inputs", list):
+            inputs.append(InputVariable(entry["name"], float(entry["min"]), float(entry["max"])))
+            distribution = entry.get("distribution", "uniform")
+            if distribution != "uniform":
+                raise ValueError(
+                    f"variable {entry['name']!r}: only the uniform distribution is "
+                    f"supported, got {distribution!r}"
+                )
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ModelFormatError(f"model field 'inputs' is malformed: {exc}") from exc
 

@@ -68,3 +68,20 @@ def test_metrics_worse_beyond_their_bound_are_listed():
     assert [line.split(":")[0].strip() for line in lines[2:]] == [
         "passed_share@w", "validate_s@w"
     ]
+
+
+def test_without_a_claim_the_bounds_are_still_checked(tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    base = {"build_cold_s": [1.0] * 5, "peak_rss_mb": [60.0] * 5}
+    within = {"build_cold_s": [1.2] * 5, "peak_rss_mb": [62.9] * 5}
+    assert bench_pairs.finish(record("w", base, within), [], BOUNDS, out) == 0
+    assert capsys.readouterr().out == "no metric is worse than the base beyond its bound\n"
+    assert json.loads(out.read_text())["verdict"] == [
+        "no metric is worse than the base beyond its bound"
+    ]
+    beyond = {"build_cold_s": [1.2] * 5, "peak_rss_mb": [63.1] * 5}
+    assert bench_pairs.finish(record("w", base, beyond), [], BOUNDS, out) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "worse than the base beyond the bound:"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == ["peak_rss_mb@w"]
+    assert json.loads(out.read_text())["verdict"] == lines

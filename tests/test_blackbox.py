@@ -300,12 +300,15 @@ class TestCache:
     def test_verify_counts(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvaluationCache(path)
+        assert (cache.valid_lines, cache.corrupt_lines) == (0, 0)
         spec = builtin_spec("sobol-example-1")
         BlackBoxModel(spec, cache=cache)(np.array([[0.0, 0.0], [0.5, -0.5]]))
-        assert cache.verify() == (2, 0)
+        fresh = EvaluationCache(path)
+        assert (fresh.valid_lines, fresh.corrupt_lines) == (2, 0)
         with open(path, "a") as handle:
             handle.write("this is not json\n")
-        assert EvaluationCache(path).verify() == (2, 1)
+        fresh = EvaluationCache(path)
+        assert (fresh.valid_lines, fresh.corrupt_lines) == (2, 1)
 
     def test_distinct_models_do_not_collide(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
@@ -636,7 +639,7 @@ def assert_loads_like_reference(path, caplog):
         f"cache {path} line {lineno} is corrupt ({error}); treating as a miss"
         for lineno, error in expected_corrupt
     ]
-    assert cache.verify() == (expected_valid, len(expected_corrupt))
+    assert cache.valid_lines == expected_valid
 
 
 COMPACT = {"separators": (",", ":")}
@@ -756,8 +759,9 @@ class TestLoaderDifferential:
             expected_index, expected_valid, expected_corrupt = reference_scan(path)
             cache = EvaluationCache(path)
             assert index_bits(cache._index) == index_bits(expected_index)
-            assert cache.corrupt_lines == len(expected_corrupt)
-            assert cache.verify() == (expected_valid, len(expected_corrupt))
+            assert (cache.valid_lines, cache.corrupt_lines) == (
+                expected_valid, len(expected_corrupt)
+            )
 
 
 ECHO_DOUBLER = """\

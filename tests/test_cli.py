@@ -243,6 +243,37 @@ class TestBuild:
         log = (tmp_path / "report" / "run.log").read_text()
         assert "cache_hits=6 cache_misses=3" in log
 
+    @pytest.mark.parametrize("working_dir", [None, "sub"])
+    def test_relative_working_dir_resolves_against_the_config(
+        self, tmp_path, monkeypatch, working_dir
+    ):
+        # The solver is named relative to its working directory and reads a
+        # file there; the build runs from the config's parent directory.
+        solver_dir = tmp_path / "cfg" / (working_dir or "")
+        solver_dir.mkdir(parents=True)
+        (solver_dir / "offset.txt").write_text("2.5\n")
+        (solver_dir / "solver.py").write_text(
+            "import csv, sys\n"
+            "offset = float(open('offset.txt').read())\n"
+            "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
+            "print('y')\n"
+            "for r in rows:\n"
+            "    print(repr(float(r[0]) + offset))\n"
+        )
+        model = {"kind": "external", "command": [sys.executable, "solver.py"]}
+        if working_dir:
+            model["working_dir"] = working_dir
+        write_config(
+            tmp_path / "cfg",
+            model=model,
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}],
+            outputs=["y"],
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["build", "--config", "cfg/run.json"]) == 0
+        built = surrogate.load(tmp_path / "cfg" / "model.json")
+        assert built.mean() == pytest.approx([3.0])
+
 
 class TestValidate:
     def test_writes_metrics_and_scatter(self, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcekit import multiindex
 from pcekit.errors import ConfigurationError
 from pcekit.multiindex import (
     TENSOR_PRODUCT,
@@ -118,13 +119,14 @@ def test_total_order_is_subset_of_tensor_product():
         assert total <= tensor
 
 
-def test_count_cap_rejected():
+def test_count_cap_rejected(monkeypatch):
     with pytest.raises(ConfigurationError, match="cap"):
         cardinality(Neighborhood(TENSOR_PRODUCT, 30, 6))
     with pytest.raises(ConfigurationError, match="cap"):
         enumerate_indices(Neighborhood(TOTAL_ORDER, 40, 10))
-    with pytest.raises(ConfigurationError, match="cap"):
-        index_array(Neighborhood(TOTAL_ORDER, 10, 10), cap=184_755)
+    monkeypatch.setattr(multiindex, "INDEX_COUNT_CAP", 184_755)
+    with pytest.raises(ConfigurationError, match="184756 members, above the cap of 184755"):
+        index_array(Neighborhood(TOTAL_ORDER, 10, 10))
 
 
 def test_invalid_construction():

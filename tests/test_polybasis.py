@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pcekit import polybasis
 from pcekit.errors import ConfigurationError
 from pcekit.polybasis import legendre_table
 from references import legendre_eval
@@ -69,9 +70,15 @@ def test_table_matches_scalar_evaluation():
         assert np.allclose(table[n], legendre_eval(n, x), atol=1e-14)
 
 
-def test_degree_guards():
+def test_degree_guards(monkeypatch):
     with pytest.raises(ConfigurationError):
         legendre_eval(-1, 0.0)
     with pytest.raises(ConfigurationError):
         legendre_eval(65, 0.0)
     assert legendre_eval(65, 1.0, degree_cap=70) == pytest.approx(1.0)
+    with pytest.raises(ConfigurationError, match=">= 0"):
+        legendre_table(-1, 0.0)
+    with pytest.raises(ConfigurationError, match="65 exceeds the cap of 64"):
+        legendre_table(65, 0.0)
+    monkeypatch.setattr(polybasis, "DEGREE_CAP", 70)
+    assert legendre_table(65, 1.0)[65] == pytest.approx(1.0)

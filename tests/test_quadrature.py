@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcekit import sampling
+from pcekit import quadrature, sampling
 from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.quadrature import (
     clenshaw_curtis_1d,
@@ -30,7 +30,6 @@ class TestGaussLegendre:
         rule = gauss_legendre_1d(1)
         assert rule.nodes.tolist() == [0.0]
         assert rule.weights.tolist() == [2.0]
-        assert rule.exact_degree == 1
 
     def test_two_nodes(self):
         # roots of (3x^2 - 1)/2 are +-1/sqrt(3); weights follow from
@@ -65,7 +64,6 @@ class TestGaussLegendre:
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(rule.weights > 0)
         assert abs(rule.weights.sum() - 2.0) < 1e-13
-        assert rule.exact_degree == 2 * n - 1
 
     def test_range_guard(self):
         with pytest.raises(ConfigurationError):
@@ -103,8 +101,9 @@ class TestClenshawCurtis:
 
     @pytest.mark.parametrize("level", range(1, 8))
     def test_exactness_at_declared_degree(self, level):
+        # An odd node count and a symmetric rule integrate degree len(rule) too.
         rule = clenshaw_curtis_1d(level)
-        for degree in range(rule.exact_degree + 1):
+        for degree in range(len(rule) + 1):
             value = np.sum(rule.nodes**degree * rule.weights)
             assert value == pytest.approx(
                 monomial_integral(degree), rel=1e-12, abs=1e-12
@@ -278,17 +277,21 @@ class TestLatticeSparseGrid:
         assert np.array_equal(grid.weights, weights)
 
     @pytest.mark.parametrize("dim,level", [(1, 3), (2, 4), (3, 5), (4, 3)])
-    def test_tensor_point_count(self, dim, level):
+    def test_tensor_point_count(self, dim, level, monkeypatch):
         count = tensor_points_oracle(dim, level)
-        assert len(sparse_grid(dim, level, point_cap=count)) <= count
+        monkeypatch.setattr(quadrature, "POINT_COUNT_CAP", count)
+        assert len(sparse_grid(dim, level)) <= count
+        monkeypatch.setattr(quadrature, "POINT_COUNT_CAP", count - 1)
         with pytest.raises(ConfigurationError, match="before merging"):
-            sparse_grid(dim, level, point_cap=count - 1)
+            sparse_grid(dim, level)
 
-    def test_cap_counts_points_before_merging(self):
+    def test_cap_counts_points_before_merging(self, monkeypatch):
         # 15713 merged points come from 101575 tensor points
-        assert len(sparse_grid(8, 5, point_cap=101_575)) == 15713
-        with pytest.raises(ConfigurationError, match="101575"):
-            sparse_grid(8, 5, point_cap=101_574)
+        monkeypatch.setattr(quadrature, "POINT_COUNT_CAP", 101_575)
+        assert len(sparse_grid(8, 5)) == 15713
+        monkeypatch.setattr(quadrature, "POINT_COUNT_CAP", 101_574)
+        with pytest.raises(ConfigurationError, match="101575 tensor points .* cap of 101574"):
+            sparse_grid(8, 5)
 
     def test_cap_is_checked_before_allocating(self):
         tracemalloc.start()
@@ -352,7 +355,7 @@ def test_csv_export_matches_per_cell_rendering(monkeypatch, block_rows):
         [np.inf, -np.inf, np.nan],
         [1.0, -1.0, 123456789.125],
     ])
-    grids = [sparse_grid(3, 3), full_grid(2, 4), GridQuadrature(2, odd[:, :2], odd[:, 2], {})]
+    grids = [sparse_grid(3, 3), full_grid(2, 4), GridQuadrature(2, odd[:, :2], odd[:, 2])]
     for grid in grids:
         buffer = io.StringIO(newline="")
         write_grid_csv(grid, buffer)

@@ -13,7 +13,6 @@ from pcekit.sampling import (
     percentile_values,
     rmse,
     rrmse,
-    summarize,
     write_cdf_csv,
     write_histogram_csv,
 )
@@ -125,38 +124,20 @@ class TestErrorMetrics:
 
 class TestSummaries:
     def test_median_by_interpolation(self):
-        stats = summarize(np.arange(1.0, 101.0))
-        assert stats.p50 == pytest.approx(50.5)
-        assert stats.p10 == pytest.approx(10.9)  # h = 99 * 0.1 + 1
+        p10, p50 = percentile_values(np.arange(1.0, 101.0), [10, 50])
+        assert p50 == pytest.approx(50.5)
+        assert p10 == pytest.approx(10.9)  # h = 99 * 0.1 + 1
 
     def test_constant_samples(self):
-        stats = summarize(np.full(25, 3.5))
-        assert stats.std_dev == 0.0
-        assert stats.p10 == stats.p90 == stats.sample_min == stats.sample_max == 3.5
-
-    def test_analytic_substitution_is_tagged(self):
-        samples = np.array([1.0, 2.0, 3.0, 4.0])
-        stats = summarize(samples, analytic_mean=2.5, analytic_std=1.0)
-        assert stats.mean == 2.5 and stats.std_dev == 1.0
-        assert stats.derivations["mean"] == "analytic"
-        assert stats.derivations["p50"] == "empirical"
-        empirical = summarize(samples)
-        assert empirical.derivations["mean"] == "empirical"
-        assert empirical.std_dev == pytest.approx(np.std(samples, ddof=1))
+        assert percentile_values(np.full(25, 3.5), [0, 10, 90, 100]).tolist() == [3.5] * 4
 
     def test_percentiles_are_monotone(self):
         rng = np.random.Generator(np.random.PCG64(21))
         for _ in range(20):
-            stats = summarize(rng.normal(size=101))
-            ordered = [
-                stats.sample_min, stats.p10, stats.p25, stats.p50,
-                stats.p75, stats.p90, stats.sample_max,
-            ]
+            samples = rng.normal(size=101)
+            ordered = percentile_values(samples, [10, 25, 50, 75, 90]).tolist()
+            ordered = [samples.min()] + ordered + [samples.max()]
             assert ordered == sorted(ordered)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            summarize([1.0])
 
     def test_percentile_helper_matches_convention(self):
         samples = np.array([10.0, 20.0, 30.0, 40.0])

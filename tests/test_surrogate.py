@@ -575,7 +575,7 @@ def json_dumps_text(model):
         "schema_version": surrogate.MODEL_SCHEMA_VERSION,
         "inputs": [
             {"name": var.name, "min": "%.17g" % var.v_min, "max": "%.17g" % var.v_max,
-             "distribution": var.distribution}
+             "distribution": "uniform"}
             for var in model.inputs
         ],
         "output_names": list(model.output_names),

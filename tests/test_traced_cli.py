@@ -1,8 +1,8 @@
-"""The traced benchmark driver still installs its wrappers on pcekit.
+"""perfbench/traced_cli.py still installs its wrappers on pcekit.
 
-perfbench/traced_cli.py wraps every public function and a list of class
-attributes by name; a name it expects that pcekit no longer has makes it
-exit with an AttributeError before the command runs.
+It wraps every public function and a list of class attributes by name; a
+name it expects that pcekit no longer has makes it exit with an
+AttributeError before the command runs.
 """
 import json
 import os

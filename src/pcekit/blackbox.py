@@ -54,7 +54,7 @@ from .config import BUILTIN, IO_ARGFILE, ModelSpec  # noqa: F401  (re-exported)
 from .errors import ConfigurationError, EvaluationError
 
 CACHE_ENV_VAR = "PCEKIT_CACHE"
-# Text written to the cache per write call by EvaluationCache.store_many.
+# Text written to the cache per write call by EvaluationCache.store.
 STORE_BLOCK_CHARS = 2**20
 # Basis values (points x terms) the polynomial builtin holds at once.
 POLYNOMIAL_CHUNK_VALUES = 2**20
@@ -253,26 +253,6 @@ BUILTIN_MODELS: dict[str, Callable[[ModelSpec], Callable[[np.ndarray], np.ndarra
 }
 
 
-def builtin_function(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a builtin spec to its (pure, deterministic) array function.
-
-    The function maps (M, inputs) points to (M, outputs) values; one 1-D
-    point is evaluated as a one-row array and gives a 1-D array of outputs.
-    Malformed parameters raise ConfigurationError here.
-    """
-    if spec.kind != BUILTIN:
-        raise ConfigurationError("builtin_function requires a builtin model spec")
-    function = BUILTIN_MODELS[spec.name](spec)
-
-    def evaluate(points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            return function(points[None, :])[0]
-        return function(points)
-
-    return evaluate
-
-
 def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) -> str:
     payload = json.dumps(
         {"fingerprint": fingerprint, "inputs": inputs, "outputs": outputs},
@@ -282,10 +262,10 @@ def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) ->
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# A whole cache line, with its newline, in the form store_many writes.  Its
-# strings hold only printable ASCII other than the quote and the backslash,
-# which json.dumps renders as they stand, so group 1 (the text before
-# ',"checksum"') plus a closing brace is the line's checksum payload.
+# A whole cache line, with its newline, in the form EvaluationCache.store
+# writes.  Its strings hold only printable ASCII other than the quote and the
+# backslash, which json.dumps renders as they stand, so group 1 (the text
+# before ',"checksum"') plus a closing brace is the line's checksum payload.
 _PLAIN = r'[ !#-\[\]-~]*'
 _CANONICAL_LINE = re.compile(
     r'(\{"fingerprint":"(%s)","inputs":\["(%s(?:","%s)*)"\],"outputs":\["(%s(?:","%s)*)"\])'
@@ -342,7 +322,7 @@ class EvaluationCache:
         repeated key), how many lines are valid, and (line number, error)
         per corrupt line.
 
-        A line in the form store_many writes is checked against its own text;
+        A line in the form store writes is checked against its own text;
         any other line is parsed and its fields re-rendered as JSON for the
         check.  A line that is not valid UTF-8 is corrupt: the file is read
         with its undecodable bytes escaped, which no canonical line holds,
@@ -397,21 +377,11 @@ class EvaluationCache:
         row's values as canonical decimals ("%.17g"), comma-separated."""
         return _render_rows(points, fingerprint + "|")
 
-    @staticmethod
-    def point_key(fingerprint: str, values: Sequence[float]) -> str:
-        return EvaluationCache.point_keys(fingerprint, np.atleast_2d(values))[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[tuple[float, ...] | None]:
-        """The cached outputs of each key, or None where it misses."""
+    def lookup(self, keys: Sequence[str]) -> list[tuple[float, ...] | None]:
+        """The cached outputs of each key (from point_keys), or None where it misses."""
         return [self._index.get(key) for key in keys]
 
-    def lookup(self, fingerprint: str, values: Sequence[float]) -> tuple[float, ...] | None:
-        return self._index.get(self.point_key(fingerprint, values))
-
-    def store(self, fingerprint: str, values: Sequence[float], outputs: Sequence[float]) -> None:
-        self.store_many(fingerprint, [self.point_key(fingerprint, values)], np.atleast_2d(outputs))
-
-    def store_many(self, fingerprint: str, keys: Sequence[str], outputs: np.ndarray) -> None:
+    def store(self, fingerprint: str, keys: Sequence[str], outputs: np.ndarray) -> None:
         """Append one record per key (from point_keys) with its row of outputs.
 
         Each line is the json.dumps rendering of its record.  The lines go
@@ -679,7 +649,7 @@ class BlackBoxModel:
         self.fresh_count = 0
         self.cached_count = 0
         self._lock = threading.Lock()
-        self._builtin = builtin_function(spec) if spec.kind == BUILTIN else None
+        self._builtin = BUILTIN_MODELS[spec.name](spec) if spec.kind == BUILTIN else None
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -711,7 +681,7 @@ class BlackBoxModel:
         prefix = "" if cache is None else self.fingerprint + "|"
         keys = _render_rows(points, prefix) if cache is not None or self._builtin is None else []
         if cache is not None:
-            hits = cache.get_many(keys)
+            hits = cache.lookup(keys)
             cached[:] = [hit is not None for hit in hits]
             if cached.any():
                 outputs[cached] = [hit for hit in hits if hit is not None]
@@ -723,7 +693,7 @@ class BlackBoxModel:
             rows = misses[rows]
             outputs[rows] = values
             if cache is not None and len(rows):
-                cache.store_many(self.fingerprint, [keys[i] for i in rows.tolist()], values)
+                cache.store(self.fingerprint, [keys[i] for i in rows.tolist()], values)
 
         if self._builtin is None:
             miss_keys = [keys[i] for i in misses.tolist()]

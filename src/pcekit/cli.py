@@ -21,16 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    ConfigurationError,
-    EvaluationError,
-    ModelFormatError,
-    ZeroVarianceError,
-)
+from .errors import EXIT_IO, EXIT_OK, ConfigurationError, PcekitError
 
 
 def _append_log(report_dir: Path, line: str) -> None:
@@ -218,8 +209,10 @@ def cmd_uq(args: argparse.Namespace) -> int:
         for row in cells:
             handle.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
-    sampling.write_cdf_csv(report_dir / "cdf.csv", distributions, comments=comments)
-    sampling.write_histogram_csv(report_dir / "hist.csv", distributions, comments=comments)
+    with open(report_dir / "cdf.csv", "w", encoding="utf-8", newline="") as handle:
+        sampling.write_cdf_csv(handle, distributions, comments=comments)
+    with open(report_dir / "hist.csv", "w", encoding="utf-8", newline="") as handle:
+        sampling.write_histogram_csv(handle, distributions, comments=comments)
 
     _append_log(
         report_dir,
@@ -362,15 +355,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except PcekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EvaluationError, ZeroVarianceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

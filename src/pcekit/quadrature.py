@@ -3,8 +3,9 @@
 Two 1D families are provided:
 
 * Gauss-Legendre with n nodes, exact for polynomials of degree 2n - 1.
-  Nodes are the roots of L_n, found by Newton iteration on the recurrence
-  (no tables), then mirrored so the rule is exactly symmetric.
+  Nodes are the roots of L_n, found by Newton iteration on the basis's own
+  recurrence (no tabulated nodes), then mirrored so the rule is exactly
+  symmetric.
 * Clenshaw-Curtis at level k with n_k nodes, where n_1 = 1 and
   n_k = 2^(k-1) + 1 for k >= 2.  Nodes are cosine-spaced, so the rules are
   nested: every node of level k reappears, bit-identically, at level k + 1.
@@ -29,7 +30,7 @@ from typing import IO
 
 import numpy as np
 
-from . import multiindex
+from . import multiindex, polybasis
 from .errors import ConfigurationError
 
 MAX_GAUSS_NODES = 64
@@ -62,16 +63,6 @@ class GridQuadrature:
         return self.weights.size
 
 
-def _legendre_value_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L_n(x) and L_n'(x), with the derivative from n(x L_n - L_{n-1})/(x^2 - 1)."""
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
-    deriv = n * (x * cur - prev) / (x * x - 1.0)
-    return cur, deriv
-
-
 def gauss_legendre_1d(n: int) -> QuadratureRule1D:
     """The n-node Gauss-Legendre rule on [-1, 1].
 
@@ -91,15 +82,19 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
     half = (n + 1) // 2
     i = np.arange(1, half + 1, dtype=float)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))  # descending, all > 0 except a center ~0
-    for _ in range(100):
-        value, deriv = _legendre_value_and_derivative(n, x)
-        step = value / deriv
-        x -= step
+    step = np.inf
+    # Each pass takes L_{n-1} and L_n from the one recurrence and L_n' from
+    # n (x L_n - L_{n-1}) / (x^2 - 1); the pass after the last Newton step
+    # gives L_n' at the roots, for the weights.
+    for _ in range(101):
+        prev, value = polybasis.legendre_table(n, x)[n - 1:]
+        deriv = n * (x * value - prev) / (x * x - 1.0)
         if np.max(np.abs(step)) < 1e-15:
             break
+        step = value / deriv
+        x -= step
     else:  # pragma: no cover - Newton on Legendre roots converges in < 10 steps
         raise ConfigurationError(f"Gauss-Legendre iteration failed to converge for n={n}")
-    _, deriv = _legendre_value_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * deriv * deriv)
 
     nodes = np.empty(n)

@@ -120,12 +120,6 @@ def empirical_distribution(samples: Sequence[float], bins: int) -> EmpiricalDist
     return EmpiricalDistribution(values, cumulative, bin_edges, counts)
 
 
-def _open_dest(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8", newline=""), True
-
-
 def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
     for line in comments or ():
         handle.write(f"# {line}\n")
@@ -149,56 +143,42 @@ def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) ->
 
 
 def write_cdf_csv(
-    dest,
+    handle: IO[str],
     distributions: Mapping[str, EmpiricalDistribution],
     *,
     comments: Sequence[str] | None = None,
 ) -> None:
     """Per output: a value column and a cumulative-probability column.
 
-    Cells use 17 significant digits, rows end in CRLF as csv.writer's do,
-    and an output with fewer samples than the longest leaves its cells blank.
-    Outputs of one sample count share their k/n column, formatted once.
+    Every output has the same sample count, so all share one k/n column,
+    formatted once per block.  Cells use 17 significant digits and rows end
+    in CRLF as csv.writer's do.
     """
-    handle, owned = _open_dest(dest)
-    try:
-        _write_comments(handle, comments)
-        names = list(distributions)
-        header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
-        handle.write(",".join(map(_csv_cell, header)) + "\r\n")
-        # Between consecutive distinct lengths the outputs present stay fixed.
-        start = 0
-        for stop in sorted({d.values.size for d in distributions.values()}):
-            present = [distributions[n].values.size >= stop for n in names]
-            template = ",".join("%.17g,%s" if p else "," for p in present) + "\r\n"
-            shown = [distributions[n] for n, p in zip(names, present) if p]
-            shared = {d.values.size: d.cumulative for d in shown}
-            for block in range(start, stop, CSV_BLOCK_ROWS):
-                rows = slice(block, min(block + CSV_BLOCK_ROWS, stop))
-                cells = "%.17g\n" * (rows.stop - rows.start)
-                text = {n: (cells % tuple(c[rows].tolist())).split("\n") for n, c in shared.items()}
-                columns = sum(([d.values[rows].tolist(), text[d.values.size]] for d in shown), [])
-                handle.write("".join([template % row for row in zip(*columns)]))
-            start = stop
-    finally:
-        if owned:
-            handle.close()
+    shown = list(distributions.values())
+    cumulative = shown[0].cumulative
+    if any(d.values.size != cumulative.size for d in shown):
+        raise ValueError("every output of a cdf table needs the same sample count")
+    _write_comments(handle, comments)
+    header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in distributions), [])
+    handle.write(",".join(map(_csv_cell, header)) + "\r\n")
+    template = ",".join(["%.17g,%s"] * len(shown)) + "\r\n"
+    for start in range(0, cumulative.size, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        ranks = cumulative[rows].tolist()
+        text = ("%.17g\n" * len(ranks) % tuple(ranks)).split("\n")
+        columns = sum(([d.values[rows].tolist(), text] for d in shown), [])
+        handle.write("".join([template % row for row in zip(*columns)]))
 
 
 def write_histogram_csv(
-    dest,
+    handle: IO[str],
     distributions: Mapping[str, EmpiricalDistribution],
     *,
     comments: Sequence[str] | None = None,
 ) -> None:
     """Long-format histogram table: output, bin_left, bin_right, count."""
-    handle, owned = _open_dest(dest)
-    try:
-        _write_comments(handle, comments)
-        handle.write("output,bin_left,bin_right,count\r\n")
-        for name, dist in distributions.items():
-            template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
-            write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])
-    finally:
-        if owned:
-            handle.close()
+    _write_comments(handle, comments)
+    handle.write("output,bin_left,bin_right,count\r\n")
+    for name, dist in distributions.items():
+        template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
+        write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])

@@ -22,8 +22,8 @@ from pcekit.blackbox import (
     CSG_PROXY_OUTPUTS,
     BlackBoxModel,
     EvaluationCache,
+    BUILTIN_MODELS,
     ModelSpec,
-    builtin_function,
     resolve_cache_path,
 )
 from pcekit.errors import ConfigurationError, EvaluationError
@@ -31,6 +31,11 @@ from pcekit.multiindex import TOTAL_ORDER, Neighborhood, enumerate_indices
 from pcekit.polybasis import legendre_table
 from pcekit.quadrature import full_grid, sparse_grid
 from pcekit.sampling import latin_hypercube
+
+
+def builtin(spec):
+    """The array function of a builtin spec, as BlackBoxModel resolves it."""
+    return BUILTIN_MODELS[spec.name](spec)
 
 
 def builtin_spec(name, inputs=("x1", "x2"), outputs=("value",), parameters=None):
@@ -42,19 +47,16 @@ def builtin_spec(name, inputs=("x1", "x2"), outputs=("value",), parameters=None)
 
 class TestBuiltins:
     def test_sum_of_squares_at_corner(self):
-        func = builtin_function(builtin_spec("sobol-example-1"))
-        assert func(np.array([1.0, 1.0]))[0] == 2.0
+        func = builtin(builtin_spec("sobol-example-1"))
+        assert func(np.array([[1.0, 1.0]])).tolist() == [[2.0]]
 
     def test_cubic_at_origin(self):
-        func = builtin_function(builtin_spec("sobol-example-2"))
-        assert func(np.array([0.0, 0.0]))[0] == 0.0
+        func = builtin(builtin_spec("sobol-example-2"))
+        assert func(np.array([[0.0, 0.0]])).tolist() == [[0.0]]
 
     def test_constant_everywhere(self):
-        func = builtin_function(
-            builtin_spec("constant", inputs=("a",), parameters={"values": [5.0]})
-        )
-        for x in [-3.0, 0.0, 42.0]:
-            assert func(np.array([x]))[0] == 5.0
+        func = builtin(builtin_spec("constant", inputs=("a",), parameters={"values": [5.0]}))
+        assert func(np.array([[-3.0], [0.0], [42.0]])).tolist() == [[5.0]] * 3
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown builtin"):
@@ -62,9 +64,9 @@ class TestBuiltins:
 
     def test_polynomial_requires_consistent_terms(self):
         with pytest.raises(ConfigurationError):
-            builtin_function(builtin_spec("polynomial", parameters={"terms": []}))
+            builtin(builtin_spec("polynomial", parameters={"terms": []}))
         with pytest.raises(ConfigurationError, match="inputs"):
-            builtin_function(
+            builtin(
                 builtin_spec(
                     "polynomial",
                     parameters={"terms": [{"orders": [1], "coefficients": [1.0]}]},
@@ -72,14 +74,14 @@ class TestBuiltins:
             )
 
     def test_builtin_determinism(self):
-        func = builtin_function(
+        func = builtin(
             builtin_spec(
                 "csg-proxy",
                 inputs=tuple(n for n, _, _ in CSG_PROXY_INPUTS),
                 outputs=CSG_PROXY_OUTPUTS,
             )
         )
-        point = np.array([0.02, 400.0, 0.0002, 0.6])
+        point = np.array([[0.02, 400.0, 0.0002, 0.6]])
         first = func(point)
         for _ in range(1000):
             assert np.array_equal(func(point), first)
@@ -87,7 +89,7 @@ class TestBuiltins:
 
 class TestCsgProxy:
     def proxy(self):
-        return builtin_function(
+        return builtin(
             builtin_spec(
                 "csg-proxy",
                 inputs=tuple(n for n, _, _ in CSG_PROXY_INPUTS),
@@ -102,7 +104,7 @@ class TestCsgProxy:
             for k in grids[1]:
                 for b in grids[2]:
                     for v in grids[3]:
-                        out = func(np.array([phi, k, b, v]))
+                        out = func(np.array([[phi, k, b, v]]))
                         assert np.all(out > 0.0)
 
     def test_monotone_in_adsorption_volume(self):
@@ -113,15 +115,13 @@ class TestCsgProxy:
         for phi in np.linspace(0.005, 0.05, 4):
             for k in np.linspace(10, 1000, 4):
                 for b in np.linspace(0.00017, 0.0003, 4):
-                    outs = np.array(
-                        [func(np.array([phi, k, b, v])) for v in volumes]
-                    )
+                    outs = func(np.array([[phi, k, b, v] for v in volumes]))
                     assert np.all(np.diff(outs[:, 0]) >= 0.0)
                     assert np.all(np.diff(outs[:, 1]) >= 0.0)
 
     def test_arity_guard(self):
         with pytest.raises(ConfigurationError):
-            builtin_function(builtin_spec("csg-proxy"))
+            builtin(builtin_spec("csg-proxy"))
 
 
 def per_point_reference(spec):
@@ -217,14 +217,14 @@ class TestArrayBuiltins:
     def test_matches_the_per_point_code_bit_for_bit(self, case):
         spec, box = differential_specs()[case]
         reference = per_point_reference(spec)
-        function = builtin_function(spec)
+        function = builtin(spec)
         for name, unit in unit_point_sets(len(box)).items():
             points = box[:, 0] + 0.5 * (unit + 1.0) * (box[:, 1] - box[:, 0])
             expected = np.array([reference(point) for point in points])
             values = function(points)
             assert values.shape == expected.shape, name
             assert values.tobytes() == expected.tobytes(), name
-            assert function(points[7]).tobytes() == expected[7].tobytes()
+            assert function(points[7:8]).tobytes() == expected[7:8].tobytes()
 
     @pytest.mark.parametrize("where", [0, 5, 10])
     @pytest.mark.parametrize("bad, message", [
@@ -245,9 +245,9 @@ class TestArrayBuiltins:
         assert str(points[where].tolist()) in str(info.value)
         cache = EvaluationCache(path)
         keys = cache.point_keys(spec.fingerprint(), points)
-        assert [hit is not None for hit in cache.get_many(keys)] == [i < where for i in range(11)]
+        assert [hit is not None for hit in cache.lookup(keys)] == [i < where for i in range(11)]
         expected = BlackBoxModel(spec)(points[:where]) if where else np.empty((0, 2))
-        assert np.array(cache.get_many(keys[:where])).reshape(-1, 2).tolist() == expected.tolist()
+        assert np.array(cache.lookup(keys[:where])).reshape(-1, 2).tolist() == expected.tolist()
 
 
 class TestFingerprint:
@@ -474,48 +474,47 @@ class TestBatchedCache:
     ])
 
     @pytest.mark.parametrize("fingerprint", ["f" * 64, 'odd "fp" with \\, |, %s and é'])
-    def test_store_many_lines_match_json_dumps(self, tmp_path, fingerprint):
+    def test_store_lines_match_json_dumps(self, tmp_path, fingerprint):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points, outputs = self.VALUES[:, :3], self.VALUES[:, 1:]
-        cache.store_many(fingerprint, cache.point_keys(fingerprint, points), outputs)
-        cache.store(fingerprint, points[0] + 1.0, outputs[0])
+        keys = cache.point_keys(fingerprint, points)
+        cache.store(fingerprint, keys, outputs)
+        cache.store(fingerprint, cache.point_keys(fingerprint, points[:1] + 1.0), outputs[:1])
         expected = [json_dumps_record(fingerprint, p, o) for p, o in zip(points, outputs)]
         expected.append(json_dumps_record(fingerprint, points[0] + 1.0, outputs[0]))
         assert (tmp_path / "cache.jsonl").read_text(encoding="utf-8") == "".join(expected)
         reloaded = EvaluationCache(tmp_path / "cache.jsonl")
         assert reloaded.corrupt_lines == 0
-        for p, o in zip(points, outputs):
-            assert reloaded.lookup(fingerprint, p) == tuple(o.tolist())
-            assert cache.lookup(fingerprint, p) == tuple(o.tolist())
+        assert reloaded.lookup(keys) == cache.lookup(keys) == list(map(tuple, outputs.tolist()))
 
     def test_point_keys_are_17_digit_renderings(self):
         keys = EvaluationCache.point_keys("abc", self.VALUES)
         assert keys == [
             "abc|" + ",".join(format(float(v), ".17g") for v in row) for row in self.VALUES
         ]
-        assert EvaluationCache.point_key("abc", self.VALUES[1]) == keys[1]
+        assert EvaluationCache.point_keys("abc", self.VALUES[1:2]) == keys[1:2]
 
     def test_large_batch_is_written_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(blackbox, "STORE_BLOCK_CHARS", 500)
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points = np.arange(60.0).reshape(20, 3) / 7.0
-        cache.store_many("fp", cache.point_keys("fp", points), points[:, :1])
+        cache.store("fp", cache.point_keys("fp", points), points[:, :1])
         lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
         assert lines == "".join(json_dumps_record("fp", p, p[:1]) for p in points)
 
-    def test_store_many_after_torn_last_line_keeps_every_record(self, tmp_path):
+    def test_store_after_torn_last_line_keeps_every_record(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         points = np.arange(9.0).reshape(3, 3)
         keys = EvaluationCache.point_keys("fp", points)
-        EvaluationCache(path).store_many("fp", keys[:1], points[:1, :1])
+        EvaluationCache(path).store("fp", keys[:1], points[:1, :1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint":"fp","inputs":["1')  # a write cut short
-        EvaluationCache(path).store_many("fp", keys[1:], points[1:, :1])
+        EvaluationCache(path).store("fp", keys[1:], points[1:, :1])
         reloaded = EvaluationCache(path)
         assert len(reloaded) == 3 and reloaded.corrupt_lines == 1
-        assert reloaded.get_many(keys) == [(0.0,), (3.0,), (6.0,)]
+        assert reloaded.lookup(keys) == [(0.0,), (3.0,), (6.0,)]
 
-    def test_concurrent_store_many_loses_no_record(self, tmp_path):
+    def test_concurrent_store_loses_no_record(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         batches = [np.column_stack([np.full(200, t), np.arange(200.0)]) for t in range(8)]
         interval = sys.getswitchinterval()
@@ -523,7 +522,7 @@ class TestBatchedCache:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(cache.store_many, "fp", cache.point_keys("fp", b), b)
+                    pool.submit(cache.store, "fp", cache.point_keys("fp", b), b)
                     for b in batches
                 ]
                 for future in futures:
@@ -615,11 +614,11 @@ def rehashed(line):
     return line[:-66] + checksum + line[-2:]
 
 
-def store_many_lines(fingerprint, points, outputs):
-    """The lines EvaluationCache.store_many writes for these records."""
+def store_lines(fingerprint, points, outputs):
+    """The lines EvaluationCache.store writes for these records."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = EvaluationCache(Path(tmp) / "cache.jsonl")
-        cache.store_many(fingerprint, cache.point_keys(fingerprint, points), outputs)
+        cache.store(fingerprint, cache.point_keys(fingerprint, points), outputs)
         return cache.path.read_text(encoding="utf-8").splitlines()
 
 
@@ -651,14 +650,14 @@ def fields(fingerprint=FP, inputs=("1",), outputs=("2",)):
 
 
 def corpus_lines():
-    """Cache lines of every kind the loader meets: as store_many writes
+    """Cache lines of every kind the loader meets: as store writes
     them, valid in another form, and corrupt."""
     points = np.array([[0.05, 100.0, 1.0 / 3.0], [-0.0, 5e-324, 1e300], [7.0, 8.0, 9.0]])
     outputs = np.array([[14.112115600976798, -2.5], [np.inf, 0.1], [1.0, 2.0]])
     odd = 'odd "fp" with \\, |, %s and é'
     lines = []
     for fingerprint in (FP, "fp", "", odd, "tab\there", "del\x7f"):
-        lines += store_many_lines(fingerprint, points, outputs)
+        lines += store_lines(fingerprint, points, outputs)
     canonical = lines[0]
     pair = fields(inputs=("1", "2.5"), outputs=["3", "-4e-05"])
     lines += [
@@ -743,7 +742,7 @@ class TestLoaderDifferential:
     def test_edited_lines_load_like_the_json_rerender(self, position, char, edit, rehash):
         # One edit anywhere in a canonical line; with rehash, the checksum is
         # then recomputed over the edited line's own text.
-        line = store_many_lines(FP, np.array([[0.05, 100.0, 7.0]]), np.array([[14.1, -2.5]]))[0]
+        line = store_lines(FP, np.array([[0.05, 100.0, 7.0]]), np.array([[14.1, -2.5]]))[0]
         at = position % len(line)
         if edit == "replace":
             line = line[:at] + char + line[at + 1:]
@@ -928,7 +927,8 @@ class TestResume:
             BlackBoxModel(spec, cache=EvaluationCache(path), workers=4)(points)
         cache = EvaluationCache(path)
         assert len(cache) == 6
-        assert all(cache.lookup(spec.fingerprint(), p) is not None for p in points[2:])
+        hits = cache.lookup(cache.point_keys(spec.fingerprint(), points))
+        assert [hit is not None for hit in hits] == [False] * 2 + [True] * 6
 
         fixed.touch()
         box = BlackBoxModel(spec, cache=cache, workers=4)
@@ -1049,7 +1049,7 @@ class TestBatchSemantics:
         BlackBoxModel(spec, cache=cache)(np.array([[0.5, 0.5]]))
         points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
         keys = cache.point_keys(spec.fingerprint(), points)
-        assert [hit is not None for hit in cache.get_many(keys)] == [False, True, False]
+        assert [hit is not None for hit in cache.lookup(keys)] == [False, True, False]
         box = BlackBoxModel(spec, cache=cache)
         outputs = box(points)
         assert (box.fresh_count, box.cached_count) == (2, 1)

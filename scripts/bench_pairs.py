@@ -20,6 +20,10 @@ attempted, failed, metrics) and the details line (per-command samples and
 the machine record) of each run, plus a summary per workload and metric:
 each side's median and quartiles, the median difference, and how many
 pairs the change won by the direction BENCHMARK.json gives the metric.
+Beside it, a summary of the details lines gives each side's medians of
+what the metrics are made from: the raw set-up time (before perfbench's
+`speed` factor scales it into setup_s) and `speed` itself, and per command
+the raw wall time and the peak RSS (peak_rss_mb is the largest of these).
 
 The script ends with a verdict, printed and kept in the file.  With
 --claim METRIC@WORKLOAD (repeatable) it starts with one line per claim
@@ -125,6 +129,29 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def summarize_details(pairs: list[dict]) -> dict:
+    """Each side's median, over its runs, of the raw set-up time (a run's
+    median set-up), of `speed`, and per command of the raw wall time (a run's
+    mean) and the peak RSS (a run's largest sample)."""
+    def medians(per_run) -> dict[str, float]:
+        return {side: statistics.median(per_run(p[side]["details"]) for p in pairs)
+                for side in ("base", "change")}
+
+    commands = sorted({label for p in pairs for side in ("base", "change")
+                       for label in p[side]["details"]["wall_s"]})
+    return {
+        "setup_raw_s": medians(lambda d: statistics.median(d["setup_s"])),
+        "speed": medians(lambda d: d["speed"]),
+        "commands": {
+            label: {
+                "wall_raw_s": medians(lambda d: statistics.fmean(d["wall_s"][label])),
+                "peak_rss_mb": medians(lambda d: max(d["rss_mb"][label])),
+            }
+            for label in commands
+        },
+    }
+
+
 def verdict(record: dict, claims: list[str], bounds: dict[str, float]) -> tuple[list[str], bool]:
     """The verdict lines on a record's summaries, and whether all is well."""
     lines, ok = [], True
@@ -223,7 +250,8 @@ def main() -> int:
                       + "  ".join(f"{side} correct={pair[side]['result']['correct']}"
                                   for side in ("base", "change")), flush=True)
                 record["workloads"][workload] = {
-                    "pairs": pairs, "summary": summarize(pairs, directions)
+                    "pairs": pairs, "summary": summarize(pairs, directions),
+                    "details_summary": summarize_details(pairs),
                 }
                 # Written after each pair, so a cut run keeps what finished.
                 Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
@@ -233,6 +261,14 @@ def main() -> int:
                   f"change {s['change_quartiles'][1]:.4g} "
                   f"wins {s['change_wins']}/{s['pairs']} "
                   f"(base quartile distance {s['base_quartile_distance']:.3g})")
+        d = data["details_summary"]
+        print(f"{workload:18s} raw set-up base {d['setup_raw_s']['base']:.4g} "
+              f"change {d['setup_raw_s']['change']:.4g} s, "
+              f"speed base {d['speed']['base']:.4g} change {d['speed']['change']:.4g}")
+        for label, c in d["commands"].items():
+            print(f"{workload:18s} {label:14s} raw wall base {c['wall_raw_s']['base']:.4g} "
+                  f"change {c['wall_raw_s']['change']:.4g} s, peak RSS base "
+                  f"{c['peak_rss_mb']['base']:.4g} change {c['peak_rss_mb']['change']:.4g} MB")
     return finish(record, args.claim, bounds, Path(args.out))
 
 

@@ -19,9 +19,9 @@ imported where it is used.
 Evaluations are memoized in an append-only JSON-lines cache.  A batch's
 rows are rendered as text once ("%.17g" values, comma-separated, each
 distinct value of a column formatted once; a quadrature grid has a few per
-column), and that text makes the cache keys (after the spec fingerprint,
-so regenerated grids hit the cache reliably), the cache lines and the
-solver's input rows.  Every cache line carries a checksum, and corrupt
+column), and that text keys the cache (under the spec fingerprint, so
+regenerated grids hit the cache reliably), and makes the cache lines and
+the solver's input rows.  Every cache line carries a checksum, and corrupt
 lines are logged and treated as misses, never returned as data.  The
 checksum is the sha256 of the compact sorted-key JSON of the line's other
 three fields, and the cache writes each line in exactly that byte form
@@ -273,15 +273,15 @@ _CANONICAL_LINE = re.compile(
 )
 
 
-def _render_rows(points: np.ndarray, prefix: str = "") -> list[str]:
-    """Each row of an (M, N) array as prefix + "v1,...,vN", every v "%.17g".
+def _render_rows(points: np.ndarray) -> list[str]:
+    """Each row of an (M, N) array as "v1,...,vN", every v "%.17g".
 
     A column's distinct values, told apart by their bits so that -0.0 stays
     "-0", are formatted in one operation and gathered back into place.
     """
     points = np.asarray(points, dtype=float)
     last = points.shape[1] - 1
-    columns = [[prefix] * len(points)]
+    columns = []
     for j, column in enumerate(points.T):
         distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
         # Each text ends in its separator, so a row is the plain join of its cells.
@@ -303,24 +303,26 @@ class EvaluationCache:
     """Append-only, checksummed JSON-lines store of model evaluations.
 
     Each line is {"fingerprint", "inputs", "outputs", "checksum"} with the
-    numbers as canonical decimal strings.  The in-memory index is loaded
-    once at construction, by the one checksum scan of the file, which also
-    counts its valid_lines and corrupt_lines; appends are serialized through
-    a lock so batch workers can share one cache.
+    numbers as canonical decimal strings.  The in-memory index maps each
+    model fingerprint to {input row: outputs}, a row being the inputs as
+    _render_rows writes them.  It is loaded once at construction, by the
+    one checksum scan of the file, which also counts its valid_lines and
+    corrupt_lines; appends are serialized through a lock so batch workers
+    can share one cache.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._index: dict[str, tuple[float, ...]] = {}
+        self._index: dict[str, dict[str, tuple[float, ...]]] = {}
         self.valid_lines = self.corrupt_lines = 0
         if self.path.exists():
             self._load()
 
-    def _scan(self) -> tuple[dict[str, tuple[float, ...]], int, list[tuple[int, Exception]]]:
+    def _scan(self) -> tuple[dict[str, dict], int, list[tuple[int, Exception]]]:
         """Read the file: the index of its valid lines (a later line wins a
-        repeated key), how many lines are valid, and (line number, error)
-        per corrupt line.
+        repeated fingerprint and row), how many lines are valid, and (line
+        number, error) per corrupt line.
 
         A line in the form store writes is checked against its own text;
         any other line is parsed and its fields re-rendered as JSON for the
@@ -328,7 +330,7 @@ class EvaluationCache:
         with its undecodable bytes escaped, which no canonical line holds,
         and the check of any other line decodes them again and fails.
         """
-        index: dict[str, tuple[float, ...]] = {}
+        index: dict[str, dict[str, tuple[float, ...]]] = {}
         valid = 0
         corrupt: list[tuple[int, Exception]] = []
         canonical = _CANONICAL_LINE.fullmatch
@@ -345,7 +347,7 @@ class EvaluationCache:
                         payload, fingerprint, inputs, outputs, checksum = match.groups()
                         if sha256((payload + "}").encode()).hexdigest() != checksum:
                             raise ValueError("checksum mismatch")
-                        key = fingerprint + "|" + inputs.replace('","', ",")
+                        row = inputs.replace('","', ",")
                         outputs = outputs.split('","')
                     else:
                         # UnicodeDecodeError, a ValueError, on an escaped byte
@@ -355,8 +357,10 @@ class EvaluationCache:
                         outputs = record["outputs"]
                         if _record_checksum(fingerprint, inputs, outputs) != record["checksum"]:
                             raise ValueError("checksum mismatch")
-                        key = fingerprint + "|" + ",".join(inputs)
-                    index[key] = tuple(map(float, outputs))
+                        if not isinstance(fingerprint, str):
+                            raise TypeError("fingerprint is not a string")
+                        row = ",".join(inputs)
+                    index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs))
                     valid += 1
                 except (ValueError, KeyError, TypeError) as exc:
                     corrupt.append((lineno, exc))
@@ -369,20 +373,15 @@ class EvaluationCache:
             _warn("cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc)
 
     def __len__(self) -> int:
-        return len(self._index)
+        """The number of records, over every model."""
+        return sum(map(len, self._index.values()))
 
-    @staticmethod
-    def point_keys(fingerprint: str, points: np.ndarray) -> list[str]:
-        """One key per row of an (M, N) array: the fingerprint, "|", and the
-        row's values as canonical decimals ("%.17g"), comma-separated."""
-        return _render_rows(points, fingerprint + "|")
+    def lookup(self, fingerprint: str, rows: Sequence[str]) -> list[tuple[float, ...] | None]:
+        """The model's outputs at each row (from _render_rows), or None where it misses."""
+        return list(map(self._index.get(fingerprint, {}).get, rows))
 
-    def lookup(self, keys: Sequence[str]) -> list[tuple[float, ...] | None]:
-        """The cached outputs of each key (from point_keys), or None where it misses."""
-        return [self._index.get(key) for key in keys]
-
-    def store(self, fingerprint: str, keys: Sequence[str], outputs: np.ndarray) -> None:
-        """Append one record per key (from point_keys) with its row of outputs.
+    def store(self, fingerprint: str, rows: Sequence[str], outputs: np.ndarray) -> None:
+        """Append one record per row (from _render_rows) with its row of outputs.
 
         Each line is the json.dumps rendering of its record.  The lines go
         out under the lock through one open of the file, in blocks of about
@@ -393,8 +392,7 @@ class EvaluationCache:
         outputs = np.asarray(outputs, dtype=float)
         head = '{"fingerprint":' + json.dumps(fingerprint) + ',"inputs":["'
         tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
-        cut = len(fingerprint) + 1
-        rows = [tuple(row) for row in outputs.tolist()]
+        values = [tuple(row) for row in outputs.tolist()]
         with self._lock, open(self.path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
             if end:
@@ -403,10 +401,10 @@ class EvaluationCache:
                     handle.write(b"\n")
             block: list[str] = []
             size = 0
-            for key, row in zip(keys, rows):
+            for row, value in zip(rows, values):
                 # The checksum hashes the sorted-key JSON of the first three
                 # fields, which is this line's text up to the checksum.
-                body = head + key[cut:].replace(",", '","') + tail % row
+                body = head + row.replace(",", '","') + tail % value
                 checksum = hashlib.sha256((body + "}").encode()).hexdigest()
                 block.append(body + ',"checksum":"' + checksum + '"}\n')
                 size += len(block[-1])
@@ -414,18 +412,17 @@ class EvaluationCache:
                     handle.write("".join(block).encode())
                     block, size = [], 0
             handle.write("".join(block).encode())
-            self._index.update(zip(keys, rows))
+            self._index.setdefault(fingerprint, {}).update(zip(rows, values))
 
 
-def _input_csv(names: Sequence[str], rendered: Sequence[str], cut: int) -> str:
-    """The solver's input: the header row, then each row from _render_rows
-    without the first `cut` characters (a cache key's prefix)."""
+def _input_csv(names: Sequence[str], rows: Sequence[str]) -> str:
+    """The solver's input: the header row, then each row from _render_rows."""
     import csv
     import io
 
     header = io.StringIO()
     csv.writer(header).writerow(names)
-    return header.getvalue() + "\r\n".join([text[cut:] for text in rendered] + [""])
+    return header.getvalue() + "\r\n".join([*rows, ""])
 
 
 def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int) -> np.ndarray:
@@ -465,14 +462,14 @@ def _kill_group(proc) -> None:
 
 
 def _launch_external(
-    spec: ModelSpec, rendered: Sequence[str], cut: int, env: Mapping[str, str] | None = None
+    spec: ModelSpec, rows: Sequence[str], env: Mapping[str, str] | None = None
 ) -> np.ndarray:
     """One launch of the solver over rows rendered as text (see _input_csv),
     in the environment env (None: this process's)."""
     import subprocess
     import tempfile
 
-    csv_text = _input_csv(spec.input_names, rendered, cut)
+    csv_text = _input_csv(spec.input_names, rows)
 
     command = list(spec.command)
     stdin_text = None
@@ -518,7 +515,7 @@ def _launch_external(
             raise EvaluationError(
                 f"external model exited with code {proc.returncode}; stderr: {excerpt!r}"
             )
-        outputs = _parse_output_csv(stdout, spec.output_names, len(rendered))
+        outputs = _parse_output_csv(stdout, spec.output_names, len(rows))
         if not np.all(np.isfinite(outputs)):
             raise EvaluationError("external model wrote a non-finite value")
         return outputs
@@ -546,7 +543,6 @@ def _thread_share_env(launches: int) -> dict[str, str] | None:
 def _run_external_batch(
     spec: ModelSpec,
     rendered: Sequence[str],
-    cut: int,
     workers: int,
     commit: Callable[[slice, np.ndarray], None],
 ) -> None:
@@ -565,10 +561,10 @@ def _run_external_batch(
 
     def run_chunk(rows: slice) -> None:
         try:
-            outputs = _launch_external(spec, rendered[rows], cut, env)
+            outputs = _launch_external(spec, rendered[rows], env)
         except EvaluationError as exc:
             _warn("external model failed (%s); retrying once", exc)
-            outputs = _launch_external(spec, rendered[rows], cut, env)
+            outputs = _launch_external(spec, rendered[rows], env)
         commit(rows, outputs)
 
     if launches <= 1:
@@ -676,12 +672,10 @@ class BlackBoxModel:
         cache = self.cache
         outputs = np.empty((len(points), len(self.spec.output_names)))
         cached = np.zeros(len(points), dtype=bool)
-        # Rendered once: the cache keys, and after their prefix the solver's
-        # rows, sliced as a launch writes them (no second list of row strings).
-        prefix = "" if cache is None else self.fingerprint + "|"
-        keys = _render_rows(points, prefix) if cache is not None or self._builtin is None else []
+        # Rendered once: the rows the cache is keyed by are the solver's rows.
+        rows = _render_rows(points) if cache is not None or self._builtin is None else []
         if cache is not None:
-            hits = cache.lookup(keys)
+            hits = cache.lookup(self.fingerprint, rows)
             cached[:] = [hit is not None for hit in hits]
             if cached.any():
                 outputs[cached] = [hit for hit in hits if hit is not None]
@@ -689,15 +683,15 @@ class BlackBoxModel:
         if not len(misses):
             return outputs, cached
 
-        def commit(rows: slice, values: np.ndarray) -> None:
-            rows = misses[rows]
-            outputs[rows] = values
-            if cache is not None and len(rows):
-                cache.store(self.fingerprint, [keys[i] for i in rows.tolist()], values)
+        def commit(chunk: slice, values: np.ndarray) -> None:
+            done = misses[chunk]
+            outputs[done] = values
+            if cache is not None and len(done):
+                cache.store(self.fingerprint, [rows[i] for i in done.tolist()], values)
 
         if self._builtin is None:
-            miss_keys = [keys[i] for i in misses.tolist()]
-            _run_external_batch(self.spec, miss_keys, len(prefix), self.workers, commit)
+            miss_rows = [rows[i] for i in misses.tolist()]
+            _run_external_batch(self.spec, miss_rows, self.workers, commit)
         else:
             _run_builtin(self.spec, self._builtin, points[misses], commit)
         return outputs, cached

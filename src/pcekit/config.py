@@ -295,17 +295,19 @@ def _parse_report(raw: dict) -> ReportSettings:
 def _parse_paths(raw: dict, base: Path) -> PathSettings:
     _reject_unknown(raw, {"cache", "model_file", "report_dir"}, "paths")
 
-    def resolve(value: str) -> Path:
+    def resolve(key: str, value) -> Path:
+        # An empty path would name the config's own directory.
+        if not isinstance(value, str) or not value:
+            allowed = "a non-empty string or null" if key == "cache" else "a non-empty string"
+            raise ConfigurationError(f"paths.{key} must be {allowed}, got {value!r}")
         path = Path(value)
         return path if path.is_absolute() else base / path
 
     cache = raw.get("cache")
-    if cache is not None and not isinstance(cache, str):
-        raise ConfigurationError("paths.cache must be a string or null")
     return PathSettings(
-        cache=resolve(cache) if cache else None,
-        model_file=resolve(str(raw.get("model_file", "model.json"))),
-        report_dir=resolve(str(raw.get("report_dir", "report"))),
+        cache=None if cache is None else resolve("cache", cache),
+        model_file=resolve("model_file", raw.get("model_file", "model.json")),
+        report_dir=resolve("report_dir", raw.get("report_dir", "report")),
     )
 
 

@@ -98,10 +98,10 @@ def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted samples with ranks k/n, plus an equal-width histogram."""
+    """Sorted samples, the k-th of n at cumulative probability k/n, plus an
+    equal-width histogram."""
 
     values: np.ndarray
-    cumulative: np.ndarray
     bin_edges: np.ndarray
     counts: np.ndarray
 
@@ -114,10 +114,9 @@ def empirical_distribution(samples: Sequence[float], bins: int) -> EmpiricalDist
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
     values = np.sort(x)
-    cumulative = np.arange(1, x.size + 1) / x.size
     # np.histogram widens a degenerate [c, c] range by itself.
     counts, bin_edges = np.histogram(x, bins=bins, range=(values[0], values[-1]))
-    return EmpiricalDistribution(values, cumulative, bin_edges, counts)
+    return EmpiricalDistribution(values, bin_edges, counts)
 
 
 def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
@@ -150,23 +149,23 @@ def write_cdf_csv(
 ) -> None:
     """Per output: a value column and a cumulative-probability column.
 
-    Every output has the same sample count, so all share one k/n column,
-    formatted once per block.  Cells use 17 significant digits and rows end
-    in CRLF as csv.writer's do.
+    Every output has the same sample count n, so all share one k/n column,
+    formed and formatted once per block.  Cells use 17 significant digits
+    and rows end in CRLF as csv.writer's do.
     """
     shown = list(distributions.values())
-    cumulative = shown[0].cumulative
-    if any(d.values.size != cumulative.size for d in shown):
+    count = shown[0].values.size
+    if any(d.values.size != count for d in shown):
         raise ValueError("every output of a cdf table needs the same sample count")
     _write_comments(handle, comments)
     header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in distributions), [])
     handle.write(",".join(map(_csv_cell, header)) + "\r\n")
     template = ",".join(["%.17g,%s"] * len(shown)) + "\r\n"
-    for start in range(0, cumulative.size, CSV_BLOCK_ROWS):
-        rows = slice(start, start + CSV_BLOCK_ROWS)
-        ranks = cumulative[rows].tolist()
+    for start in range(0, count, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, count)
+        ranks = (np.arange(start + 1, stop + 1) / count).tolist()
         text = ("%.17g\n" * len(ranks) % tuple(ranks)).split("\n")
-        columns = sum(([d.values[rows].tolist(), text] for d in shown), [])
+        columns = sum(([d.values[start:stop].tolist(), text] for d in shown), [])
         handle.write("".join([template % row for row in zip(*columns)]))
 
 

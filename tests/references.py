@@ -58,6 +58,7 @@ def write_cdf_csv(handle, distributions, *, comments=None):
         for name, p in zip(names, present):
             if p:
                 dist = distributions[name]
-                columns += [dist.values[start:stop], dist.cumulative[start:stop]]
+                ranks = np.arange(1, dist.values.size + 1) / dist.values.size
+                columns += [dist.values[start:stop], ranks[start:stop]]
         handle.write("".join([template % row for row in zip(*[c.tolist() for c in columns])]))
         start = stop

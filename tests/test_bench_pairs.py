@@ -85,3 +85,27 @@ def test_without_a_claim_the_bounds_are_still_checked(tmp_path, capsys):
     assert lines[0] == "worse than the base beyond the bound:"
     assert [line.split(":")[0].strip() for line in lines[1:]] == ["peak_rss_mb@w"]
     assert json.loads(out.read_text())["verdict"] == lines
+
+
+def details(setup_s, speed, walls, rss):
+    """A details line with these raw set-up times, speed, and per-command samples."""
+    return {"details": {"setup_s": setup_s, "speed": speed, "wall_s": walls, "rss_mb": rss}}
+
+
+def test_details_summary_keeps_the_raw_times_and_the_rss_of_each_command():
+    # The base's setup_s median, scaled by speed, is below the change's (0.2
+    # against 0.3); its raw set-up median is above it (0.4 against 0.3).
+    pairs = [
+        {"base": details([0.4, 0.5, 0.1], 0.5, {"uq": [1.0, 3.0]}, {"uq": [50.0, 58.0]}),
+         "change": details([0.3, 0.3, 0.2], 1.0, {"uq": [1.0, 1.0]}, {"uq": [57.0, 55.0]})},
+        {"base": details([0.6], 0.7, {"uq": [4.0]}, {"uq": [60.0]}),
+         "change": details([0.35], 0.9, {"uq": [2.0]}, {"uq": [59.0]})},
+        {"base": details([0.2], 0.6, {"uq": [1.0]}, {"uq": [61.0]}),
+         "change": details([0.1], 0.8, {"uq": [3.0]}, {"uq": [56.0]})},
+    ]
+    assert bench_pairs.summarize_details(pairs) == {
+        "setup_raw_s": {"base": 0.4, "change": 0.3},
+        "speed": {"base": 0.6, "change": 0.9},
+        "commands": {"uq": {"wall_raw_s": {"base": 2.0, "change": 2.0},
+                            "peak_rss_mb": {"base": 60.0, "change": 57.0}}},
+    }

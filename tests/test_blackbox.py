@@ -244,10 +244,10 @@ class TestArrayBuiltins:
             BlackBoxModel(spec, cache=EvaluationCache(path))(points)
         assert str(points[where].tolist()) in str(info.value)
         cache = EvaluationCache(path)
-        keys = cache.point_keys(spec.fingerprint(), points)
-        assert [hit is not None for hit in cache.lookup(keys)] == [i < where for i in range(11)]
+        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
+        assert [hit is not None for hit in hits] == [i < where for i in range(11)]
         expected = BlackBoxModel(spec)(points[:where]) if where else np.empty((0, 2))
-        assert np.array(cache.lookup(keys[:where])).reshape(-1, 2).tolist() == expected.tolist()
+        assert np.array(hits[:where]).reshape(-1, 2).tolist() == expected.tolist()
 
 
 class TestFingerprint:
@@ -318,6 +318,20 @@ class TestCache:
         second = box(point)
         assert box.fresh_count == 1
         assert first[0] != second[0]
+        reloaded = EvaluationCache(tmp_path / "cache.jsonl")
+        assert len(cache) == len(reloaded) == 2
+        for name, expected in (("sobol-example-1", first), ("sobol-example-2", second)):
+            box = BlackBoxModel(builtin_spec(name), cache=reloaded)
+            assert box(point).tolist() == expected.tolist()
+            assert (box.fresh_count, box.cached_count) == (0, 1)
+
+    def test_unknown_model_misses_every_row(self, tmp_path):
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        spec = builtin_spec("sobol-example-1")
+        points = np.array([[0.5, 0.5], [0.1, -0.2]])
+        BlackBoxModel(spec, cache=cache)(points)
+        assert cache.lookup("no such model", blackbox._render_rows(points)) == [None, None]
+        assert len(cache) == 2 and list(cache._index) == [spec.fingerprint()]
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PCEKIT_CACHE", str(tmp_path / "forced.jsonl"))
@@ -388,15 +402,13 @@ def rendering_cases():
 
 class TestRowRendering:
     @pytest.mark.parametrize("case", list(rendering_cases()))
-    def test_point_keys_match_the_per_row_template(self, case):
+    def test_rows_match_the_per_row_template(self, case):
         points = rendering_cases()[case]
-        fingerprint = 'fp "%s" |'
-        keys = EvaluationCache.point_keys(fingerprint, points)
-        assert keys == [fingerprint + "|" + row for row in template_rows(points)]
+        assert blackbox._render_rows(points) == template_rows(points)
         # a strided view renders as its copy does
-        assert EvaluationCache.point_keys("fp", points[:, ::-1]) == [
-            "fp|" + row for row in template_rows(np.ascontiguousarray(points[:, ::-1]))
-        ]
+        assert blackbox._render_rows(points[:, ::-1]) == template_rows(
+            np.ascontiguousarray(points[:, ::-1])
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cached", [False, True], ids=["cold", "partly-cached"])
@@ -477,42 +489,43 @@ class TestBatchedCache:
     def test_store_lines_match_json_dumps(self, tmp_path, fingerprint):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points, outputs = self.VALUES[:, :3], self.VALUES[:, 1:]
-        keys = cache.point_keys(fingerprint, points)
-        cache.store(fingerprint, keys, outputs)
-        cache.store(fingerprint, cache.point_keys(fingerprint, points[:1] + 1.0), outputs[:1])
+        rows = blackbox._render_rows(points)
+        cache.store(fingerprint, rows, outputs)
+        cache.store(fingerprint, blackbox._render_rows(points[:1] + 1.0), outputs[:1])
         expected = [json_dumps_record(fingerprint, p, o) for p, o in zip(points, outputs)]
         expected.append(json_dumps_record(fingerprint, points[0] + 1.0, outputs[0]))
         assert (tmp_path / "cache.jsonl").read_text(encoding="utf-8") == "".join(expected)
         reloaded = EvaluationCache(tmp_path / "cache.jsonl")
         assert reloaded.corrupt_lines == 0
-        assert reloaded.lookup(keys) == cache.lookup(keys) == list(map(tuple, outputs.tolist()))
+        assert (
+            reloaded.lookup(fingerprint, rows) == cache.lookup(fingerprint, rows)
+            == list(map(tuple, outputs.tolist()))
+        )
 
-    def test_point_keys_are_17_digit_renderings(self):
-        keys = EvaluationCache.point_keys("abc", self.VALUES)
-        assert keys == [
-            "abc|" + ",".join(format(float(v), ".17g") for v in row) for row in self.VALUES
-        ]
-        assert EvaluationCache.point_keys("abc", self.VALUES[1:2]) == keys[1:2]
+    def test_rows_are_17_digit_renderings(self):
+        rows = blackbox._render_rows(self.VALUES)
+        assert rows == [",".join(format(float(v), ".17g") for v in row) for row in self.VALUES]
+        assert blackbox._render_rows(self.VALUES[1:2]) == rows[1:2]
 
     def test_large_batch_is_written_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(blackbox, "STORE_BLOCK_CHARS", 500)
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points = np.arange(60.0).reshape(20, 3) / 7.0
-        cache.store("fp", cache.point_keys("fp", points), points[:, :1])
+        cache.store("fp", blackbox._render_rows(points), points[:, :1])
         lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
         assert lines == "".join(json_dumps_record("fp", p, p[:1]) for p in points)
 
     def test_store_after_torn_last_line_keeps_every_record(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         points = np.arange(9.0).reshape(3, 3)
-        keys = EvaluationCache.point_keys("fp", points)
-        EvaluationCache(path).store("fp", keys[:1], points[:1, :1])
+        rows = blackbox._render_rows(points)
+        EvaluationCache(path).store("fp", rows[:1], points[:1, :1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint":"fp","inputs":["1')  # a write cut short
-        EvaluationCache(path).store("fp", keys[1:], points[1:, :1])
+        EvaluationCache(path).store("fp", rows[1:], points[1:, :1])
         reloaded = EvaluationCache(path)
         assert len(reloaded) == 3 and reloaded.corrupt_lines == 1
-        assert reloaded.lookup(keys) == [(0.0,), (3.0,), (6.0,)]
+        assert reloaded.lookup("fp", rows) == [(0.0,), (3.0,), (6.0,)]
 
     def test_concurrent_store_loses_no_record(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
@@ -522,7 +535,7 @@ class TestBatchedCache:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(cache.store, "fp", cache.point_keys("fp", b), b)
+                    pool.submit(cache.store, "fp", blackbox._render_rows(b), b)
                     for b in batches
                 ]
                 for future in futures:
@@ -573,7 +586,8 @@ class TestBatchedCache:
 
 def reference_scan(path):
     """The loader that parses every line and re-renders it with json.dumps
-    for the checksum: (index, valid line count, [(line number, error)]).
+    for the checksum: (index {fingerprint: {row: outputs}}, valid line count,
+    [(line number, error)]).
     A line that is not valid UTF-8 is corrupt, with the decoding error."""
     index, valid, corrupt = {}, 0, []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -593,8 +607,10 @@ def reference_scan(path):
                 )
                 if hashlib.sha256(payload.encode()).hexdigest() != record["checksum"]:
                     raise ValueError("checksum mismatch")
-                key = fingerprint + "|" + ",".join(inputs)
-                index[key] = tuple(float(v) for v in outputs)
+                if not isinstance(fingerprint, str):
+                    raise TypeError("fingerprint is not a string")
+                row = ",".join(inputs)
+                index.setdefault(fingerprint, {})[row] = tuple(float(v) for v in outputs)
                 valid += 1
             except (ValueError, KeyError, TypeError) as exc:
                 corrupt.append((lineno, str(exc)))
@@ -618,13 +634,16 @@ def store_lines(fingerprint, points, outputs):
     """The lines EvaluationCache.store writes for these records."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = EvaluationCache(Path(tmp) / "cache.jsonl")
-        cache.store(fingerprint, cache.point_keys(fingerprint, points), outputs)
+        cache.store(fingerprint, blackbox._render_rows(points), outputs)
         return cache.path.read_text(encoding="utf-8").splitlines()
 
 
 def index_bits(index):
-    """An index's items with the outputs as raw doubles, so NaNs compare."""
-    return [(key, struct.pack(f"{len(values)}d", *values)) for key, values in index.items()]
+    """A nested index's items with the outputs as raw doubles, so NaNs compare."""
+    return [
+        (fingerprint, [(row, struct.pack(f"{len(v)}d", *v)) for row, v in rows.items()])
+        for fingerprint, rows in index.items()
+    ]
 
 
 def assert_loads_like_reference(path, caplog):
@@ -927,7 +946,7 @@ class TestResume:
             BlackBoxModel(spec, cache=EvaluationCache(path), workers=4)(points)
         cache = EvaluationCache(path)
         assert len(cache) == 6
-        hits = cache.lookup(cache.point_keys(spec.fingerprint(), points))
+        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
         assert [hit is not None for hit in hits] == [False] * 2 + [True] * 6
 
         fixed.touch()
@@ -1048,8 +1067,8 @@ class TestBatchSemantics:
         spec = builtin_spec("sobol-example-2")
         BlackBoxModel(spec, cache=cache)(np.array([[0.5, 0.5]]))
         points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
-        keys = cache.point_keys(spec.fingerprint(), points)
-        assert [hit is not None for hit in cache.lookup(keys)] == [False, True, False]
+        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
+        assert [hit is not None for hit in hits] == [False, True, False]
         box = BlackBoxModel(spec, cache=cache)
         outputs = box(points)
         assert (box.fresh_count, box.cached_count) == (2, 1)

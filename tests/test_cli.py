@@ -141,6 +141,18 @@ class TestBuild:
         assert main(["build", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("model_file", None), ("model_file", ""), ("report_dir", 7), ("cache", ""),
+    ])
+    def test_path_that_is_not_a_non_empty_string_is_config_error(
+        self, tmp_path, capsys, key, value
+    ):
+        # Refused at config load: nothing is evaluated, cached or written.
+        config = write_config(tmp_path, paths={**base_doc()["paths"], key: value})
+        assert main(["build", "--config", str(config)]) == 2
+        assert f"paths.{key} must be a non-empty string" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize(
         "overrides, key",
         [

@@ -168,7 +168,9 @@ class TestEmpiricalDistribution:
     def test_cdf_ends_at_one(self):
         dist = empirical_distribution([3.0, 1.0, 2.0], bins=3)
         assert dist.values.tolist() == [1.0, 2.0, 3.0]
-        assert dist.cumulative[-1] == 1.0
+        buffer = io.StringIO()
+        write_cdf_csv(buffer, {"y": dist})
+        assert buffer.getvalue().splitlines()[-1] == "3,1"
         assert dist.counts.sum() == 3
 
     def test_degenerate_samples(self):
@@ -219,7 +221,7 @@ class TestCsvExports:
         for i in range(9):
             row = []
             for dist in distributions.values():
-                row += [format(dist.values[i], ".17g"), format(dist.cumulative[i], ".17g")]
+                row += [format(dist.values[i], ".17g"), format((i + 1) / 9, ".17g")]
             writer.writerow(row)
         writer = csv.writer(expected_hist)
         writer.writerow(["output", "bin_left", "bin_right", "count"])

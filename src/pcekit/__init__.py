@@ -23,7 +23,7 @@ _EXPORTS = {
         "multiindex": "TENSOR_PRODUCT TOTAL_ORDER Neighborhood cardinality enumerate_indices",
         "quadrature": "GridQuadrature QuadratureRule1D clenshaw_curtis_1d full_grid "
         "gauss_legendre_1d sparse_grid",
-        "sampling": "LhsDesign empirical_distribution latin_hypercube rmse rrmse",
+        "sampling": "LhsDesign latin_hypercube rmse rrmse",
         "sobol": "SobolReport full_report sobol_index total_index",
         "surrogate": "FullGrid InputVariable PceModel SparseGrid build_pce load rescale save "
         "unscale",

@@ -9,12 +9,12 @@ launched once per batch, receives the input rows (header = input names)
 either on a file path appended as its final argument or on standard input,
 and must write the output rows (header = output names) in the same order
 to standard output, exiting 0.  Failed launches are retried once before
-erroring.  The solver runs in a session of its own; a timeout kills its
-whole process group, so nothing it started outlives the launch.  Launches
-run at once size their OpenMP/BLAS thread pools to their share of the
-cores, unless the environment sizes them.  What only a launch or a warning
-needs (subprocess, tempfile, signal, csv, concurrent.futures, logging) is
-imported where it is used.
+erroring.  The solver runs in a session of its own; a timeout or an
+interrupt kills its whole process group, so nothing it started outlives
+the launch.  Launches run at once size their OpenMP/BLAS thread pools to
+their share of the cores, unless the environment sizes them.  What only a
+launch or a warning needs (subprocess, tempfile, signal, csv,
+concurrent.futures, logging) is imported where it is used.
 
 Evaluations are memoized in an append-only JSON-lines cache.  A batch's
 rows are rendered as text once ("%.17g" values, comma-separated, each
@@ -451,21 +451,45 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
 
 
 def _kill_group(proc) -> None:
-    """SIGKILL the process group the solver leads, then reap the solver."""
+    """SIGKILL the process group the solver leads, unless the solver is
+    reaped already: its pid, and so the group id, may then be reused."""
     import signal
 
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    proc.wait()
+    if proc.returncode is None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+class _Launches:
+    """The solver processes of one batch.  On an interrupt, which solvers in
+    sessions of their own never see, stop() kills every one not reaped yet
+    and any launched after it; no failed launch is then retried."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._procs: list = []
+        self.stopped = False
+
+    def started(self, proc) -> None:
+        with self._lock:
+            self._procs.append(proc)
+            if self.stopped:
+                _kill_group(proc)
+
+    def stop(self) -> None:
+        with self._lock:
+            self.stopped = True
+            for proc in self._procs:
+                _kill_group(proc)
 
 
 def _launch_external(
-    spec: ModelSpec, rows: Sequence[str], env: Mapping[str, str] | None = None
+    spec: ModelSpec, rows: Sequence[str], env: Mapping[str, str] | None, running: _Launches
 ) -> np.ndarray:
     """One launch of the solver over rows rendered as text (see _input_csv),
-    in the environment env (None: this process's)."""
+    in the environment env (None: this process's), tracked in running."""
     import subprocess
     import tempfile
 
@@ -497,19 +521,17 @@ def _launch_external(
             )
         except OSError as exc:
             raise EvaluationError(f"external model could not be launched: {exc}") from exc
+        running.started(proc)
         with proc:
             try:
                 stdout, stderr = proc.communicate(stdin_text, timeout=spec.timeout_seconds)
             except subprocess.TimeoutExpired as exc:
                 _kill_group(proc)
+                proc.wait()
                 raise EvaluationError(
                     f"external model timed out after {spec.timeout_seconds} s "
                     f"(command: {command[0]})"
                 ) from exc
-            except BaseException:
-                # Ctrl-C no longer reaches a solver in a session of its own.
-                _kill_group(proc)
-                raise
         if proc.returncode != 0:
             excerpt = (stderr or "").strip()[:500]
             raise EvaluationError(
@@ -551,33 +573,41 @@ def _run_external_batch(
 
     With workers == 1 the whole batch goes through a single launch; more
     workers split it into that many contiguous chunks run concurrently.
+    Each launch runs in a thread of one pool, so that the calling thread
+    takes an interrupt and kills every launch still running (see _Launches).
     Each chunk's (row slice, outputs) go to commit as soon as its launch
     returns, so a failing chunk loses none of the others' results.  Every
     launch of the batch, retries included, runs in one environment (see
     _thread_share_env).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     launches = min(workers, len(rendered))
     env = _thread_share_env(launches)
+    running = _Launches()
 
     def run_chunk(rows: slice) -> None:
         try:
-            outputs = _launch_external(spec, rendered[rows], env)
+            outputs = _launch_external(spec, rendered[rows], env, running)
         except EvaluationError as exc:
+            if running.stopped:
+                raise
             _warn("external model failed (%s); retrying once", exc)
-            outputs = _launch_external(spec, rendered[rows], env)
+            outputs = _launch_external(spec, rendered[rows], env, running)
         commit(rows, outputs)
-
-    if launches <= 1:
-        run_chunk(slice(0, len(rendered)))
-        return
-    from concurrent.futures import ThreadPoolExecutor
 
     rows = np.array_split(np.arange(len(rendered)), launches)
     chunks = [slice(chunk[0], chunk[-1] + 1) for chunk in rows]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        # Leaving the block waits for every chunk, so all successful chunks
-        # are committed before the first failure (in chunk order) is raised.
-        list(pool.map(run_chunk, chunks))
+        try:
+            results = pool.map(run_chunk, chunks)
+            # All successful chunks are committed before the first failure
+            # (in chunk order) is raised.
+            pool.shutdown()
+        except KeyboardInterrupt:
+            running.stop()
+            raise
+        list(results)
 
 
 def _run_builtin(

@@ -16,18 +16,39 @@ one, loads neither the quadrature nor the sampling module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
 from .errors import EXIT_IO, EXIT_OK, ConfigurationError, PcekitError
 
 
-def _append_log(report_dir: Path, line: str) -> None:
+def _append_log(cfg, line: str, volatile: str = "") -> None:
+    """Append `line`, the config hash and seed, then `volatile` to run.log."""
+    report_dir = cfg.paths.report_dir
     report_dir.mkdir(parents=True, exist_ok=True)
     with open(report_dir / "run.log", "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+        handle.write(" ".join([line, *_stamp(cfg)]) + volatile + "\n")
+
+
+@contextlib.contextmanager
+def _report_file(cfg, name: str, *comments: str) -> Iterator[IO[str]]:
+    """Report file `name`, open for writing in the config's report directory,
+    made if missing: utf-8, line ends as written, the comments first as
+    `# ...` lines."""
+    report_dir = cfg.paths.report_dir
+    report_dir.mkdir(parents=True, exist_ok=True)
+    with open(report_dir / name, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(f"# {comment}\n" for comment in comments)
+        yield handle
+
+
+def _stamp(cfg) -> tuple[str, str]:
+    """The config hash and seed, as every report records them."""
+    return f"config_hash={cfg.config_hash}", f"seed={cfg.validation.seed}"
 
 
 def _black_box(cfg, workers: int):
@@ -82,17 +103,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     surrogate.save(model, cfg.paths.model_file)
 
     meta = model.build_meta
-    line = (
-        f"build method={meta['method']} parameter={meta['parameter']} "
-        f"evaluations={meta['evaluation_count']} terms={len(model.indices)} "
-        f"config_hash={cfg.config_hash} seed={cfg.validation.seed}"
+    volatile = (
+        f" cache_hits={box.cached_count} cache_misses={box.fresh_count}"
+        f" wall_seconds={elapsed:.3f}"
     )
-    if not args.reproducible:
-        line += (
-            f" cache_hits={box.cached_count} cache_misses={box.fresh_count}"
-            f" wall_seconds={elapsed:.3f}"
-        )
-    _append_log(cfg.paths.report_dir, line)
+    _append_log(
+        cfg,
+        f"build method={meta['method']} parameter={meta['parameter']} "
+        f"evaluations={meta['evaluation_count']} terms={len(model.indices)}",
+        "" if args.reproducible else volatile,
+    )
     print(
         f"built {meta['method']} (parameter {meta['parameter']}) surrogate with "
         f"{meta['evaluation_count']} model evaluations "
@@ -106,6 +126,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     cfg = config.load_config(args.config)
     model = _load_model(cfg, args.model)
+    if list(model.output_names) != list(cfg.outputs):
+        raise ConfigurationError(
+            f"the model's outputs {list(model.output_names)} are not the config's "
+            f"outputs {list(cfg.outputs)}"
+        )
     box = _black_box(cfg, args.workers)
 
     design = sampling.latin_hypercube(
@@ -115,47 +140,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     truths = box(physical)
     predictions = model.evaluate_batch(physical)
 
-    comments = [f"config_hash={cfg.config_hash}", f"seed={cfg.validation.seed}"]
+    names = model.output_names
+    metrics = [
+        (sampling.rmse(p, t), sampling.rrmse(p, t)) for p, t in zip(predictions.T, truths.T)
+    ]
     meta = model.build_meta
-    report_dir = cfg.paths.report_dir
-    report_dir.mkdir(parents=True, exist_ok=True)
+    header = ["method", "parameter"] + [f"{m}_{n}" for n in names for m in ("rmse", "rrmse")]
+    cells = [format(value, ".17g") for pair in metrics for value in pair]
+    row = [meta.get("method"), meta.get("parameter"), *cells, meta.get("evaluation_count")]
+    with _report_file(cfg, "validate.csv", *_stamp(cfg)) as handle:
+        handle.write(sampling._csv_row(header + ["evaluations"], "\n"))
+        handle.write(sampling._csv_row([str(cell) for cell in row], "\n"))
 
-    header = ["method", "parameter"]
-    row = [str(meta.get("method")), str(meta.get("parameter"))]
-    metrics = {}
-    for j, name in enumerate(model.output_names):
-        metrics[name] = (
-            sampling.rmse(predictions[:, j], truths[:, j]),
-            sampling.rrmse(predictions[:, j], truths[:, j]),
-        )
-        header += [f"rmse_{name}", f"rrmse_{name}"]
-        row += [format(metrics[name][0], ".17g"), format(metrics[name][1], ".17g")]
-    header.append("evaluations")
-    row.append(str(meta.get("evaluation_count")))
-    with open(report_dir / "validate.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(f"# {comment}\n" for comment in comments)
-        handle.write(",".join(header) + "\n")
-        handle.write(",".join(row) + "\n")
-
-    with open(report_dir / "scatter.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(f"# {comment}\n" for comment in comments)
-        cols = []
-        for name in model.output_names:
-            cols += [f"{name}_model", f"{name}_surrogate"]
-        handle.write(",".join(cols) + "\n")
-        columns = []
-        for j in range(truths.shape[1]):
-            columns += [truths[:, j], predictions[:, j]]
+    with _report_file(cfg, "scatter.csv", *_stamp(cfg)) as handle:
+        cols = [f"{n}_{kind}" for n in names for kind in ("model", "surrogate")]
+        handle.write(sampling._csv_row(cols, "\n"))
+        columns = [column for pair in zip(truths.T, predictions.T) for column in pair]
         sampling.write_rows(handle, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
     summary = " ".join(
-        f"rmse_{name}={m[0]:.6g} rrmse_{name}={m[1]:.6g}" for name, m in metrics.items()
+        f"rmse_{name}={m[0]:.6g} rrmse_{name}={m[1]:.6g}" for name, m in zip(names, metrics)
     )
-    _append_log(
-        report_dir,
-        f"validate points={len(design.points)} {summary} "
-        f"config_hash={cfg.config_hash} seed={cfg.validation.seed}",
-    )
+    _append_log(cfg, f"validate points={len(design.points)} {summary}")
     print(f"validated at {len(design.points)} LHS points: {summary}")
     return EXIT_OK
 
@@ -171,56 +177,34 @@ def cmd_uq(args: argparse.Namespace) -> int:
 
     design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
     started = time.perf_counter()
-    values = model.evaluate_scaled(design.points)
+    ordered = model.evaluate_scaled(design.points)
     elapsed = time.perf_counter() - started
+    ordered.sort(axis=0)  # in place: each output's samples, sorted
 
-    mean = model.mean()
-    std = model.std_dev()
-    report_dir = cfg.paths.report_dir
-    report_dir.mkdir(parents=True, exist_ok=True)
-    comments = [
-        f"config_hash={cfg.config_hash}",
-        f"seed={cfg.validation.seed}",
-        f"samples={count} generator=PCG64",
-    ]
+    qs = cfg.report.percentiles
+    labels = ["Sample minimum", *(f"{_ordinal(q)} percentile" for q in qs), "Sample maximum"]
+    empirical = [ordered[0], *sampling.percentile_values(ordered, qs), ordered[-1]]
+    rows = [("Mean", model.mean(), "Analytic"), ("Standard deviation", model.std_dev(), "Analytic")]
+    rows += [(label, values, "Empirical") for label, values in zip(labels, empirical)]
 
     names = list(model.output_names)
-    distributions = {
-        name: sampling.empirical_distribution(values[:, j], cfg.report.histogram_bins)
-        for j, name in enumerate(names)
-    }
-    sorted_values = [dist.values for dist in distributions.values()]
-    percentiles = [sampling.percentile_values(v, cfg.report.percentiles) for v in sorted_values]
-    rows: list[tuple[str, list[float], str]] = [
-        ("Mean", list(mean), "Analytic"),
-        ("Standard deviation", list(std), "Analytic"),
-        ("Sample minimum", [v[0] for v in sorted_values], "Empirical"),
-    ]
-    for q, per_output in zip(cfg.report.percentiles, zip(*percentiles)):
-        rows.append((f"{_ordinal(q)} percentile", list(per_output), "Empirical"))
-    rows.append(("Sample maximum", [v[-1] for v in sorted_values], "Empirical"))
-
     cells = [["Statistic"] + names + ["Derivation"]]
     for label, numbers, derivation in rows:
         cells.append([label] + [f"{v:.6g}" for v in numbers] + [derivation])
     widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
-    with open(report_dir / "uq_summary.txt", "w", encoding="utf-8") as handle:
-        handle.writelines(f"# {comment}\n" for comment in comments)
+    comments = (*_stamp(cfg), f"samples={count} generator=PCG64")
+    with _report_file(cfg, "uq_summary.txt", *comments) as handle:
         for row in cells:
             handle.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
+    with _report_file(cfg, "cdf.csv", *comments) as handle:
+        sampling.write_cdf_csv(handle, names, ordered)
+    with _report_file(cfg, "hist.csv", *comments) as handle:
+        sampling.write_histogram_csv(handle, names, ordered, cfg.report.histogram_bins)
 
-    with open(report_dir / "cdf.csv", "w", encoding="utf-8", newline="") as handle:
-        sampling.write_cdf_csv(handle, distributions, comments=comments)
-    with open(report_dir / "hist.csv", "w", encoding="utf-8", newline="") as handle:
-        sampling.write_histogram_csv(handle, distributions, comments=comments)
-
-    _append_log(
-        report_dir,
-        f"uq samples={count} config_hash={cfg.config_hash} seed={cfg.validation.seed}",
-    )
+    _append_log(cfg, f"uq samples={count}")
     print(
         f"uq summary over {count} surrogate evaluations ({elapsed:.2f} s) "
-        f"-> {report_dir / 'uq_summary.txt'}"
+        f"-> {cfg.paths.report_dir / 'uq_summary.txt'}"
     )
     return EXIT_OK
 
@@ -237,23 +221,14 @@ def cmd_sobol(args: argparse.Namespace) -> int:
     )
     report = sobol.full_report(model, size)
 
-    report_dir = cfg.paths.report_dir
-    report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / "sobol.json", "w", encoding="utf-8") as handle:
-        report.write_json(
-            handle,
-            extra={"config_hash": cfg.config_hash, "seed": cfg.validation.seed},
-        )
+    with _report_file(cfg, "sobol.json") as handle:
+        stamp = {"config_hash": cfg.config_hash, "seed": cfg.validation.seed}
+        report.write_json(handle, extra=stamp)
     text = report.to_text()
-    with open(report_dir / "sobol.txt", "w", encoding="utf-8") as handle:
-        handle.write(f"# config_hash={cfg.config_hash}\n# seed={cfg.validation.seed}\n")
+    with _report_file(cfg, "sobol.txt", *_stamp(cfg)) as handle:
         handle.write(text)
 
-    _append_log(
-        report_dir,
-        f"sobol max_subset_size={size} config_hash={cfg.config_hash} "
-        f"seed={cfg.validation.seed}",
-    )
+    _append_log(cfg, f"sobol max_subset_size={size}")
     print(text, end="")
     return EXIT_OK
 

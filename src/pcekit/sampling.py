@@ -1,4 +1,4 @@
-"""Latin hypercube designs, validation metrics, and empirical distributions.
+"""Latin hypercube designs, validation metrics, percentiles and report tables.
 
 Random numbers come from numpy's PCG64 generator, seeded explicitly, so any
 design is reproducible bit-for-bit from its seed.  Percentiles use linear
@@ -9,7 +9,7 @@ because goldens depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -82,46 +82,20 @@ def rrmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
 
 
 def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """Percentiles (q in 0..100) by linear order-statistic interpolation.
+    """Percentiles (q in 0..100) by linear order-statistic interpolation,
+    along the first axis: one row per q, one column per column of samples.
 
-    The values of np.percentile(method="linear"), computed as it computes
-    them, from the sorted samples; np.percentile itself loads numpy.ma.
+    The values of np.percentile(method="linear", axis=0), computed as it
+    computes them, from the sorted samples; np.percentile itself loads
+    numpy.ma.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float), axis=0)
     h = (len(x) - 1) * (np.asarray(qs, dtype=float) / 100)
     lo = np.floor(h).astype(np.intp)
     below, above = x[lo], x[np.minimum(lo + 1, len(x) - 1)]
-    gamma, diff = h - lo, above - below
+    gamma, diff = (h - lo).reshape((-1,) + (1,) * (x.ndim - 1)), above - below
     # from the nearer neighbour, as numpy interpolates
     return np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted samples, the k-th of n at cumulative probability k/n, plus an
-    equal-width histogram."""
-
-    values: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-
-def empirical_distribution(samples: Sequence[float], bins: int) -> EmpiricalDistribution:
-    """CDF over the full sorted sample and a histogram spanning [min, max]."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 1:
-        raise ValueError("need at least 1 sample")
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
-    values = np.sort(x)
-    # np.histogram widens a degenerate [c, c] range by itself.
-    counts, bin_edges = np.histogram(x, bins=bins, range=(values[0], values[-1]))
-    return EmpiricalDistribution(values, bin_edges, counts)
-
-
-def _write_comments(handle: IO[str], comments: Sequence[str] | None) -> None:
-    for line in comments or ():
-        handle.write(f"# {line}\n")
 
 
 def _csv_cell(text: str) -> str:
@@ -133,6 +107,11 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _csv_row(cells: Sequence[str], end: str = "\r\n") -> str:
+    """One row of text cells, each through _csv_cell."""
+    return ",".join(map(_csv_cell, cells)) + end
+
+
 def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
     """Rows of equal-length columns through one %-template, in blocks of
     CSV_BLOCK_ROWS rows, so no table of Python objects outlives a block."""
@@ -141,43 +120,35 @@ def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) ->
         handle.write("".join([template % row for row in zip(*block)]))
 
 
-def write_cdf_csv(
-    handle: IO[str],
-    distributions: Mapping[str, EmpiricalDistribution],
-    *,
-    comments: Sequence[str] | None = None,
-) -> None:
+def write_cdf_csv(handle: IO[str], names: Sequence[str], ordered: np.ndarray) -> None:
     """Per output: a value column and a cumulative-probability column.
 
-    Every output has the same sample count n, so all share one k/n column,
-    formed and formatted once per block.  Cells use 17 significant digits
-    and rows end in CRLF as csv.writer's do.
+    `ordered` holds each output's samples sorted, one column per name; the
+    k-th of n values sits at cumulative probability k/n, one column shared
+    by every output, formed and formatted once per block.  Cells use 17
+    significant digits and rows end in CRLF as csv.writer's do.
     """
-    shown = list(distributions.values())
-    count = shown[0].values.size
-    if any(d.values.size != count for d in shown):
-        raise ValueError("every output of a cdf table needs the same sample count")
-    _write_comments(handle, comments)
-    header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in distributions), [])
-    handle.write(",".join(map(_csv_cell, header)) + "\r\n")
-    template = ",".join(["%.17g,%s"] * len(shown)) + "\r\n"
+    count = len(ordered)
+    handle.write(_csv_row(sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])))
+    template = ",".join(["%.17g,%s"] * len(names)) + "\r\n"
     for start in range(0, count, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, count)
         ranks = (np.arange(start + 1, stop + 1) / count).tolist()
         text = ("%.17g\n" * len(ranks) % tuple(ranks)).split("\n")
-        columns = sum(([d.values[start:stop].tolist(), text] for d in shown), [])
+        columns = sum(([column, text] for column in ordered[start:stop].T.tolist()), [])
         handle.write("".join([template % row for row in zip(*columns)]))
 
 
 def write_histogram_csv(
-    handle: IO[str],
-    distributions: Mapping[str, EmpiricalDistribution],
-    *,
-    comments: Sequence[str] | None = None,
+    handle: IO[str], names: Sequence[str], ordered: np.ndarray, bins: int
 ) -> None:
-    """Long-format histogram table: output, bin_left, bin_right, count."""
-    _write_comments(handle, comments)
-    handle.write("output,bin_left,bin_right,count\r\n")
-    for name, dist in distributions.items():
+    """Long-format histogram table: output, bin_left, bin_right, count.
+
+    Per output, `bins` equal-width bins span its sorted column of `ordered`
+    from first to last value; np.histogram widens a degenerate [c, c] range.
+    """
+    handle.write(_csv_row(["output", "bin_left", "bin_right", "count"]))
+    for name, column in zip(names, ordered.T):
+        counts, edges = np.histogram(column, bins=bins, range=(column[0], column[-1]))
         template = _csv_cell(name).replace("%", "%%") + ",%.17g,%.17g,%d\r\n"
-        write_rows(handle, template, [dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts])
+        write_rows(handle, template, [edges[:-1], edges[1:], counts])

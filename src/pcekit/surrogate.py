@@ -261,6 +261,12 @@ class _SplitKronecker:
         return out
 
 
+def _require_unique_names(inputs: Sequence[InputVariable], output_names: Sequence[str]) -> None:
+    for kind, names in ("input variable", [var.name for var in inputs]), ("output", output_names):
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"{kind} names must be unique, got {list(names)}")
+
+
 @dataclass
 class PceModel:
     """A built surrogate: inputs, outputs, neighbourhood, and coefficients.
@@ -282,6 +288,7 @@ class PceModel:
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         self.indices = np.asarray(self.indices, dtype=np.int64)
+        _require_unique_names(self.inputs, self.output_names)
         n = len(self.inputs)
         if self.neighborhood.dim != n:
             raise ConfigurationError(
@@ -416,10 +423,7 @@ def build_pce(
         raise ConfigurationError("at least one input variable is required")
     if not output_names:
         raise ConfigurationError("at least one output name is required")
-    if len(set(var.name for var in inputs)) != len(inputs):
-        raise ConfigurationError("input variable names must be unique")
-    if len(set(output_names)) != len(output_names):
-        raise ConfigurationError("output names must be unique")
+    _require_unique_names(inputs, output_names)
 
     nbhd, grid, method_name, parameter = _method_pieces(method, len(inputs))
     indices = multiindex.index_array(nbhd)

@@ -41,24 +41,22 @@ def integrate(grid, f):
     return float(values @ grid.weights)
 
 
-def write_cdf_csv(handle, distributions, *, comments=None):
-    """cdf.csv as sampling.write_cdf_csv wrote it before outputs of equal
-    sample count shared one formatted k/n column: every cell of a row goes
-    through one %.17g template, segment by segment."""
-    for line in comments or ():
-        handle.write(f"# {line}\n")
-    names = list(distributions)
-    header = sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])
-    csv.writer(handle).writerow(header)
-    start = 0
-    for stop in sorted({d.values.size for d in distributions.values()}):
-        present = [distributions[n].values.size >= stop for n in names]
-        template = ",".join("%.17g,%.17g" if p else "," for p in present) + "\r\n"
-        columns = []
-        for name, p in zip(names, present):
-            if p:
-                dist = distributions[name]
-                ranks = np.arange(1, dist.values.size + 1) / dist.values.size
-                columns += [dist.values[start:stop], ranks[start:stop]]
-        handle.write("".join([template % row for row in zip(*[c.tolist() for c in columns])]))
-        start = stop
+def write_cdf_csv(handle, names, ordered):
+    """cdf.csv cell by cell through csv.writer: per output its sorted values
+    and their cumulative probabilities k/n, each formatted on its own."""
+    writer = csv.writer(handle)
+    writer.writerow(sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), []))
+    count = len(ordered)
+    for k, row in enumerate(ordered.tolist(), 1):
+        writer.writerow(sum(([format(v, ".17g"), format(k / count, ".17g")] for v in row), []))
+
+
+def write_histogram_csv(handle, names, ordered, bins):
+    """hist.csv cell by cell through csv.writer, each output's histogram
+    spanning the least to the greatest of its samples."""
+    writer = csv.writer(handle)
+    writer.writerow(["output", "bin_left", "bin_right", "count"])
+    for name, column in zip(names, ordered.T):
+        counts, edges = np.histogram(column, bins=bins, range=(column.min(), column.max()))
+        for left, right, count in zip(edges[:-1], edges[1:], counts):
+            writer.writerow([name, format(left, ".17g"), format(right, ".17g"), int(count)])

@@ -8,6 +8,7 @@ import signal
 import struct
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -886,6 +887,43 @@ class TestExternalProtocol:
                 time.sleep(0.05)
             assert [pid for pid in pids if running(pid)] == []
         finally:
+            if pid_file.exists():
+                pids = [int(pid) for pid in pid_file.read_text().split()]
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_kills_every_running_launch(self, tmp_path, workers):
+        # Each launch starts a 30 s sleep and records its pid; an interrupt
+        # 1 s in must end the call within 3 s and leave no sleep alive.
+        pid_file = tmp_path / "pids"
+        spec = ModelSpec(
+            kind="external",
+            input_names=("a", "b"),
+            output_names=("y1", "y2"),
+            command=("sh", "-c", f"sleep 30 & echo $! >> {shlex.quote(str(pid_file))}; wait"),
+            io_format="stdin",
+            timeout_seconds=60.0,
+        )
+        interrupt = threading.Timer(
+            1.0, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)
+        )
+        pids = []
+        try:
+            started = time.monotonic()
+            interrupt.start()
+            with pytest.raises(KeyboardInterrupt):
+                BlackBoxModel(spec, workers=workers)(np.array([[1.0, 2.0], [3.0, 4.0]]))
+            assert time.monotonic() - started < 3.0
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(pids) == workers
+            deadline = time.monotonic() + 5.0
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if running(pid)] == []
+        finally:
+            interrupt.cancel()
             if pid_file.exists():
                 pids = [int(pid) for pid in pid_file.read_text().split()]
             for pid in pids:

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -345,6 +346,44 @@ class TestValidate:
     def test_missing_model_file(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["validate", "--config", str(config)]) == 4
+
+    def test_model_with_other_outputs_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        other = write_config(
+            tmp_path / "report",
+            model={"kind": "builtin", "name": "constant", "parameters": {"values": [1.0]}},
+            outputs=["level"],
+        )
+        argv = ["validate", "--config", str(other), "--model", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "['cumulative_gas', 'peak_gas']" in err and "['level']" in err
+
+    @pytest.mark.parametrize("command", ["validate", "uq"])
+    def test_model_with_repeated_outputs_is_format_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        model = tmp_path / "model.json"
+        doc = json.loads(model.read_text())
+        doc["output_names"] = ["cumulative_gas", "cumulative_gas"]
+        model.write_text(json.dumps(doc))
+        assert main([command, "--config", str(config)]) == 4
+        assert "unique" in capsys.readouterr().err
+
+
+class TestCsvArtifacts:
+    def test_every_row_is_as_wide_as_its_header(self, tmp_path):
+        name = 'gas, "cumulative" 5%s'
+        config = write_config(tmp_path, outputs=[name, "peak_gas"])
+        for command in ("build", "validate", "uq"):
+            assert main([command, "--config", str(config)]) == 0
+        for artifact in ("validate.csv", "scatter.csv", "cdf.csv", "hist.csv"):
+            with open(tmp_path / "report" / artifact, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+            assert len(rows) > 1, artifact
+            assert {len(row) for row in rows} == {len(rows[0])}, artifact
+            assert any(name in cell for cell in rows[0] + rows[1]), artifact
 
 
 class TestUq:

@@ -1,4 +1,3 @@
-import csv
 import io
 import math
 
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from pcekit import sampling
 from pcekit.sampling import (
-    empirical_distribution,
     latin_hypercube,
     percentile_values,
     rmse,
@@ -158,37 +156,43 @@ class TestSummaries:
         assert np.array_equal(percentile_values(samples, qs), expected)
         assert np.array_equal(percentile_values(np.sort(samples), qs), expected)
 
+    def test_percentiles_of_columns_match_numpy_exactly(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        samples = rng.normal(size=(101, 3)) * [1.0, 1e-3, 1e4]
+        qs = [0, 10, 33.3, 50, 90, 100]
+        expected = np.percentile(samples, qs, axis=0, method="linear")
+        assert np.array_equal(percentile_values(samples, qs), expected)
+        for j in range(3):
+            assert np.array_equal(percentile_values(samples[:, j], qs), expected[:, j])
 
-class TestEmpiricalDistribution:
+
+class TestDistributionTables:
     def test_two_bins(self):
-        dist = empirical_distribution([0.0, 1.0], bins=2)
-        assert dist.counts.tolist() == [1, 1]
-        assert dist.bin_edges[0] == 0.0 and dist.bin_edges[-1] == 1.0
+        buffer = io.StringIO()
+        write_histogram_csv(buffer, ["y"], np.array([[0.0], [1.0]]), bins=2)
+        assert buffer.getvalue().splitlines()[1:] == ["y,0,0.5,1", "y,0.5,1,1"]
 
     def test_cdf_ends_at_one(self):
-        dist = empirical_distribution([3.0, 1.0, 2.0], bins=3)
-        assert dist.values.tolist() == [1.0, 2.0, 3.0]
         buffer = io.StringIO()
-        write_cdf_csv(buffer, {"y": dist})
+        write_cdf_csv(buffer, ["y"], np.array([[1.0], [2.0], [3.0]]))
         assert buffer.getvalue().splitlines()[-1] == "3,1"
-        assert dist.counts.sum() == 3
 
-    def test_degenerate_samples(self):
-        dist = empirical_distribution([2.0, 2.0, 2.0], bins=4)
-        assert dist.counts.sum() == 3
+    def test_degenerate_range_is_widened(self):
+        buffer = io.StringIO()
+        write_histogram_csv(buffer, ["y"], np.full((3, 1), 2.0), bins=4)
+        rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        assert sum(int(row[3]) for row in rows) == 3
+        assert (float(rows[0][1]), float(rows[-1][2])) == (1.5, 2.5)
 
-    def test_guards(self):
+    def test_bin_guard(self):
         with pytest.raises(ValueError):
-            empirical_distribution([], bins=2)
-        with pytest.raises(ValueError):
-            empirical_distribution([1.0], bins=0)
+            write_histogram_csv(io.StringIO(), ["y"], np.array([[1.0]]), bins=0)
 
 
 class TestCsvExports:
     def test_cdf_csv(self):
         buffer = io.StringIO()
-        dist = empirical_distribution([4.0, 2.0], bins=2)
-        write_cdf_csv(buffer, {"y": dist})
+        write_cdf_csv(buffer, ["y"], np.array([[2.0], [4.0]]))
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "y_value,y_cumulative_probability"
         assert lines[1].split(",") == ["2", "0.5"]
@@ -196,8 +200,7 @@ class TestCsvExports:
 
     def test_histogram_csv(self):
         buffer = io.StringIO()
-        dist = empirical_distribution([0.0, 0.25, 1.0], bins=2)
-        write_histogram_csv(buffer, {"y": dist})
+        write_histogram_csv(buffer, ["y"], np.array([[0.0], [0.25], [1.0]]), bins=2)
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "output,bin_left,bin_right,count"
         assert len(lines) == 3
@@ -207,54 +210,28 @@ class TestCsvExports:
         # rows across block boundaries, names that need quoting, and a "%"
         # that must not reach the row template
         monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
-        rng = np.random.default_rng(3)
-        distributions = {
-            name: empirical_distribution(rng.normal(size=9), bins=3)
-            for name in ["a", 'b,"q"', "c%s", "d", "e\nf", "g\rh", " i;j "]
-        }
+        names = ["a", 'b,"q"', "c%s", "d", "e\nf", "g\rh", " i;j "]
+        ordered = np.sort(np.random.default_rng(3).normal(size=(9, len(names))), axis=0)
         expected_cdf, expected_hist = io.StringIO(), io.StringIO()
-        for handle in (expected_cdf, expected_hist):
-            handle.write("# note\n")
-        writer = csv.writer(expected_cdf)
-        writer.writerow(sum(([f"{n}_value", f"{n}_cumulative_probability"]
-                             for n in distributions), []))
-        for i in range(9):
-            row = []
-            for dist in distributions.values():
-                row += [format(dist.values[i], ".17g"), format((i + 1) / 9, ".17g")]
-            writer.writerow(row)
-        writer = csv.writer(expected_hist)
-        writer.writerow(["output", "bin_left", "bin_right", "count"])
-        for name, dist in distributions.items():
-            for left, right, count in zip(dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts):
-                writer.writerow([name, format(left, ".17g"), format(right, ".17g"), int(count)])
+        references.write_cdf_csv(expected_cdf, names, ordered)
+        references.write_histogram_csv(expected_hist, names, ordered, 3)
         cdf, hist = io.StringIO(), io.StringIO()
-        write_cdf_csv(cdf, distributions, comments=["note"])
-        write_histogram_csv(hist, distributions, comments=["note"])
+        write_cdf_csv(cdf, names, ordered)
+        write_histogram_csv(hist, names, ordered, 3)
         assert cdf.getvalue() == expected_cdf.getvalue()
         assert hist.getvalue() == expected_hist.getvalue()
 
-    @pytest.mark.parametrize("sizes", [
-        {"a": 11, "b": 11, "c": 11},
-        {"only": 11},
-        {"only": 1},
-    ], ids=["equal", "single", "single-row"])
-    def test_cdf_matches_the_per_cell_writer(self, monkeypatch, sizes):
+    @pytest.mark.parametrize("shape", [(11, 3), (11, 1), (1, 1)],
+                             ids=["several", "single", "single-row"])
+    def test_cdf_matches_the_per_cell_writer(self, monkeypatch, shape):
         # shared k/n columns formatted once give the bytes of formatting
         # every cell, across block boundaries
         monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
-        rng = np.random.default_rng(len(sizes))
-        distributions = {
-            name: empirical_distribution(rng.normal(size=size) * 10.0 ** rng.integers(-5, 5), 3)
-            for name, size in sizes.items()
-        }
+        rng = np.random.default_rng(shape[1])
+        ordered = np.sort(rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape[1]),
+                          axis=0)
+        names = [f"y{j}" for j in range(shape[1])]
         expected, cdf = io.StringIO(), io.StringIO()
-        references.write_cdf_csv(expected, distributions, comments=["note"])
-        write_cdf_csv(cdf, distributions, comments=["note"])
+        references.write_cdf_csv(expected, names, ordered)
+        write_cdf_csv(cdf, names, ordered)
         assert cdf.getvalue() == expected.getvalue()
-
-    def test_cdf_needs_one_sample_count(self):
-        distributions = {"a": empirical_distribution([1.0, 2.0], 2),
-                         "b": empirical_distribution([1.0], 2)}
-        with pytest.raises(ValueError, match="same sample count"):
-            write_cdf_csv(io.StringIO(), distributions)

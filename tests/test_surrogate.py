@@ -539,6 +539,19 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="graded-lex order"):
             load(path)
 
+    @pytest.mark.parametrize("field", ["inputs", "output_names"])
+    def test_repeated_names_rejected(self, tmp_path, field):
+        doc = self.saved_doc()
+        if field == "inputs":
+            doc["inputs"][1]["name"] = doc["inputs"][0]["name"]
+        else:
+            doc["output_names"] = ["value", "value"]
+            doc["coefficients"] = {key: values * 2 for key, values in doc["coefficients"].items()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ModelFormatError, match="names must be unique"):
+            load(path)
+
     def test_repeated_index_rejected(self, tmp_path):
         doc = self.saved_doc()
         # "0,01" parses to (0, 1), which is already present; (0, 2) goes missing

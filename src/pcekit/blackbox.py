@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import re
 import threading
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import polybasis
 # ModelSpec lives with the config, which checks specs without this module.
-from .config import BUILTIN, IO_ARGFILE, ModelSpec  # noqa: F401  (re-exported)
+from .config import BUILTIN, IO_ARGFILE, ModelSpec, _floats  # noqa: F401  (re-exported)
 from .errors import ConfigurationError, EvaluationError
 
 CACHE_ENV_VAR = "PCEKIT_CACHE"
@@ -78,19 +77,6 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _reals(raw) -> list[float] | None:
-    """A list of numbers as floats, or None for anything else: text, booleans,
-    integers beyond the float range, or not a list at all."""
-    if not isinstance(raw, (list, tuple)) or not all(
-        isinstance(value, numbers.Real) and not isinstance(value, bool) for value in raw
-    ):
-        return None
-    try:
-        return [float(value) for value in raw]
-    except OverflowError:
-        return None
-
-
 def _scalar(function: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     """function (math.exp, math.pow) applied per element, as Python floats.
 
@@ -102,10 +88,9 @@ def _scalar(function: Callable[..., float], x: np.ndarray, *args: float) -> np.n
 
 def _make_constant(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     values = spec.parameters.get("values")
-    if isinstance(values, numbers.Real):
-        values = [values]
-    values = _reals(values)
-    if values is None or len(values) != len(spec.output_names):
+    values = values if isinstance(values, (list, tuple)) else [values]
+    values = _floats(values, "constant parameters.values")
+    if len(values) != len(spec.output_names):
         raise ConfigurationError(
             "constant model needs parameters.values with one number per output"
         )
@@ -131,13 +116,13 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     orders = []
     coefficients = []
     for term in terms:
-        order = coeff = None
-        if isinstance(term, Mapping):
-            order, coeff = _reals(term.get("orders")), _reals(term.get("coefficients"))
+        order, coeff = (
+            _floats(term.get(key) if isinstance(term, Mapping) else None, f"polynomial term {key}")
+            for key in ("orders", "coefficients")
+        )
         if (
-            order is None or len(order) != dim
+            len(order) != dim or len(coeff) != n_out
             or not all(o.is_integer() and 0 <= o <= polybasis.DEGREE_CAP for o in order)
-            or coeff is None or len(coeff) != n_out or not all(map(math.isfinite, coeff))
         ):
             raise ConfigurationError(
                 f"polynomial term {term!r} needs 'orders', one integer in "
@@ -152,14 +137,15 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     ranges = spec.parameters.get("variables")
     lo = hi = None
     if ranges is not None:
-        bounds = [_reals(r) for r in ranges] if isinstance(ranges, (list, tuple)) else []
-        if len(bounds) != dim or any(b is None or len(b) != 2 for b in bounds):
+        bounds = ranges if isinstance(ranges, (list, tuple)) else []
+        bounds = [_floats(pair, "polynomial parameters.variables entry") for pair in bounds]
+        if len(bounds) != dim or any(len(b) != 2 for b in bounds):
             raise ConfigurationError(
                 "polynomial parameters.variables must list one [min, max] pair per input"
             )
         lo, hi = np.array(bounds).T
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo < hi)):
-            raise ConfigurationError("polynomial variable ranges must be finite with min < max")
+        if not np.all(lo < hi):
+            raise ConfigurationError("polynomial variable ranges must have min < max")
 
     max_degrees = index_array.max(axis=0).tolist()
     step = max(1, POLYNOMIAL_CHUNK_VALUES // len(index_array))

@@ -126,10 +126,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     cfg = config.load_config(args.config)
     model = _load_model(cfg, args.model)
-    if list(model.output_names) != list(cfg.outputs):
+    model_names = [var.name for var in model.inputs], list(model.output_names)
+    config_names = [var.name for var in cfg.inputs], list(cfg.outputs)
+    if model_names != config_names:
         raise ConfigurationError(
-            f"the model's outputs {list(model.output_names)} are not the config's "
-            f"outputs {list(cfg.outputs)}"
+            "the model's inputs %s and outputs %s are not the config's inputs %s "
+            "and outputs %s" % (*model_names, *config_names)
         )
     box = _black_box(cfg, args.workers)
 

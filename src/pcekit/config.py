@@ -170,6 +170,21 @@ def _float(value, name: str) -> float:
     return value
 
 
+def _floats(values, name: str) -> list[float]:
+    """A JSON list (or a tuple) of numbers, each checked as _float checks it."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list of finite numbers, got {values!r}")
+    return [_float(value, f"{name} entry") for value in values]
+
+
+def _names(doc: dict, key: str, context: str) -> tuple[str, ...]:
+    """The non-empty list of non-empty strings at doc[key]."""
+    names = _expect(doc, key, list, context)
+    if not names or not all(isinstance(name, str) and name for name in names):
+        raise ConfigurationError(f"{key} must be a non-empty list of names")
+    return tuple(names)
+
+
 def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """A JSON integer (or integral float) in [low, high]; booleans and strings are rejected."""
     if isinstance(value, float) and value.is_integer():
@@ -272,9 +287,7 @@ def _parse_report(raw: dict) -> ReportSettings:
     )
     defaults = ReportSettings()
     percentiles = raw.get("percentiles", list(defaults.percentiles))
-    if not isinstance(percentiles, list):
-        raise ConfigurationError("report.percentiles must be a list of numbers in [0, 100]")
-    percentiles = tuple(_float(q, "report.percentiles entry") for q in percentiles)
+    percentiles = tuple(_floats(percentiles, "report.percentiles"))
     if not all(0 <= q <= 100 for q in percentiles):
         raise ConfigurationError("report.percentiles must be numbers in [0, 100]")
     # (low, high): the bin and sample counts size arrays
@@ -329,10 +342,7 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
     inputs = _parse_inputs(_expect(doc, "inputs", list, "config"), "inputs")
-    outputs_raw = _expect(doc, "outputs", list, "config")
-    if not outputs_raw or not all(isinstance(name, str) and name for name in outputs_raw):
-        raise ConfigurationError("outputs must be a non-empty list of names")
-    outputs = tuple(outputs_raw)
+    outputs = _names(doc, "outputs", "config")
 
     base = path.resolve().parent
     return RunConfig(

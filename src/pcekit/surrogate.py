@@ -34,6 +34,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -510,21 +511,12 @@ def save(model: PceModel, dest) -> None:
             handle.write(text)
 
 
-def _require(doc: dict, key: str, kind) -> object:
-    if key not in doc:
-        raise ModelFormatError(f"model document is missing the {key!r} field")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ModelFormatError(f"model field {key!r} has the wrong type: {type(value).__name__}")
-    return value
-
-
 def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """The "coefficients" object as a (terms, dim) int64 array of its keys and
     a (terms, outputs) array of its values, each converted in one call.
 
     Keys must be ASCII decimal integers, as many in each key, separated by
-    commas; the values, sequences of one length, are converted as float()
+    commas; the values, lists of one length, are converted as float()
     converts them.
     """
     keys = ",".join(raw)
@@ -533,7 +525,7 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
     fields = set(map(str.count, raw, [","] * len(raw)))
     if keys.lstrip("0123456789,") or len(fields) != 1:
         raise ValueError("keys must be comma-separated decimal integers, as many in each")
-    if len(set(map(len, rows))) != 1 or None in values:
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or None in values:
         raise ValueError("values must be lists of numbers, all of one length")
     indices = np.fromstring(keys, dtype=np.int64, sep=",")
     if indices.size != len(rows) * (fields.pop() + 1) or indices.max() == np.iinfo(np.int64).max:
@@ -544,60 +536,60 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
 def load(source) -> PceModel:
     """Read a model written by save(); the round trip compares equal.
 
-    Raises ModelFormatError naming the offending field for malformed or
-    truncated documents, for a coefficient table whose keys are not the
-    neighbourhood in graded-lex order (reordered or repeated), and an
-    explicit version error for documents written by a future schema.
+    Fields are checked by the run config's checks (_expect, _int, _float),
+    ranges and coefficients may also be decimal strings, and unknown keys
+    are ignored.  A missing, malformed or inconsistent field, such as a
+    coefficient table out of graded-lex order or a schema_version newer
+    than this one, raises ModelFormatError naming it.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    # config imports this module, so its checks are imported here.
+    from .config import _expect, _float, _int, _names
+
+    part = "document"  # what an error names: float() and numpy do not name the field
     try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-
-    schema = _require(doc, "schema", str)
-    if schema != MODEL_SCHEMA:
-        raise ModelFormatError(f"unexpected schema id {schema!r}, wanted {MODEL_SCHEMA!r}")
-    version = _require(doc, "schema_version", int)
-    if version > MODEL_SCHEMA_VERSION:
-        raise ModelFormatError(
-            f"model schema_version {version} is newer than the supported "
-            f"version {MODEL_SCHEMA_VERSION}"
+        if not isinstance(doc, dict):
+            raise ConfigurationError("it must be a JSON object")
+        schema = _expect(doc, "schema", str, "model")
+        if schema != MODEL_SCHEMA:
+            raise ConfigurationError(f"unexpected schema id {schema!r}, wanted {MODEL_SCHEMA!r}")
+        version = _int(_expect(doc, "schema_version", object, "model"), "schema_version", low=1)
+        if version > MODEL_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"schema_version {version} is newer than the supported "
+                f"version {MODEL_SCHEMA_VERSION}"
+            )
+        nb = _expect(doc, "neighborhood", dict, "model")
+        order, dim = (
+            _int(_expect(nb, key, object, "neighborhood"), f"neighborhood.{key}")
+            for key in ("order", "dim")
         )
-
-    try:
+        neighborhood = multiindex.Neighborhood(_expect(nb, "kind", str, "neighborhood"), order, dim)
+        output_names = list(_names(doc, "output_names", "model"))
+        build_meta = _expect(doc, "build_meta", dict, "model")
+        part = "inputs"
         inputs = []
-        for entry in _require(doc, "inputs", list):
-            inputs.append(InputVariable(entry["name"], float(entry["min"]), float(entry["max"])))
+        for i, entry in enumerate(_expect(doc, "inputs", list, "model")):
+            where = f"inputs[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigurationError(f"{where} must be an object")
             distribution = entry.get("distribution", "uniform")
             if distribution != "uniform":
-                raise ValueError(
-                    f"variable {entry['name']!r}: only the uniform distribution is "
-                    f"supported, got {distribution!r}"
+                raise ConfigurationError(
+                    f"{where}: only the uniform distribution is supported, got {distribution!r}"
                 )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise ModelFormatError(f"model field 'inputs' is malformed: {exc}") from exc
-
-    nb = _require(doc, "neighborhood", dict)
-    try:
-        neighborhood = multiindex.Neighborhood(nb["kind"], int(nb["order"]), int(nb["dim"]))
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        raise ModelFormatError(f"model field 'neighborhood' is malformed: {exc}") from exc
-
-    output_names = [str(name) for name in _require(doc, "output_names", list)]
-    try:
-        indices, coefficients = _coefficient_table(_require(doc, "coefficients", dict))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"model field 'coefficients' is malformed: {exc}") from exc
-
-    build_meta = _require(doc, "build_meta", dict)
-    try:
+            bounds = {key: _expect(entry, key, object, where) for key in ("min", "max")}
+            low, high = (
+                _float(float(value) if isinstance(value, str) else value, f"{where}.{key}")
+                for key, value in bounds.items()
+            )
+            inputs.append(InputVariable(_expect(entry, "name", str, where), low, high))
+        part = "coefficients"
+        indices, coefficients = _coefficient_table(_expect(doc, "coefficients", dict, "model"))
+        part = "document"
         return PceModel(inputs, output_names, neighborhood, indices, coefficients, build_meta)
-    except ConfigurationError as exc:
-        raise ModelFormatError(f"model document is inconsistent: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"model document is not valid JSON: {exc}") from exc
+    except (ConfigurationError, ValueError, TypeError, OverflowError) as exc:
+        raise ModelFormatError(f"malformed model {part}: {exc}") from exc

@@ -1118,14 +1118,14 @@ class TestBatchSemantics:
             BlackBoxModel(builtin_spec("sobol-example-1"))(np.zeros((2, 3)))
 
     def test_builtin_failure_names_the_point(self):
-        # deterministic failure: constant model with a NaN output
-        bad = ModelSpec(
-            kind="builtin", name="constant",
-            input_names=("a",), output_names=("y",),
-            parameters={"values": [float("nan")]},
+        # deterministic failure: csg-proxy's exp overflows at this permeability
+        spec = builtin_spec(
+            "csg-proxy", tuple(n for n, _, _ in CSG_PROXY_INPUTS), CSG_PROXY_OUTPUTS
         )
-        with pytest.raises(EvaluationError, match="point"):
-            BlackBoxModel(bad)(np.array([[1.0]]))
+        bad = [0.02, -1e6, 0.0002, 0.6]
+        with pytest.raises(EvaluationError, match="point") as info:
+            BlackBoxModel(spec)(np.array([[0.02, 400.0, 0.0002, 0.6], bad]))
+        assert str(bad) in str(info.value)
 
     def test_adapter_counts_and_shape(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")

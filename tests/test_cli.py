@@ -215,10 +215,17 @@ class TestBuild:
                 "terms": [{"orders": [65, 0, 0, 0], "coefficients": [1.0, 2.0]}]}},
             {"name": "polynomial", "parameters": {
                 "terms": [{"orders": [1, 0, 0, 0], "coefficients": [float("inf"), 2.0]}]}},
+            {"name": "constant", "parameters": {"values": [float("nan"), 1.0]}},
+            {"name": "constant", "parameters": {"values": [1.0, float("inf")]}},
+            {"name": "constant", "parameters": {"values": [True, 1.0]}},
+            {"name": "polynomial", "parameters": {
+                "terms": [{"orders": [0, 0, 0, 0], "coefficients": [1.0, 2.0]}],
+                "variables": [[0, 1], [0, float("inf")], [0, 1], [0, 1]]}},
         ],
         ids=[
             "constant-text", "constant-null", "constant-object", "variables-not-pairs",
             "variables-text", "order-1e30", "order-above-cap", "coefficient-infinite",
+            "constant-nan", "constant-infinite", "constant-true", "variables-infinite",
         ],
     )
     def test_malformed_builtin_parameters_are_config_errors(self, tmp_path, capsys, model):
@@ -359,6 +366,14 @@ class TestValidate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "['cumulative_gas', 'peak_gas']" in err and "['level']" in err
+        # The same inputs in reverse order: the solver would read the design's
+        # columns under the wrong names.
+        names = [entry["name"] for entry in base_doc()["inputs"]]
+        reverse = write_config(tmp_path / "report", inputs=base_doc()["inputs"][::-1])
+        argv = ["validate", "--config", str(reverse), "--model", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(names) in err and str(names[::-1]) in err
 
     @pytest.mark.parametrize("command", ["validate", "uq"])
     def test_model_with_repeated_outputs_is_format_error(self, tmp_path, capsys, command):
@@ -567,6 +582,37 @@ class TestReproducibility:
         second = run_triple()  # warm cache
         assert first == second
 
+    def test_parallel_external_build_is_byte_identical_but_cache_order(self, tmp_path):
+        # Each launch's chunk is committed as it returns, so the cache holds
+        # the same lines in either order; the model file is byte-identical.
+        solver = tmp_path / "solver.py"
+        solver.write_text(
+            "import csv, sys\n"
+            "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
+            "print('y1,y2')\n"
+            "for r in rows:\n"
+            "    print(f'{float(r[0]) + float(r[1])!r},{float(r[0]) * float(r[1])!r}')\n"
+        )
+        config = write_config(
+            tmp_path,
+            model={"kind": "external", "command": [sys.executable, str(solver)]},
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}, {"name": "b", "min": 0.0, "max": 1.0}],
+            outputs=["y1", "y2"],
+        )
+
+        def cold_build():
+            argv = ["build", "--config", str(config), "--workers", "2", "--reproducible"]
+            assert main(argv) == 0
+            model, cache = tmp_path / "model.json", tmp_path / "cache.jsonl"
+            snapshot = model.read_bytes(), sorted(cache.read_text().splitlines())
+            model.unlink()
+            cache.unlink()
+            return snapshot
+
+        first = cold_build()
+        assert len(first[1]) == 9
+        assert cold_build() == first
+
 
 SRC = str(Path(blackbox.__file__).resolve().parents[1])
 
@@ -675,21 +721,42 @@ def full_doc():
     return doc
 
 
-def mutated_doc(path, value):
-    doc = full_doc()
+def saved_model_doc():
+    """base_doc's model built on a sparse grid of level 1 (five terms), as saved."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), method={"type": "sparse-grid", "level": 1})
+        assert main(["build", "--config", str(config), "--reproducible"]) == 0
+        return json.loads((Path(tmp) / "model.json").read_text())
+
+
+def assert_mutation_exits_by_contract(name, doc, path, value, *commands):
+    """Write base_doc's config and, beside it as `name`, `doc` with the node at
+    `path` replaced by `value`; each command on that config exits 0, 2, 3 or
+    4, never raises, and launches no external solver."""
+    doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    return doc
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        blackbox, "_launch_external", side_effect=AssertionError("external launch")
+    ):
+        config = write_config(Path(tmp))
+        (Path(tmp) / name).write_text(json.dumps(doc))
+        for command in commands:
+            assert main([command, "--config", str(config)]) in {0, 2, 3, 4}, command
 
 
 MUTATION_PATHS = list(node_paths(full_doc()))
-# The strings include other valid values of the enumerated fields; with
-# the builtin's keys in place, "external" cannot reach a launch.
+MODEL_DOC = saved_model_doc()
+MODEL_MUTATION_PATHS = list(node_paths(MODEL_DOC))
+# The strings include other valid values of the enumerated fields of both
+# documents; with the builtin's keys in place, "external" cannot reach a launch.
 MUTATION_VALUES = st.one_of(
     st.booleans(),
-    st.sampled_from(["", "x", "external", "builtin", "sparse-grid", "stdin", "constant"]),
+    st.sampled_from(
+        ["", "x", "external", "builtin", "sparse-grid", "stdin", "constant", "tensor-product"]
+    ),
     st.none(),
     st.lists(st.integers(-2, 3), max_size=2),
     st.integers(-(10**6), -1),
@@ -703,9 +770,14 @@ def test_mutated_config_exits_by_contract(path, value):
     # One value of a valid config (a leaf or a whole section) replaced by a
     # value of another type or out of range: build finishes or exits 2, 3
     # or 4, and never raises.
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        blackbox, "_launch_external", side_effect=AssertionError("external launch")
-    ):
-        config = Path(tmp) / "run.json"
-        config.write_text(json.dumps(mutated_doc(path, value)))
-        assert main(["build", "--config", str(config)]) in {0, 2, 3, 4}
+    assert_mutation_exits_by_contract("run.json", full_doc(), path, value, "build")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODEL_MUTATION_PATHS), MUTATION_VALUES)
+def test_mutated_model_exits_by_contract(path, value):
+    # The same for one value of a saved model, read by every command that
+    # loads a model.
+    assert_mutation_exits_by_contract(
+        "model.json", MODEL_DOC, path, value, "sobol", "uq", "validate"
+    )

@@ -673,6 +673,8 @@ class TestBlockPersistence:
         {"0,0,+1": ["1", "2", "3"]},
         {"0,0,١": ["1", "2", "3"]},
         {"0,0,99999999999999999999": ["1", "2", "3"]},
+        {"0,0,1": "123"},                   # a row that is not a list
+        {"0,0,1": {"1": 0, "2": 0, "3": 0}},
     ])
     def test_malformed_tables_are_format_errors(self, edit):
         doc = json.loads(saved_text(odd_models()[1]))
@@ -680,6 +682,41 @@ class TestBlockPersistence:
         doc["coefficients"].update(edit)
         with pytest.raises(ModelFormatError, match="coefficients"):
             load(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("inputs", 0, "name"), 7, r"'name' in inputs\[0\]"),
+        (("inputs", 0, "name"), "", "non-empty name"),
+        (("inputs", 0, "min"), True, r"inputs\[0\]\.min"),
+        (("inputs", 0, "max"), None, r"inputs\[0\]\.max"),
+        (("inputs", 0, "max"), "x", "inputs"),
+        (("inputs", 0), 5, r"inputs\[0\] must be an object"),
+        (("schema_version",), 0, "schema_version"),
+        (("schema_version",), -3, "schema_version"),
+        (("schema_version",), True, "schema_version"),
+        (("output_names", 0), None, "output_names"),
+        (("neighborhood", "order"), 2.7, r"neighborhood\.order"),
+        (("neighborhood", "dim"), "3", r"neighborhood\.dim"),
+        (("build_meta",), None, "build_meta"),
+    ], ids=[
+        "name-number", "name-empty", "min-true", "max-null", "max-text", "input-not-object",
+        "version-0", "version-negative", "version-true", "output-name-null", "order-fraction",
+        "dim-text", "build-meta-null",
+    ])
+    def test_malformed_fields_are_format_errors(self, path, value, field):
+        # Read with the config's checks: the message names the field.
+        doc = json.loads(saved_text(odd_models()[1]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ModelFormatError, match=field):
+            load(io.StringIO(json.dumps(doc)))
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ModelFormatError, match="utf-8"):
+            load(path)
 
 
 def full6_model():

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from . import __version__
-from .errors import EXIT_IO, EXIT_OK, ConfigurationError, PcekitError
+from .errors import EXIT_IO, EXIT_OK, ConfigurationError, EvaluationError, PcekitError
 
 
 def _append_log(cfg, line: str, volatile: str = "") -> None:
@@ -143,9 +143,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     predictions = model.evaluate_batch(physical)
 
     names = model.output_names
-    metrics = [
-        (sampling.rmse(p, t), sampling.rrmse(p, t)) for p, t in zip(predictions.T, truths.T)
-    ]
+    try:
+        metrics = [
+            (sampling.rmse(p, t), sampling.rrmse(p, t)) for p, t in zip(predictions.T, truths.T)
+        ]
+    except ValueError as exc:  # a true value of zero leaves the relative error undefined
+        raise EvaluationError(f"validation metrics: {exc}") from exc
     meta = model.build_meta
     header = ["method", "parameter"] + [f"{m}_{n}" for n in names for m in ("rmse", "rrmse")]
     cells = [format(value, ".17g") for pair in metrics for value in pair]

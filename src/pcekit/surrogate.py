@@ -517,7 +517,7 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
 
     Keys must be ASCII decimal integers, as many in each key, separated by
     commas; the values, lists of one length, are converted as float()
-    converts them.
+    converts them, but booleans and nulls are rejected.
     """
     keys = ",".join(raw)
     rows = list(raw.values())
@@ -525,7 +525,8 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
     fields = set(map(str.count, raw, [","] * len(raw)))
     if keys.lstrip("0123456789,") or len(fields) != 1:
         raise ValueError("keys must be comma-separated decimal integers, as many in each")
-    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or None in values:
+    bad_kinds = {bool, type(None)} & set(map(type, values))  # by type, since True == 1
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or bad_kinds:
         raise ValueError("values must be lists of numbers, all of one length")
     indices = np.fromstring(keys, dtype=np.int64, sep=",")
     if indices.size != len(rows) * (fields.pop() + 1) or indices.max() == np.iinfo(np.int64).max:

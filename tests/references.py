@@ -51,6 +51,13 @@ def write_cdf_csv(handle, names, ordered):
         writer.writerow(sum(([format(v, ".17g"), format(k / count, ".17g")] for v in row), []))
 
 
+def write_rows(handle, template, columns):
+    """Rows of equal-length columns through a %-template, one row at a
+    time, each cell taken from its array on its own."""
+    for k in range(len(columns[0])):
+        handle.write(template % tuple(column[k].item() for column in columns))
+
+
 def write_histogram_csv(handle, names, ordered, bins):
     """hist.csv cell by cell through csv.writer, each output's histogram
     spanning the least to the greatest of its samples."""

@@ -318,6 +318,17 @@ class TestValidate:
         ]
         assert len(scatter) == 1 + 30  # strata * repeats
 
+    def test_zero_true_value_is_numerical_error(self, tmp_path, capsys):
+        # rrmse is undefined where the black box returns 0: exit 3, no traceback
+        config = write_config(
+            tmp_path,
+            model={"kind": "builtin", "name": "constant", "parameters": {"values": [0.0, 2.5]}},
+        )
+        main(["build", "--config", str(config)])
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 3
+        assert "truth value at index 0 is zero" in capsys.readouterr().err
+
     def test_scatter_matches_per_cell_rendering(self, tmp_path, monkeypatch):
         # Small blocks, so the rows cross several of them.
         monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 7)
@@ -435,6 +446,31 @@ class TestUq:
         assert main(["uq", "--config", str(config), "--samples", "64"]) == 0
         cdf = read_data_lines(tmp_path / "report" / "cdf.csv")
         assert len(cdf) == 1 + 64
+
+    def test_failed_row_formatting_process_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # A forked process formatting part of cdf.csv fails: exit 4, no
+        # traceback, and no child left behind.
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 8)
+        monkeypatch.setattr(sampling, "SHARE_MIN_BLOCKS", 2)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        parent, write_blocks = os.getpid(), sampling._write_blocks
+
+        def failing_in_children(handle, count, format_block):
+            def format_or_fail(start, stop):
+                if os.getpid() != parent:
+                    raise RuntimeError("formatting failed in a child")
+                return format_block(start, stop)
+            write_blocks(handle, count, format_or_fail)
+
+        monkeypatch.setattr(sampling, "_write_blocks", failing_in_children)
+        capsys.readouterr()
+        assert main(["uq", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "formatting process failed" in err and "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_sample_override_above_the_point_cap_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -759,6 +795,7 @@ MUTATION_VALUES = st.one_of(
     ),
     st.none(),
     st.lists(st.integers(-2, 3), max_size=2),
+    st.just([True]),
     st.integers(-(10**6), -1),
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
 )

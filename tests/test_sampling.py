@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pcekit.sampling import (
     rrmse,
     write_cdf_csv,
     write_histogram_csv,
+    write_rows,
 )
 import references
 
@@ -234,4 +237,94 @@ class TestCsvExports:
         expected, cdf = io.StringIO(), io.StringIO()
         references.write_cdf_csv(expected, names, ordered)
         write_cdf_csv(cdf, names, ordered)
+        assert cdf.getvalue() == expected.getvalue()
+
+
+def fail_in_children(format_block):
+    """format_block, raising in any process but this one."""
+    parent = os.getpid()
+
+    def format_or_fail(start, stop):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in a child")
+        return format_block(start, stop)
+
+    return format_or_fail
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBlockWriter:
+    """The row blocks of a table, formatted in contiguous shares: the first
+    in this process, each other one in a forked child."""
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("count", [11, 3], ids=["uneven-blocks", "below-one-block"])
+    @pytest.mark.parametrize("names", [["y"], ["a", "b,c"]], ids=["one-output", "comma-name"])
+    def test_bytes_match_the_references_at_every_share_count(
+        self, monkeypatch, shares, count, names
+    ):
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(sampling, "SHARE_MIN_BLOCKS", 1)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: shares)
+        rng = np.random.default_rng(count)
+        ordered = np.sort(rng.normal(size=(count, len(names))) * 1e3, axis=0)
+        expected, cdf = io.StringIO(), io.StringIO()
+        references.write_cdf_csv(expected, names, ordered)
+        write_cdf_csv(cdf, names, ordered)
+        assert cdf.getvalue() == expected.getvalue()
+
+        columns = [ordered[:, 0], np.arange(count), ordered[:, -1] / 7]
+        template = "x,%.17g,%d,%.17g\r\n"
+        expected, rows = io.StringIO(), io.StringIO()
+        references.write_rows(expected, template, columns)
+        write_rows(rows, template, columns)
+        assert rows.getvalue() == expected.getvalue()
+
+        expected, hist = io.StringIO(), io.StringIO()
+        references.write_histogram_csv(expected, names, ordered, 9)
+        write_histogram_csv(hist, names, ordered, 9)
+        assert hist.getvalue() == expected.getvalue()
+        assert_no_child_left()
+
+    def test_a_child_that_fails_raises_oserror_and_is_reaped(self, monkeypatch):
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(sampling, "SHARE_MIN_BLOCKS", 1)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="formatting process failed"):
+            sampling._write_blocks(io.StringIO(), 12, fail_in_children(lambda a, b: "row\n"))
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(sampling, "SHARE_MIN_BLOCKS", 1)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def format_block(start, stop):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child still formatting when this process is interrupted
+            raise KeyboardInterrupt
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sampling._write_blocks(io.StringIO(), 12, format_block)
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("blocks", [1, 2 * sampling.SHARE_MIN_BLOCKS - 1])
+    def test_too_few_blocks_for_two_shares_never_fork(self, monkeypatch, blocks):
+        def fork():
+            raise AssertionError("forked for a table too small to share")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        ordered = np.arange(1.0, 4 * blocks + 1)[:, None]
+        expected, cdf = io.StringIO(), io.StringIO()
+        references.write_cdf_csv(expected, ["y"], ordered)
+        write_cdf_csv(cdf, ["y"], ordered)
         assert cdf.getvalue() == expected.getvalue()

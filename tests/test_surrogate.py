@@ -665,6 +665,8 @@ class TestBlockPersistence:
         {"0,0,1": ["1", "2"]},              # a row one value short
         {"0,0,1": None},
         {"0,0,1": ["1", None, "2"]},
+        {"0,0,1": ["1", True, "2"]},        # True == 1, but not a number
+        {"0,0,1": [False, "2", "3"]},
         {"0,0,1": ["1", [2], "3"]},
         {"0,0,1": ["1", "x", "3"]},
         {"0,1": ["1", "2", "3"]},           # a key one field short

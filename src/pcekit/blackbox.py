@@ -25,19 +25,17 @@ the solver's input rows.  Every cache line carries a checksum, and corrupt
 lines are logged and treated as misses, never returned as data.  The
 checksum is the sha256 of the compact sorted-key JSON of the line's other
 three fields, and the cache writes each line in exactly that byte form
-followed by ',"checksum":"<hex>"}'.  On load, a line in that canonical form
-whose strings hold only printable ASCII other than the quote and the
-backslash is checked against its own text and read by slicing; any other
-line is parsed and re-rendered as JSON for the check, which accepts and
-rejects the same lines.  Fresh results are appended in batches as they
-complete (per external launch, per builtin batch), so a failed batch keeps
-what succeeded.  The cache location can be forced with the PCEKIT_CACHE
-environment variable.
+followed by ',"checksum":"<hex>"}'; every string in it is printable ASCII
+other than the quote and the backslash, and a fingerprint that is not is
+refused.  On load, only lines in that form are read, each checked against
+its own text and read by slicing; any other line is corrupt.  Fresh
+results are appended in batches as they complete (per external launch, per
+builtin batch), so a failed batch keeps what succeeded.  The cache
+location can be forced with the PCEKIT_CACHE environment variable.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
@@ -239,23 +237,15 @@ BUILTIN_MODELS: dict[str, Callable[[ModelSpec], Callable[[np.ndarray], np.ndarra
 }
 
 
-def _record_checksum(fingerprint: str, inputs: list[str], outputs: list[str]) -> str:
-    payload = json.dumps(
-        {"fingerprint": fingerprint, "inputs": inputs, "outputs": outputs},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 # A whole cache line, with its newline, in the form EvaluationCache.store
 # writes.  Its strings hold only printable ASCII other than the quote and the
 # backslash, which json.dumps renders as they stand, so group 1 (the text
 # before ',"checksum"') plus a closing brace is the line's checksum payload.
+# Any such string fills the checksum field: one not a digest is a mismatch.
 _PLAIN = r'[ !#-\[\]-~]*'
 _CANONICAL_LINE = re.compile(
     r'(\{"fingerprint":"(%s)","inputs":\["(%s(?:","%s)*)"\],"outputs":\["(%s(?:","%s)*)"\])'
-    r',"checksum":"([0-9a-f]{64})"\}\n?' % ((_PLAIN,) * 5)
+    r',"checksum":"(%s)"\}\n?' % ((_PLAIN,) * 6)
 )
 
 
@@ -303,60 +293,46 @@ class EvaluationCache:
         self._index: dict[str, dict[str, tuple[float, ...]]] = {}
         self.valid_lines = self.corrupt_lines = 0
         if self.path.exists():
-            self._load()
+            self._index, self.valid_lines, self.corrupt_lines = self._scan()
 
-    def _scan(self) -> tuple[dict[str, dict], int, list[tuple[int, Exception]]]:
+    def _scan(self) -> tuple[dict[str, dict], int, int]:
         """Read the file: the index of its valid lines (a later line wins a
-        repeated fingerprint and row), how many lines are valid, and (line
-        number, error) per corrupt line.
+        repeated fingerprint and row), and how many lines are valid and
+        corrupt; each corrupt line is logged with its number and error.
 
-        A line in the form store writes is checked against its own text;
-        any other line is parsed and its fields re-rendered as JSON for the
-        check.  A line that is not valid UTF-8 is corrupt: the file is read
-        with its undecodable bytes escaped, which no canonical line holds,
-        and the check of any other line decodes them again and fails.
+        A line, stripped of surrounding whitespace, is valid only if it is
+        in the form store writes (_CANONICAL_LINE), with the checksum of its
+        own text and outputs that float() reads; blank lines are skipped.
+        A line that is not valid UTF-8 is corrupt: the file is read with
+        its undecodable bytes escaped, which no line in that form holds.
         """
         index: dict[str, dict[str, tuple[float, ...]]] = {}
-        valid = 0
-        corrupt: list[tuple[int, Exception]] = []
+        valid = corrupt = 0
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
         with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
+                # A line as store writes it matches before any stripping.
                 match = canonical(line)
                 if match is None:
                     line = line.strip()
                     if not line:
                         continue
+                    match = canonical(line)
                 try:
-                    if match is not None:
-                        payload, fingerprint, inputs, outputs, checksum = match.groups()
-                        if sha256((payload + "}").encode()).hexdigest() != checksum:
-                            raise ValueError("checksum mismatch")
-                        row = inputs.replace('","', ",")
-                        outputs = outputs.split('","')
-                    else:
-                        # UnicodeDecodeError, a ValueError, on an escaped byte
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                        record = json.loads(line)
-                        fingerprint, inputs = record["fingerprint"], record["inputs"]
-                        outputs = record["outputs"]
-                        if _record_checksum(fingerprint, inputs, outputs) != record["checksum"]:
-                            raise ValueError("checksum mismatch")
-                        if not isinstance(fingerprint, str):
-                            raise TypeError("fingerprint is not a string")
-                        row = ",".join(inputs)
-                    index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs))
+                    if match is None:
+                        raise ValueError("not in the form the cache writes")
+                    payload, fingerprint, inputs, outputs, checksum = match.groups()
+                    if sha256((payload + "}").encode()).hexdigest() != checksum:
+                        raise ValueError("checksum mismatch")
+                    row = inputs.replace('","', ",")
+                    index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
                     valid += 1
-                except (ValueError, KeyError, TypeError) as exc:
-                    corrupt.append((lineno, exc))
+                except ValueError as exc:
+                    corrupt += 1
+                    message = "cache %s line %d is corrupt (%s); treating as a miss"
+                    _warn(message, self.path, lineno, exc)
         return index, valid, corrupt
-
-    def _load(self) -> None:
-        self._index, self.valid_lines, corrupt = self._scan()
-        self.corrupt_lines = len(corrupt)
-        for lineno, exc in corrupt:
-            _warn("cache %s line %d is corrupt (%s); treating as a miss", self.path, lineno, exc)
 
     def __len__(self) -> int:
         """The number of records, over every model."""
@@ -373,10 +349,14 @@ class EvaluationCache:
         out under the lock through one open of the file, in blocks of about
         STORE_BLOCK_CHARS characters.  A last line left without its newline
         by a write cut short is ended first, so that it stays one corrupt
-        line and the first new record is not joined onto it.
+        line and the first new record is not joined onto it.  A fingerprint
+        that the cache's line form cannot hold (see _PLAIN) raises ValueError.
         """
+        if not re.fullmatch(_PLAIN, fingerprint):
+            raise ValueError(f"fingerprint {fingerprint!r} holds a quote, a backslash "
+                             "or a character that is not printable ASCII")
         outputs = np.asarray(outputs, dtype=float)
-        head = '{"fingerprint":' + json.dumps(fingerprint) + ',"inputs":["'
+        head = '{"fingerprint":"' + fingerprint + '","inputs":["'
         tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
         values = [tuple(row) for row in outputs.tolist()]
         with self._lock, open(self.path, "a+b") as handle:

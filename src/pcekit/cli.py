@@ -3,7 +3,7 @@
 Every command reads one JSON config (see config.py) and writes its
 artifacts under the configured report directory, embedding the config hash
 and seed in each.  Exit codes: 0 success, 2 configuration error,
-3 numerical/model error, 4 I/O or file-format error.
+3 numerical/model error, 4 I/O or file-format error, 130 interrupted.
 
 With --reproducible, volatile content (timestamps, wall times, cache
 hit/miss counts) is kept out of the written artifacts, so repeated runs of
@@ -17,13 +17,25 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from pathlib import Path
 from typing import IO, Iterator
 
 from . import __version__
-from .errors import EXIT_IO, EXIT_OK, ConfigurationError, EvaluationError, PcekitError
+from .errors import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK
+from .errors import ConfigurationError, EvaluationError, PcekitError
+
+# The thread-pool variables of blackbox.THREAD_ENV_VARS, named without loading numpy.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# A BLAS thread count moves the last bits of the surrogate's sums.  So each
+# of these that the environment leaves unset is set to 1 on import, before
+# a command, or a harness that imports this module first, loads numpy; main
+# loads numpy and unsets them again, so solver launches get the environment
+# as given.
+_PINNED = [name for name in THREAD_ENV_VARS if name not in os.environ]
+os.environ.update(dict.fromkeys(_PINNED, "1"))
 
 
 def _append_log(cfg, line: str, volatile: str = "") -> None:
@@ -37,11 +49,13 @@ def _append_log(cfg, line: str, volatile: str = "") -> None:
 @contextlib.contextmanager
 def _report_file(cfg, name: str, *comments: str) -> Iterator[IO[str]]:
     """Report file `name`, open for writing in the config's report directory,
-    made if missing: utf-8, line ends as written, the comments first as
-    `# ...` lines."""
+    made if missing, and written whole or not at all (see
+    surrogate._replacing): the comments first as `# ...` lines."""
+    from .surrogate import _replacing
+
     report_dir = cfg.paths.report_dir
     report_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_dir / name, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(report_dir / name) as handle:
         handle.writelines(f"# {comment}\n" for comment in comments)
         yield handle
 
@@ -333,6 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    import numpy  # noqa: F401  (BLAS reads its thread count as it loads)
+
+    while _PINNED:  # a name set again since the import is left as set
+        name = _PINNED.pop()
+        if os.environ.get(name) == "1":
+            del os.environ[name]
     try:
         return args.func(args)
     except PcekitError as exc:
@@ -341,6 +361,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:  # solver groups are killed and writers reaped on the way
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from typing import Mapping
 
 from .errors import ConfigurationError
 from .multiindex import POINT_COUNT_CAP
-from .surrogate import FullGrid, InputVariable, SparseGrid
+from .surrogate import METHODS, FullGrid, InputVariable, SparseGrid
 
 BUILTIN = "builtin"
 EXTERNAL = "external"
@@ -255,13 +255,13 @@ def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
 
 def _parse_method(raw: dict) -> FullGrid | SparseGrid:
     kind = _expect(raw, "type", str, "method")
-    if kind == "full-grid":
-        _reject_unknown(raw, {"type", "order"}, "method")
-        return FullGrid(order=_int(_expect(raw, "order", object, "method"), "method.order"))
-    if kind == "sparse-grid":
-        _reject_unknown(raw, {"type", "level"}, "method")
-        return SparseGrid(level=_int(_expect(raw, "level", object, "method"), "method.level"))
-    raise ConfigurationError(f"method.type must be 'full-grid' or 'sparse-grid', got {kind!r}")
+    if kind not in METHODS:
+        raise ConfigurationError(
+            f"method.type must be {' or '.join(map(repr, METHODS))}, got {kind!r}"
+        )
+    method = METHODS[kind]
+    _reject_unknown(raw, {"type", method.key}, "method")
+    return method(_int(_expect(raw, method.key, object, "method"), f"method.{method.key}"))
 
 
 def _parse_validation(raw: dict) -> ValidationSettings:

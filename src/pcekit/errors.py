@@ -2,13 +2,14 @@
 
 Each error class carries the code the CLI exits with when it is raised:
 configuration problems exit with 2, numerical/model failures with 3, and
-I/O or file-format problems with 4.
+I/O or file-format problems with 4.  An interrupt exits with 130.
 """
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 
 class PcekitError(Exception):

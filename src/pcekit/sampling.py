@@ -147,7 +147,12 @@ def _write_blocks(handle: IO[str], count: int, format_block: Callable[[int, int]
             import tempfile
         for k in range(1, shares):
             spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            pids.append(os.fork())
+            # SIGINT is held over the fork, where an at-fork hook would print it.
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pids.append(os.fork())
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
             if pids[-1] == 0:
                 spools[-1].writelines(format_block(*b) for b in blocks[cuts[k]:cuts[k + 1]])
                 spools[-1].flush()

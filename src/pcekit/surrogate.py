@@ -29,13 +29,15 @@ internally; the black box is always called in physical units.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import IO, Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -58,15 +60,20 @@ CHUNK_BYTES = 8 * 2**20
 # Coefficient rows formatted per join by save.
 SAVE_BLOCK_ROWS = 4096
 
-FULL_GRID = "full-grid"
-SPARSE_GRID = "sparse-grid"
-
 
 @dataclass(frozen=True)
 class FullGrid:
     """Build method: full Gauss-Legendre grid serving order-p tensor neighbourhood."""
 
     order: int
+    type: ClassVar[str] = "full-grid"
+    key: ClassVar[str] = "order"
+
+    def fit(self, evaluate: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple:
+        from . import quadrature  # only a build needs grids
+
+        nbhd = multiindex.Neighborhood(multiindex.TENSOR_PRODUCT, self.order, dim)
+        return _project(nbhd, quadrature.full_grid(dim, self.order), evaluate)
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,21 @@ class SparseGrid:
     """Build method: sparse Clenshaw-Curtis grid serving level-l total-order neighbourhood."""
 
     level: int
+    type: ClassVar[str] = "sparse-grid"
+    key: ClassVar[str] = "level"
+
+    def fit(self, evaluate: Callable[[np.ndarray], np.ndarray], dim: int) -> tuple:
+        from . import quadrature
+
+        nbhd = multiindex.Neighborhood(multiindex.TOTAL_ORDER, self.level, dim)
+        return _project(nbhd, quadrature.sparse_grid(dim, self.level), evaluate)
+
+
+# The build methods by config "type".  Each holds its one parameter under
+# `key`; fit(evaluate, dim) calls evaluate at points in [-1, 1]^dim and
+# returns (kernel, coefficients, neighbourhood, meta), the kernel holding
+# the index array and meta the method's build_meta entries.
+METHODS = {method.type: method for method in (FullGrid, SparseGrid)}
 
 
 @dataclass(frozen=True)
@@ -190,6 +212,7 @@ class _SplitKronecker:
     """
 
     def __init__(self, index_array: np.ndarray) -> None:
+        self.indices = index_array
         self.split = (index_array.shape[1] + 1) // 2
         prefixes, self.term_a = _unique_rows(index_array[:, :self.split])
         suffixes, self.term_b = _unique_rows(index_array[:, self.split:])
@@ -383,21 +406,15 @@ class PceModel:
         )
 
 
-def _method_pieces(
-    method: FullGrid | SparseGrid, dim: int
-) -> tuple[multiindex.Neighborhood, quadrature.GridQuadrature, str, int]:
-    # Only a build needs grids, so only a build loads the quadrature module.
-    from . import quadrature
-
-    if isinstance(method, FullGrid):
-        nbhd = multiindex.Neighborhood(multiindex.TENSOR_PRODUCT, method.order, dim)
-        grid = quadrature.full_grid(dim, method.order)
-        return nbhd, grid, FULL_GRID, method.order
-    if isinstance(method, SparseGrid):
-        nbhd = multiindex.Neighborhood(multiindex.TOTAL_ORDER, method.level, dim)
-        grid = quadrature.sparse_grid(dim, method.level)
-        return nbhd, grid, SPARSE_GRID, method.level
-    raise ConfigurationError(f"unknown build method {method!r}")
+def _project(nbhd: multiindex.Neighborhood, grid: quadrature.GridQuadrature, evaluate) -> tuple:
+    """Quadrature projection onto nbhd of the values evaluate returns at the
+    grid's points: (kernel, coefficients, nbhd, meta), as METHODS' fit."""
+    indices = multiindex.index_array(nbhd)
+    outputs = evaluate(grid.points)
+    kernel = _SplitKronecker(indices)
+    projected = kernel.project(grid.points.T, grid.weights * outputs.T)
+    prefactor = np.prod((2.0 * indices + 1.0) / 2.0, axis=1)
+    return kernel, prefactor[:, None] * projected, nbhd, {"evaluation_count": len(grid)}
 
 
 def build_pce(
@@ -408,14 +425,14 @@ def build_pce(
     *,
     record_timestamp: bool = True,
 ) -> PceModel:
-    """Build a surrogate by quadrature projection against a black box.
+    """Build a surrogate with a build method (see METHODS) against a black box.
 
-    `model` is called once, with the full (points, dim) array of grid points
-    in physical units, and must return a (points, outputs) array (a 1D array
-    is accepted for a single output).  Evaluation failures raised by the
-    model propagate and abort the build; a non-finite output raises
-    EvaluationError naming the first point that produced one.  The grid
-    size is bounded by quadrature.POINT_COUNT_CAP.  The model's
+    `model` is called once, with the full (points, dim) array of the
+    method's points in physical units, and must return a (points, outputs)
+    array (a 1D array is accepted for a single output).  Evaluation failures
+    raised by the model propagate and abort the build; a non-finite output
+    raises EvaluationError naming the first point that produced one.  The
+    grid size is bounded by quadrature.POINT_COUNT_CAP.  The model's
     `fingerprint` attribute, if it has one, is recorded as its identity.
     """
     inputs = list(inputs)
@@ -426,43 +443,38 @@ def build_pce(
         raise ConfigurationError("at least one output name is required")
     _require_unique_names(inputs, output_names)
 
-    nbhd, grid, method_name, parameter = _method_pieces(method, len(inputs))
-    indices = multiindex.index_array(nbhd)
+    def evaluate(xi: np.ndarray) -> np.ndarray:
+        physical = unscale_points(xi, inputs)
+        outputs = np.asarray(model(physical), dtype=float)
+        if outputs.ndim == 1:
+            outputs = outputs[:, None]
+        if outputs.shape != (len(xi), len(output_names)):
+            raise ConfigurationError(
+                f"model returned shape {outputs.shape}, expected "
+                f"({len(xi)}, {len(output_names)})"
+            )
+        finite = np.isfinite(outputs).all(axis=1)
+        if not finite.all():
+            raise EvaluationError(
+                "model returned a non-finite value at point "
+                f"{physical[np.argmin(finite)].tolist()}"
+            )
+        return outputs
 
-    physical = unscale_points(grid.points, inputs)
-    outputs = np.asarray(model(physical), dtype=float)
-    if outputs.ndim == 1:
-        outputs = outputs[:, None]
-    if outputs.shape != (len(grid), len(output_names)):
-        raise ConfigurationError(
-            f"model returned shape {outputs.shape}, expected "
-            f"({len(grid)}, {len(output_names)})"
-        )
-    finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
-        raise EvaluationError(
-            "model returned a non-finite value at point "
-            f"{physical[np.argmin(finite)].tolist()}"
-        )
-
-    kernel = _SplitKronecker(indices)
-    projected = kernel.project(grid.points.T, grid.weights * outputs.T)
-    prefactor = np.prod((2.0 * indices + 1.0) / 2.0, axis=1)
-    coefficients = prefactor[:, None] * projected
-
+    kernel, coefficients, nbhd, meta = method.fit(evaluate, len(inputs))
     scale = np.max(np.abs(coefficients), axis=0)
     coefficients[np.abs(coefficients) < COEFFICIENT_SNAP * scale] = 0.0
 
     build_meta = {
-        "method": method_name,
-        "parameter": parameter,
-        "evaluation_count": len(grid),
+        "method": method.type,
+        "parameter": getattr(method, method.key),
+        **meta,
         "model_identity": getattr(model, "fingerprint", None),
         "timestamp": (
             _dt.datetime.now(_dt.timezone.utc).isoformat() if record_timestamp else None
         ),
     }
-    model = PceModel(inputs, output_names, nbhd, indices, coefficients, build_meta)
+    model = PceModel(inputs, output_names, nbhd, kernel.indices, coefficients, build_meta)
     model._kernel = kernel
     return model
 
@@ -474,7 +486,7 @@ def save(model: PceModel, dest) -> None:
     significant digits, which reproduce the doubles bit-for-bit on load.
     The text is json.dumps(document, indent=2) byte for byte; the
     coefficient table is formatted in blocks rather than through json.
-    `dest` is a path or an open text file.
+    `dest` is a path (written as _replacing writes) or an open text file.
     """
     head = {
         "schema": MODEL_SCHEMA,
@@ -507,8 +519,22 @@ def save(model: PceModel, dest) -> None:
     if hasattr(dest, "write"):
         dest.write(text)
     else:
-        with open(dest, "w", encoding="utf-8") as handle:
+        with _replacing(dest) as handle:
             handle.write(text)
+
+
+@contextlib.contextmanager
+def _replacing(path) -> Iterator[IO[str]]:
+    """A text file (utf-8, line ends as written) open at a temporary name in
+    path's directory: moved onto path once the block completes, removed if
+    it fails, so that path never holds a partial file."""
+    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -486,7 +486,7 @@ class TestBatchedCache:
         [7.0, 1.0 / 3.0, 5e-324, -1e-5],
     ])
 
-    @pytest.mark.parametrize("fingerprint", ["f" * 64, 'odd "fp" with \\, |, %s and é'])
+    @pytest.mark.parametrize("fingerprint", ["f" * 64, "odd fp with |, %s, [, ] and ~", ""])
     def test_store_lines_match_json_dumps(self, tmp_path, fingerprint):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points, outputs = self.VALUES[:, :3], self.VALUES[:, 1:]
@@ -502,6 +502,15 @@ class TestBatchedCache:
             reloaded.lookup(fingerprint, rows) == cache.lookup(fingerprint, rows)
             == list(map(tuple, outputs.tolist()))
         )
+
+    @pytest.mark.parametrize(
+        "fingerprint", ['a "quote"', "back\\slash", "é", "tab\there", "del\x7f"]
+    )
+    def test_store_refuses_a_fingerprint_its_lines_cannot_hold(self, tmp_path, fingerprint):
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        with pytest.raises(ValueError, match="not printable ASCII"):
+            cache.store(fingerprint, ["1"], np.array([[2.0]]))
+        assert not cache.path.exists() and cache.lookup(fingerprint, ["1"]) == [None]
 
     def test_rows_are_17_digit_renderings(self):
         rows = blackbox._render_rows(self.VALUES)
@@ -585,11 +594,43 @@ class TestBatchedCache:
         assert (box.fresh_count, box.cached_count) == (0, 2)
 
 
+NOT_IN_FORM = "not in the form the cache writes"
+STORE_KEYS = ["fingerprint", "inputs", "outputs", "checksum"]
+
+
+def plain(text):
+    """Whether text is a string of printable ASCII with no quote and no backslash."""
+    return isinstance(text, str) and all(" " <= c <= "~" and c not in '"\\' for c in text)
+
+
+def in_store_form(line):
+    """The record of a stripped line in the form EvaluationCache.store
+    writes, or None: the compact JSON rendering of an object with the four
+    keys in store's order, whose inputs and outputs are non-empty lists of
+    strings and whose every string is plain."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or list(record) != STORE_KEYS:
+        return None
+    if json.dumps(record, separators=(",", ":")) != line:
+        return None
+    lists = record["inputs"], record["outputs"]
+    if not all(isinstance(values, list) and values for values in lists):
+        return None
+    if not all(map(plain, [record["fingerprint"], record["checksum"], *lists[0], *lists[1]])):
+        return None
+    return record
+
+
 def reference_scan(path):
-    """The loader that parses every line and re-renders it with json.dumps
-    for the checksum: (index {fingerprint: {row: outputs}}, valid line count,
-    [(line number, error)]).
-    A line that is not valid UTF-8 is corrupt, with the decoding error."""
+    """The loader stated through json: (index {fingerprint: {row: outputs}},
+    valid line count, [(line number, error)]).
+
+    A stripped line is valid when it is in store's form (in_store_form),
+    its checksum is the sha256 of the compact sorted-key JSON of its other
+    three fields, and float() reads its outputs.  Blank lines are skipped."""
     index, valid, corrupt = {}, 0, []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -597,10 +638,10 @@ def reference_scan(path):
             if not line:
                 continue
             try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-                record = json.loads(line)
-                fingerprint, inputs = record["fingerprint"], record["inputs"]
-                outputs = record["outputs"]
+                record = in_store_form(line)
+                if record is None:
+                    raise ValueError(NOT_IN_FORM)
+                fingerprint, inputs, outputs = (record[key] for key in STORE_KEYS[:3])
                 payload = json.dumps(
                     {"fingerprint": fingerprint, "inputs": inputs, "outputs": outputs},
                     sort_keys=True,
@@ -608,12 +649,10 @@ def reference_scan(path):
                 )
                 if hashlib.sha256(payload.encode()).hexdigest() != record["checksum"]:
                     raise ValueError("checksum mismatch")
-                if not isinstance(fingerprint, str):
-                    raise TypeError("fingerprint is not a string")
                 row = ",".join(inputs)
                 index.setdefault(fingerprint, {})[row] = tuple(float(v) for v in outputs)
                 valid += 1
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
     return index, valid, corrupt
 
@@ -670,33 +709,37 @@ def fields(fingerprint=FP, inputs=("1",), outputs=("2",)):
 
 
 def corpus_lines():
-    """Cache lines of every kind the loader meets: as store writes
-    them, valid in another form, and corrupt."""
+    """Cache lines of every kind the loader meets: as store writes them, in
+    store's form but written otherwise, and corrupt."""
     points = np.array([[0.05, 100.0, 1.0 / 3.0], [-0.0, 5e-324, 1e300], [7.0, 8.0, 9.0]])
     outputs = np.array([[14.112115600976798, -2.5], [np.inf, 0.1], [1.0, 2.0]])
-    odd = 'odd "fp" with \\, |, %s and é'
     lines = []
-    for fingerprint in (FP, "fp", "", odd, "tab\there", "del\x7f"):
+    for fingerprint in (FP, "fp", ""):
         lines += store_lines(fingerprint, points, outputs)
     canonical = lines[0]
     pair = fields(inputs=("1", "2.5"), outputs=["3", "-4e-05"])
     lines += [
-        # valid in other forms: the checksum is of the re-rendered fields
-        record_line(pair, **COMPACT),  # the canonical form itself
+        # valid: store's form, written by json.dumps
+        record_line(pair, **COMPACT),
+        record_line(fields(inputs=("",)), **COMPACT),
+        record_line(fields(inputs=("1,2",)), **COMPACT),
+        record_line(fields(outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
+        "   " + canonical + "\t",
+        # a repeated key: the later line wins
+        record_line(fields(inputs=("1", "2.5"), outputs=["5", "6"]), **COMPACT),
+        # corrupt: JSON whose checksum is that of its re-rendered fields, but
+        # not in store's form (the loader read these before it read only
+        # that form; store never wrote them)
         record_line(pair),  # default separators, with spaces
         json.dumps({"checksum": json.loads(record_line(pair))["checksum"], **pair}, **COMPACT),
         json.dumps({**json.loads(record_line(pair)), "extra": 1}, **COMPACT),
         record_line(fields("é"), ensure_ascii=False, **COMPACT),
+        record_line(fields("é"), **COMPACT),  # escaped as \u00e9
+        record_line(fields('odd "fp" with \\'), **COMPACT),
         record_line(fields(inputs=()), **COMPACT),
-        record_line(fields(inputs=("",)), **COMPACT),
-        record_line(fields(inputs=("1,2",)), **COMPACT),
         record_line(fields(outputs=[2.5, 3]), **COMPACT),
-        record_line(fields(outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
-        "   " + canonical + "\t",
         # an escaped backslash, whose own text is its re-rendering
         rehashed(canonical.replace(FP, "\\\\", 1)),
-        # a repeated key: the later line wins
-        record_line(fields(inputs=("1", "2.5"), outputs=["5", "6"]), **COMPACT),
         # corrupt: checksums of the line's own text where that differs
         # from the re-rendered fields
         rehashed(json.dumps({"inputs": ["1"], "fingerprint": FP, "outputs": ["2"],
@@ -732,7 +775,7 @@ class TestLoaderDifferential:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert_loads_like_reference(path, caplog)
         index, valid, corrupt = reference_scan(path)
-        assert valid > 20 and len(corrupt) > 15  # the corpus holds both kinds
+        assert valid == 15 and len(corrupt) == 26  # the corpus holds both kinds
         # CRLF endings, a stray carriage return and no final newline
         path.write_text("\r\n".join(lines) + "\r" + lines[0], encoding="utf-8", newline="")
         assert_loads_like_reference(path, caplog)
@@ -750,7 +793,7 @@ class TestLoaderDifferential:
         assert_loads_like_reference(path, caplog)
         index, valid, corrupt = reference_scan(path)
         assert valid == 12 and [lineno for lineno, _ in corrupt] == [4, 5, 6, 7, 17]
-        assert all("can't decode" in error for _, error in corrupt)
+        assert all(error == NOT_IN_FORM for _, error in corrupt)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -2,9 +2,11 @@ import csv
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -12,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcekit import blackbox, sampling, surrogate
-from pcekit.blackbox import BlackBoxModel
+from pcekit import blackbox, cli, sampling, surrogate
+from pcekit.blackbox import BlackBoxModel, EvaluationCache
 from pcekit.cli import main
 from pcekit.config import load_config
 from pcekit.quadrature import POINT_COUNT_CAP
 from pcekit.sampling import latin_hypercube
 from pcekit.surrogate import unscale_points
+
+from test_blackbox import thread_echo, usable_cores
 
 
 def base_doc():
@@ -472,6 +476,35 @@ class TestUq:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+    def test_interrupt_exits_130_and_leaves_no_partial_file(self, tmp_path, group):
+        # SIGINT, to the process or (as Ctrl-C sends it) its whole group,
+        # once cdf.csv is being written: exit 130, no traceback, no partial
+        # or temporary file, no child left.
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        report = tmp_path / "report"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pcekit.cli", "uq", "--config", str(config),
+             "--samples", "1000000"],
+            env={**os.environ, "PYTHONPATH": SRC}, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(report.glob(".cdf.csv.*")) and time.monotonic() < deadline:
+                assert proc.poll() is None
+                time.sleep(0.01)
+            (os.killpg if group else os.kill)(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert "error: interrupted" in err and "Traceback" not in err
+        assert {path.name for path in report.iterdir()} == {"run.log", "uq_summary.txt"}
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     def test_sample_override_above_the_point_cap_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         main(["build", "--config", str(config)])
@@ -555,6 +588,51 @@ class TestGridCommand:
 
     def test_bad_level_is_config_error(self, capsys):
         assert main(["grid", "--dim", "2", "--sparse", "9"]) == 2
+
+
+def without_thread_vars(**extra):
+    """This process's environment without the thread variables, with extra
+    and with the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_ENV_VARS}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
+
+class TestThreads:
+    def test_importing_the_cli_sets_one_blas_thread_until_main_loads_numpy(self, tmp_path):
+        code = (
+            "import json, os, sys, pcekit.cli as cli\n"
+            "seen = lambda: [os.environ.get(name) for name in cli.THREAD_ENV_VARS]\n"
+            "before = seen()\n"
+            "cli.main(['grid', '--dim', '1', '--full', '1', '--out', sys.argv[1]])\n"
+            "print(json.dumps([before, seen()]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "grid.csv")],
+            env=without_thread_vars(MKL_NUM_THREADS="3"), check=True, capture_output=True,
+            text=True,
+        ).stdout
+        # set where unset before numpy loads; as it was once main has loaded it
+        assert json.loads(out.splitlines()[-1]) == [["1", "1", "3"], [None, None, "3"]]
+        assert cli.THREAD_ENV_VARS == blackbox.THREAD_ENV_VARS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_launches_get_the_environment_as_given(self, tmp_path, workers):
+        # The solver echoes the thread variables it sees; -1 for unset.
+        spec = thread_echo(tmp_path)
+        config = write_config(
+            tmp_path,
+            model={"kind": "external", "command": list(spec.command)},
+            inputs=[{"name": name, "min": 0.0, "max": 1.0} for name in spec.input_names],
+            outputs=list(spec.output_names),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "pcekit.cli", "build", "--config", str(config),
+             "--workers", str(workers)],
+            env=without_thread_vars(), check=True, capture_output=True,
+        )
+        share = -1.0 if workers == 1 else float(max(1, usable_cores() // 2))
+        seen = EvaluationCache(tmp_path / "cache.jsonl")._index.values()
+        assert {values for rows in seen for values in rows.values()} == {(share,) * 3}
 
 
 class TestCacheCommand:

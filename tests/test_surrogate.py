@@ -486,6 +486,19 @@ class TestPersistence:
         restored = load(path)
         assert np.array_equal(restored.coefficients, base.coefficients)
 
+    def test_a_failed_write_leaves_the_file_it_replaces(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("old")
+        with pytest.raises(KeyboardInterrupt):
+            with surrogate._replacing(path) as handle:
+                handle.write("partial")
+                raise KeyboardInterrupt
+        assert path.read_text() == "old" and [p.name for p in tmp_path.iterdir()] == [path.name]
+        model = self.build_small()
+        save(model, path)
+        assert load(path) == model
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_truncated_file(self, tmp_path):
         model = self.build_small()
         path = tmp_path / "model.json"

@@ -12,6 +12,13 @@ still go to stdout.
 
 Each command imports the modules it runs when it runs, so that sobol, for
 one, loads neither the quadrature nor the sampling module.
+
+The process entry point, run(), ends the process with os._exit once main()
+returns, skipping the interpreter's teardown.  Nothing is left for it to
+do: every file is written inside `with` or surrogate._replacing, solver
+threads are joined, solver and formatting processes are reaped, and pcekit
+registers no atexit handler.  Keep it so.  main(argv) only returns its
+exit code.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NoReturn
 
 from . import __version__
 from .errors import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK
@@ -202,7 +209,7 @@ def cmd_uq(args: argparse.Namespace) -> int:
 
     qs = cfg.report.percentiles
     labels = ["Sample minimum", *(f"{_ordinal(q)} percentile" for q in qs), "Sample maximum"]
-    empirical = [ordered[0], *sampling.percentile_values(ordered, qs), ordered[-1]]
+    empirical = [ordered[0], *sampling._sorted_percentiles(ordered, qs), ordered[-1]]
     rows = [("Mean", model.mean(), "Analytic"), ("Standard deviation", model.std_dev(), "Analytic")]
     rows += [(label, values, "Empirical") for label, values in zip(labels, empirical)]
 
@@ -346,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    import numpy  # noqa: F401  (BLAS reads its thread count as it loads)
-
-    while _PINNED:  # a name set again since the import is left as set
-        name = _PINNED.pop()
-        if os.environ.get(name) == "1":
-            del os.environ[name]
     try:
+        args = build_parser().parse_args(argv)
+        import numpy  # noqa: F401  (BLAS reads its thread count as it loads)
+
+        while _PINNED:  # a name set again since the import is left as set
+            name = _PINNED.pop()
+            if os.environ.get(name) == "1":
+                del os.environ[name]
         return args.func(args)
     except PcekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -366,5 +373,34 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
+def run() -> NoReturn:
+    """Run main() on the command line and end the process with its exit
+    code, without interpreter teardown (see the module docstring).  SIGINT
+    is blocked once main returns, so a Ctrl-C after the work is done keeps
+    the exit code; a stdout or stderr that cannot be flushed turns a
+    success into exit 4."""
+    import signal
+
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        code = exc.code
+    while True:  # a SIGINT that landed as main returned raises here; the next pass masks
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            break
+        except KeyboardInterrupt:
+            pass
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: no such descriptor
+        try:
+            stream.flush()
+        except OSError as exc:  # a reader that closed the pipe, a full disk
+            if code == EXIT_OK:
+                code = EXIT_IO
+                with contextlib.suppress(OSError):
+                    print(f"error: {exc}", file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

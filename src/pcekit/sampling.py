@@ -96,10 +96,15 @@ def percentile_values(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     along the first axis: one row per q, one column per column of samples.
 
     The values of np.percentile(method="linear", axis=0), computed as it
-    computes them, from the sorted samples; np.percentile itself loads
-    numpy.ma.
+    computes them, from a sorted copy of the samples; np.percentile itself
+    loads numpy.ma.
     """
-    x = np.sort(np.asarray(samples, dtype=float), axis=0)
+    return _sorted_percentiles(np.sort(np.asarray(samples, dtype=float), axis=0), qs)
+
+
+def _sorted_percentiles(x: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """percentile_values of samples already sorted along the first axis,
+    read from them in place."""
     h = (len(x) - 1) * (np.asarray(qs, dtype=float) / 100)
     lo = np.floor(h).astype(np.intp)
     below, above = x[lo], x[np.minimum(lo + 1, len(x) - 1)]

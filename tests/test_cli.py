@@ -1,11 +1,14 @@
+import atexit
 import csv
 import importlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -635,6 +638,112 @@ class TestThreads:
         assert {values for rows in seen for values in rows.values()} == {(share,) * 3}
 
 
+# Calls cli.run() with stdout's flush wrapped to send SIGINT to this very
+# process first: a Ctrl-C that lands once the command's work is done.
+SIGINT_AT_FLUSH = """
+import os, signal, sys
+import pcekit.cli as cli
+flush = sys.stdout.flush
+def interrupting_flush():
+    os.kill(os.getpid(), signal.SIGINT)
+    flush()
+sys.stdout.flush = interrupting_flush
+cli.run()
+"""
+
+# An external solver of two inputs: their sum and their product.
+SUM_AND_PRODUCT = (
+    "import csv, sys\n"
+    "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
+    "print('y1,y2')\n"
+    "for r in rows:\n"
+    "    print(f'{float(r[0]) + float(r[1])!r},{float(r[0]) * float(r[1])!r}')\n"
+)
+
+
+class TestProcessEnd:
+    """run() ends the process without interpreter teardown, which is only
+    safe while teardown would have nothing left to do."""
+
+    @pytest.mark.parametrize("command, unbuffered", [
+        ("sobol", False), ("sobol", True), ("grid", False), ("grid", True), ("help", False),
+    ])
+    def test_closed_stdout_exits_4(self, tmp_path, command, unbuffered):
+        # sobol's few lines and the help text fail only at run()'s flush
+        # when stdout is buffered; grid's many rows fail inside main either
+        # way.  (Unbuffered, argparse drops its failed help write itself.)
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        argv = {"sobol": ["sobol", "--config", str(config)],
+                "grid": ["grid", "--dim", "4", "--full", "10"], "help": ["--help"]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pcekit.cli", *argv], env={**env, "PYTHONPATH": SRC},
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+    def test_interrupt_after_main_returns_keeps_the_exit_code(self, tmp_path):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        proc = subprocess.run(
+            [sys.executable, "-c", SIGINT_AT_FLUSH, "uq", "--config", str(config),
+             "--samples", "5000"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "" and "uq summary over 5000" in proc.stdout
+        report = tmp_path / "report"
+        names = {"run.log", "uq_summary.txt", "cdf.csv", "hist.csv"}
+        assert {path.name for path in report.iterdir()} == names
+        assert len(read_data_lines(report / "cdf.csv")) == 1 + 5000
+        assert read_data_lines(report / "run.log")[-1].startswith("uq samples=5000 ")
+
+    def test_teardown_would_have_nothing_to_do(self, tmp_path, monkeypatch):
+        # After main returns from each command: no thread but this one, no
+        # child left to reap, no batch or temporary file, no atexit handler.
+        solver = tmp_path / "solver.py"
+        solver.write_text(SUM_AND_PRODUCT)
+        config = write_config(
+            tmp_path,
+            model={"kind": "external", "command": [sys.executable, str(solver)]},
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}, {"name": "b", "min": 0.0, "max": 1.0}],
+            outputs=["y1", "y2"],
+        )
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        monkeypatch.setattr(atexit, "register", mock.Mock(side_effect=AssertionError))
+        # uq's 200000-row tables are formatted by forked writers on any CPU count
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for argv in (["build", "--workers", "2"], ["validate", "--workers", "2"],
+                     ["uq", "--samples", "200000"]):
+            code = main([*argv, "--config", str(config)])
+            assert type(code) is int and code == 0  # and this process goes on
+            assert threading.active_count() == 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert list(temp.iterdir()) == []
+            assert list(tmp_path.rglob(".*.tmp")) == []
+        assert forks and atexit.register.call_count == 0
+
+    def test_console_script_is_run(self):
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        targets = re.findall(r'^pcekit\s*=\s*"([\w.]+):(\w+)"', pyproject.read_text(), re.M)
+        assert targets == [("pcekit.cli", "run")]
+        assert callable(cli.run)
+
+
 class TestCacheCommand:
     def test_verify_pristine(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -700,13 +809,7 @@ class TestReproducibility:
         # Each launch's chunk is committed as it returns, so the cache holds
         # the same lines in either order; the model file is byte-identical.
         solver = tmp_path / "solver.py"
-        solver.write_text(
-            "import csv, sys\n"
-            "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
-            "print('y1,y2')\n"
-            "for r in rows:\n"
-            "    print(f'{float(r[0]) + float(r[1])!r},{float(r[0]) * float(r[1])!r}')\n"
-        )
+        solver.write_text(SUM_AND_PRODUCT)
         config = write_config(
             tmp_path,
             model={"kind": "external", "command": [sys.executable, str(solver)]},

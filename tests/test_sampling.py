@@ -168,6 +168,16 @@ class TestSummaries:
         for j in range(3):
             assert np.array_equal(percentile_values(samples[:, j], qs), expected[:, j])
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (101,), (3000,), (1, 2), (101, 3)])
+    def test_sorted_percentiles_match_numpy_exactly(self, shape):
+        # uq's helper reads sorted samples in place; numpy sorts its own copy.
+        rng = np.random.Generator(np.random.PCG64(len(shape) * 1000 + shape[0]))
+        samples = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        qs = [0, 1, 10, 25, 33.3, 50, 75, 90, 99.9, 100]
+        expected = np.percentile(samples, qs, axis=0, method="linear")
+        ordered = np.sort(samples, axis=0)
+        assert np.array_equal(sampling._sorted_percentiles(ordered, qs), expected)
+
 
 class TestDistributionTables:
     def test_two_bins(self):

@@ -297,8 +297,19 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and version text that cannot be written to stdout raises its
+    OSError, which argparse drops, to exit 4 as a command's output does."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:  # usage errors keep exit 2 with stderr gone
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcekit",
         description="Polynomial chaos surrogates for black-box models: "
         "build, validate, quantify uncertainty, rank sensitivities.",

@@ -74,26 +74,28 @@ def index_array(nbhd: Neighborhood) -> np.ndarray:
     """All members of the neighbourhood as a (terms, dim) int64 array, each
     exactly once, in graded-lex order.
 
-    The count is checked against the cap before anything is allocated.  Rows
-    are built one dimension at a time: each prefix is repeated once per
+    The count is checked against the cap before anything is allocated.
+    Members grow one dimension at a time: each prefix gets one child per
     degree it still allows in the next dimension (order + 1 for a tensor
-    product, order - sum + 1 for total order), so no intermediate array is
-    larger than the result.  One stable lexsort by (total degree, then
-    lex) puts them in order.
+    product, order - sum + 1 for total order).  Keeping only each child's
+    parent and degree makes the work linear in dim; the rows are read back
+    from the last children up and put in order by one stable lexsort.
     """
     count = cardinality(nbhd)
-    rows = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
+    steps = []  # per dimension: each child's parent and its degree there
     for _ in range(nbhd.dim):
-        if nbhd.kind == TOTAL_ORDER:
-            room = nbhd.order + 1 - sums
-        else:
-            room = np.full(len(rows), nbhd.order + 1, dtype=np.int64)
-        starts = np.cumsum(room) - room
-        degrees = np.arange(int(room.sum()), dtype=np.int64) - np.repeat(starts, room)
-        rows = np.column_stack([np.repeat(rows, room, axis=0), degrees])
-        sums = np.repeat(sums, room) + degrees
-    assert len(rows) == count
+        room = nbhd.order + 1 - sums * (nbhd.kind == TOTAL_ORDER)
+        parent = np.repeat(np.arange(len(sums)), room)
+        degrees = np.arange(len(parent)) - (np.cumsum(room) - room)[parent]
+        steps.append((parent, degrees))
+        sums = sums[parent] + degrees
+    assert len(sums) == count
+    rows = np.empty((count, nbhd.dim), dtype=np.int64)
+    member = np.arange(count)  # each row's ancestor in the set being read
+    for j, (parent, degrees) in reversed(list(enumerate(steps))):
+        rows[:, j] = degrees[member]
+        member = parent[member]
     return rows[np.lexsort(tuple(rows.T[::-1]) + (sums,))]
 
 

@@ -12,15 +12,16 @@ Two 1D families are provided:
 
 Multi-dimensional grids are either full tensor products of Gauss-Legendre
 rules or Smolyak sparse combinations of the nested Clenshaw-Curtis rules.
-The sparse combination at level l sums signed tensor rules over the shells
-l+1 <= |k|_1 <= l+N with coefficient (-1)^(l+N-|k|_1) * C(N-1, l+N-|k|_1);
-it integrates every polynomial whose term orders lie in the total-order
-neighbourhood of order 2l + 1 exactly.  Nesting puts every node it uses on
-the level-(l+1) rule, so the grid lives on that rule's integer lattice
-(Gerstner & Griebel 1998): the tensor points are expanded as arrays of
-mixed-radix lattice keys and coincident points merged by key, never by
-comparing floats.  Sparse-grid weights can be negative; that is expected and
-not an error.
+The sparse combination at level l sums signed tensor rules of levels e + 1
+over the excess rows e >= 0 whose gap g = l - |e|_1 lies in [0, N), with
+coefficient (-1)^g * C(N-1, g); it integrates every polynomial whose term
+orders lie in the total-order neighbourhood of order 2l + 1 exactly.
+Nesting puts every node it uses on the level-(l+1) rule, so the grid lives
+on that rule's integer lattice (Gerstner & Griebel 1998): tensor points are
+expanded as mixed-radix lattice keys, merged by key, never by comparing
+floats, and decoded to lattice rows as a full grid's points are.  Weights
+can be negative; one past the float range (tensor weights reach 2^N) is a
+configuration error.
 """
 from __future__ import annotations
 
@@ -76,9 +77,6 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
         raise ConfigurationError(
             f"Gauss-Legendre node count must be in [1, {MAX_GAUSS_NODES}], got {n}"
         )
-    if n == 1:
-        return QuadratureRule1D(np.array([0.0]), np.array([2.0]))
-
     half = (n + 1) // 2
     i = np.arange(1, half + 1, dtype=float)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))  # descending, all > 0 except a center ~0
@@ -96,18 +94,8 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
     else:  # pragma: no cover - Newton on Legendre roots converges in < 10 steps
         raise ConfigurationError(f"Gauss-Legendre iteration failed to converge for n={n}")
     w = 2.0 / ((1.0 - x * x) * deriv * deriv)
-
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    pairs = n // 2
-    nodes[:pairs] = -x[:pairs]
-    weights[:pairs] = w[:pairs]
-    nodes[n - pairs:] = x[:pairs][::-1]
-    weights[n - pairs:] = w[:pairs][::-1]
-    if n % 2 == 1:
-        nodes[pairs] = 0.0
-        weights[pairs] = w[half - 1]
-    return QuadratureRule1D(nodes, weights)
+    pairs = n // 2  # x descends, so -x[:pairs] ascends below 0
+    return _mirrored(-x[:pairs], w[:pairs], w[pairs:half])
 
 
 def cc_node_count(level: int) -> int:
@@ -139,8 +127,6 @@ def clenshaw_curtis_1d(level: int) -> QuadratureRule1D:
 
     m = count - 1  # number of intervals, a power of two
     j = np.arange(m // 2 + 1)
-    half_nodes = -np.cos(j * np.pi / m)
-    half_nodes[-1] = 0.0
 
     # w_j = (c_j / m) (1 - sum_i b_i cos(2 i j pi / m) / (4 i^2 - 1)),
     # b_i = 1 at i = m/2 else 2, c_j = 1 at the endpoints else 2.
@@ -149,18 +135,23 @@ def clenshaw_curtis_1d(level: int) -> QuadratureRule1D:
     cosine_sum = np.cos(2.0 * np.outer(j, i) * np.pi / m) @ (b / (4.0 * i * i - 1.0))
     half_weights = (2.0 / m) * (1.0 - cosine_sum)
     half_weights[0] /= 2.0  # endpoint
-
-    nodes = np.concatenate([half_nodes[:-1], [0.0], -half_nodes[:-1][::-1]])
-    weights = np.concatenate([half_weights[:-1], [half_weights[-1]], half_weights[:-1][::-1]])
-    return QuadratureRule1D(nodes, weights)
+    return _mirrored(-np.cos(j * np.pi / m)[:-1], half_weights[:-1], half_weights[-1:])
 
 
+def _mirrored(below: np.ndarray, weights: np.ndarray, centre: np.ndarray) -> QuadratureRule1D:
+    """The rule of ascending nodes `below` 0 and their weights, mirrored about
+    a node at exactly 0.0 of weight `centre` (one value, or none)."""
+    nodes = np.concatenate([below, np.zeros(len(centre)), -below[::-1]])
+    return QuadratureRule1D(nodes, np.concatenate([weights, centre, weights[::-1]]))
+
+
+@np.errstate(over="ignore")  # an overflowing weight is rejected below
 def full_grid(dim: int, order: int) -> GridQuadrature:
     """Tensor product of (order + 1)-node Gauss-Legendre rules in each dimension.
 
     Has exactly (order + 1)^dim points and integrates every polynomial whose
     term orders lie in the tensor-product neighbourhood of order
-    2 * order + 1 exactly.  Points are in ascending lexicographic order.
+    2 * order + 1 exactly.  Points ascend in lex order: point i is at i's base-(order + 1) digits.
     """
     if dim < 1:
         raise ConfigurationError(f"grid dimension must be >= 1, got {dim}")
@@ -172,26 +163,24 @@ def full_grid(dim: int, order: int) -> GridQuadrature:
             f"above the cap of {POINT_COUNT_CAP}"
         )
     rule = gauss_legendre_1d(n1)
-    coord_grids = np.meshgrid(*([rule.nodes] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in coord_grids], axis=1)
-    weight_grids = np.meshgrid(*([rule.weights] * dim), indexing="ij")
+    lattice = _decode(np.arange(count), np.zeros((1, 0), dtype=np.int64), n1, dim)
     weights = np.ones(count)
-    for g in weight_grids:
-        weights *= g.ravel()
-    return GridQuadrature(dim, points, weights)
+    for column in lattice.T:
+        weights *= rule.weights[column]
+    if not np.isfinite(weights).all():
+        raise ConfigurationError(f"full grid weights pass the float range in dimension {dim}")
+    return GridQuadrature(dim, rule.nodes[lattice], weights)
 
 
 def _tensor_point_count(dim: int, level: int) -> int:
-    """Points summed over the Smolyak tensor terms, before merging: the
-    coefficients of (sum_k n_k x^k)^dim over the shells, in exact integers."""
-    per_level = [0] + [cc_node_count(k) for k in range(1, level + 2)]
-    ways = [1]
+    """Points summed over the Smolyak tensor terms, before merging, in exact
+    integers: the coefficients of x^s, level - dim < s <= level, in
+    (sum_e n_(e+1) x^e)^dim, the powers above level dropped as they come."""
+    per_excess = [cc_node_count(e + 1) for e in range(level + 1)]
+    ways = [1] + [0] * level
     for _ in range(dim):
-        ways = [
-            sum(ways[s - k] * n for k, n in enumerate(per_level) if 0 <= s - k < len(ways))
-            for s in range(len(ways) + level + 1)
-        ]
-    return sum(ways[level + 1:level + dim + 1])
+        ways = [sum(ways[s - e] * per_excess[e] for e in range(s + 1)) for s in range(level + 1)]
+    return sum(ways[max(level - dim + 1, 0):])
 
 
 def _decode(keys: np.ndarray, prefixes: np.ndarray, radix: int, width: int) -> np.ndarray:
@@ -202,6 +191,7 @@ def _decode(keys: np.ndarray, prefixes: np.ndarray, radix: int, width: int) -> n
     return np.hstack([prefixes[keys], digits])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in full_grid
 def sparse_grid(dim: int, level: int) -> GridQuadrature:
     """Smolyak sparse grid over nested Clenshaw-Curtis rules, on an integer lattice.
 
@@ -233,28 +223,28 @@ def sparse_grid(dim: int, level: int) -> GridQuadrature:
             f"points before merging, above the cap of {POINT_COUNT_CAP}"
         )
 
-    # Row k: the level-k rule's node count, lattice positions and weights.
-    rules = [clenshaw_curtis_1d(k) for k in range(1, level + 2)]
+    # Row e: the level-(e + 1) rule's node count, lattice positions and weights.
+    rules = [clenshaw_curtis_1d(e + 1) for e in range(level + 1)]
     radix = len(rules[-1])
-    counts = np.array([0] + [len(rule) for rule in rules])
-    lattice = np.zeros((level + 2, radix), dtype=np.int64)
-    weight_table = np.zeros((level + 2, radix))
-    for k, rule in enumerate(rules, start=1):
-        lattice[k, :len(rule)] = np.searchsorted(rules[-1].nodes, rule.nodes)
-        weight_table[k, :len(rule)] = rule.weights
+    counts = np.array([len(rule) for rule in rules])
+    lattice = np.zeros((level + 1, radix), dtype=np.int64)
+    weight_table = np.zeros((level + 1, radix))
+    for e, rule in enumerate(rules):
+        lattice[e, :len(rule)] = np.searchsorted(rules[-1].nodes, rule.nodes)
+        weight_table[e, :len(rule)] = rule.weights
 
-    # The tensor terms' level vectors k >= 1 with level < |k| <= level + dim,
-    # shell by shell and lexicographic within one: k - 1 runs over the
-    # total-order set of order `level` in graded-lex order.
-    members = multiindex.index_array(multiindex.Neighborhood(multiindex.TOTAL_ORDER, level, dim))
-    levels = members[members.sum(axis=1) > level - dim] + 1
-    gap = level + dim - levels.sum(axis=1)
-    coefficients = np.array([(-1.0) ** g * math.comb(dim - 1, g) for g in range(dim)])
+    # The tensor terms' excess rows e (rule levels e + 1), shell by shell
+    # and lexicographic within one: the total-order rows of order `level`
+    # whose gap level - |e| is below dim.
+    excess = multiindex.index_array(multiindex.Neighborhood(multiindex.TOTAL_ORDER, level, dim))
+    gap = level - excess.sum(axis=1)
+    excess, gap = excess[gap < dim], gap[gap < dim]
+    coefficients = np.array([(-1.0) ** g * math.comb(dim - 1, g) for g in range(gap.max() + 1)])
 
     # Each row splits into one per node of its term's rule in the next
     # dimension, the last dimension fastest, as in a product over the axes.
-    term, weight = np.arange(len(levels)), coefficients[gap]
-    keys = np.zeros(len(levels), dtype=np.int64)
+    term, weight = np.arange(len(excess)), coefficients[gap]
+    keys = np.zeros(len(excess), dtype=np.int64)
     prefixes = np.zeros((1, 0), dtype=np.int64)  # the lattice rows key ranks stand for
     bound = 1  # every key is below it
     for j in range(dim):
@@ -263,19 +253,21 @@ def sparse_grid(dim: int, level: int) -> GridQuadrature:
             unique, keys = np.unique(keys, return_inverse=True)
             prefixes = _decode(unique, prefixes, radix, j - prefixes.shape[1])
             keys, bound = keys.ravel(), len(unique)
-        n = counts[levels[term, j]]
+        n = counts[excess[term, j]]
         parent = np.repeat(np.arange(len(term)), n)
         local = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n, n)
         term = term[parent]
-        k = levels[term, j]
-        weight = weight[parent] * weight_table[k, local]
-        keys = keys[parent] * radix + lattice[k, local]
+        e = excess[term, j]
+        weight = weight[parent] * weight_table[e, local]
+        keys = keys[parent] * radix + lattice[e, local]
         bound *= radix
-    del term, parent, local, k  # only keys and weights go on to the merge
+    del term, parent, local, e  # only keys and weights go on to the merge
 
     unique, inverse = np.unique(keys, return_inverse=True)
     merged = np.zeros(len(unique))
     np.add.at(merged, inverse.ravel(), weight)
+    if not np.isfinite(merged).all():
+        raise ConfigurationError(f"sparse grid weights pass the float range in dimension {dim}")
     points = rules[-1].nodes[_decode(unique, prefixes, radix, dim - prefixes.shape[1])]
     return GridQuadrature(dim, points, merged)
 

@@ -30,7 +30,14 @@ from .surrogate import PceModel
 VARIANCE_FLOOR = 1e-300
 
 
-def _variance_or_raise(model: PceModel) -> np.ndarray:
+def _variance_by_pattern(model: PceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active-variable patterns present in the model, the variance of each,
+    and each output's total variance, which must exceed VARIANCE_FLOOR.
+
+    Terms are grouped by the variables they are active on (degree > 0);
+    row k of the (patterns, outputs) table sums c_i^2 * prod 1/(2 i_j + 1)
+    over the terms active exactly on patterns[k].
+    """
     variance = model.variance()
     for name, value in zip(model.output_names, variance):
         if not value > VARIANCE_FLOOR:
@@ -38,20 +45,10 @@ def _variance_or_raise(model: PceModel) -> np.ndarray:
                 f"output {name!r} has (near-)zero variance {value}; "
                 "sensitivity indices are undefined"
             )
-    return variance
-
-
-def _variance_by_pattern(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Active-variable patterns present in the model, and the variance of each.
-
-    Terms are grouped by the variables they are active on (degree > 0);
-    row k of the (patterns, outputs) table sums c_i^2 * prod 1/(2 i_j + 1)
-    over the terms active exactly on patterns[k].
-    """
     patterns, group = np.unique(model.indices > 0, axis=0, return_inverse=True)
     table = np.zeros((len(patterns), len(model.output_names)))
     np.add.at(table, group.ravel(), model.basis_norms()[:, None] * model.coefficients**2)
-    return patterns, table
+    return patterns, table, variance
 
 
 def _normalize_subset(model: PceModel, subset: Iterable[int]) -> tuple[int, ...]:
@@ -80,8 +77,7 @@ def sobol_index(model: PceModel, subset: Iterable[int], output: str | None = Non
     vector across all outputs.
     """
     positions = _normalize_subset(model, subset)
-    variance = _variance_or_raise(model)
-    patterns, table = _variance_by_pattern(model)
+    patterns, table, variance = _variance_by_pattern(model)
     exact = (patterns == np.isin(np.arange(model.dim), positions)).all(axis=1)
     values = table[exact].sum(axis=0) / variance
     return _output_column(model, output, values)
@@ -96,8 +92,7 @@ def total_index(model: PceModel, subset: int | Iterable[int], output: str | None
     if isinstance(subset, (int, np.integer)):
         subset = (int(subset),)
     positions = _normalize_subset(model, subset)
-    variance = _variance_or_raise(model)
-    patterns, table = _variance_by_pattern(model)
+    patterns, table, variance = _variance_by_pattern(model)
     values = table[patterns[:, list(positions)].all(axis=1)].sum(axis=0) / variance
     return _output_column(model, output, values)
 
@@ -206,8 +201,7 @@ def full_report(model: PceModel, max_subset_size: int) -> SobolReport:
         raise ConfigurationError(
             f"max subset size must be in [1, {model.dim}], got {max_subset_size}"
         )
-    variance = _variance_or_raise(model)
-    patterns, table = _variance_by_pattern(model)
+    patterns, table, variance = _variance_by_pattern(model)
     shares = table / variance
     by_subset = {tuple(np.flatnonzero(pattern)): row for pattern, row in zip(patterns, shares)}
     absent = np.zeros(len(model.output_names))

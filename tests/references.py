@@ -5,6 +5,7 @@ import numpy as np
 
 from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.polybasis import DEGREE_CAP
+from pcekit.quadrature import cc_node_count, gauss_legendre_1d
 
 
 def legendre_eval(n, x, *, degree_cap=DEGREE_CAP):
@@ -25,6 +26,32 @@ def legendre_eval(n, x, *, degree_cap=DEGREE_CAP):
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1) * arr * cur - k * prev) / (k + 1)
     return float(cur[0]) if scalar else cur
+
+
+def meshgrid_full_grid(dim, order):
+    """Points and weights of the full Gauss-Legendre grid through np.meshgrid:
+    one array per axis, raveled with the last axis fastest."""
+    rule = gauss_legendre_1d(order + 1)
+    coord_grids = np.meshgrid(*([rule.nodes] * dim), indexing="ij")
+    points = np.stack([g.ravel() for g in coord_grids], axis=1)
+    weights = np.ones((order + 1) ** dim)
+    for g in np.meshgrid(*([rule.weights] * dim), indexing="ij"):
+        weights *= g.ravel()
+    return points, weights
+
+
+def tensor_point_count(dim, level):
+    """Points summed over the Smolyak tensor terms before merging: the
+    coefficients of (sum_k n_k x^k)^dim on the shells level+1..level+dim,
+    every power of the product kept."""
+    per_level = [0] + [cc_node_count(k) for k in range(1, level + 2)]
+    ways = [1]
+    for _ in range(dim):
+        ways = [
+            sum(ways[s - k] * n for k, n in enumerate(per_level) if 0 <= s - k < len(ways))
+            for s in range(len(ways) + level + 1)
+        ]
+    return sum(ways[level + 1:level + dim + 1])
 
 
 def integrate(grid, f):

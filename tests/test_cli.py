@@ -592,6 +592,37 @@ class TestGridCommand:
     def test_bad_level_is_config_error(self, capsys):
         assert main(["grid", "--dim", "2", "--sparse", "9"]) == 2
 
+    def test_wide_order_zero_grid(self, capsys):
+        # one point with 33 coordinates (np.meshgrid takes at most 32 arrays)
+        assert main(["grid", "--dim", "33", "--full", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [",".join(["0"] * 33 + [str(2**33)])]
+
+    @pytest.mark.parametrize("family, size", [("sparse", "1"), ("full", "0")])
+    def test_weights_past_the_float_range_exit_2(self, family, size):
+        # in 1100 dimensions the tensor weights reach 2^1100; a subprocess,
+        # so that a numpy warning would show on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcekit.cli", "grid", "--dim", "1100", f"--{family}", size],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {family} grid weights pass the float range in dimension 1100"
+        ]
+
+    def test_wide_order_zero_build(self, tmp_path):
+        names = [f"x{j}" for j in range(33)]
+        config = write_config(
+            tmp_path,
+            model={"kind": "builtin", "name": "constant", "parameters": {"values": [1.5]}},
+            inputs=[{"name": name, "min": 0.0, "max": 1.0} for name in names],
+            outputs=["y"], method={"type": "full-grid", "order": 0},
+        )
+        assert main(["build", "--config", str(config)]) == 0
+        assert "evaluations=1" in (tmp_path / "report" / "run.log").read_text()
+        assert surrogate.load(tmp_path / "model.json").coefficients.tolist() == [[1.5]]
+
 
 def without_thread_vars(**extra):
     """This process's environment without the thread variables, with extra
@@ -667,15 +698,18 @@ class TestProcessEnd:
 
     @pytest.mark.parametrize("command, unbuffered", [
         ("sobol", False), ("sobol", True), ("grid", False), ("grid", True), ("help", False),
+        ("help", True), ("version", False), ("version", True), ("build-help", False),
+        ("build-help", True),
     ])
     def test_closed_stdout_exits_4(self, tmp_path, command, unbuffered):
-        # sobol's few lines and the help text fail only at run()'s flush
-        # when stdout is buffered; grid's many rows fail inside main either
-        # way.  (Unbuffered, argparse drops its failed help write itself.)
+        # sobol's few lines and argparse's texts fail only at run()'s flush
+        # when stdout is buffered, and inside main when it is not; grid's
+        # many rows fail inside main either way.
         config = write_config(tmp_path)
         main(["build", "--config", str(config)])
         argv = {"sobol": ["sobol", "--config", str(config)],
-                "grid": ["grid", "--dim", "4", "--full", "10"], "help": ["--help"]}[command]
+                "grid": ["grid", "--dim", "4", "--full", "10"], "help": ["--help"],
+                "version": ["--version"], "build-help": ["build", "--help"]}[command]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -690,6 +724,19 @@ class TestProcessEnd:
             os.close(write)
         assert proc.returncode == 4
         assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+    def test_usage_error_with_closed_stderr_exits_2(self):
+        # only stdout writes raise: a usage error has nowhere to go, and keeps 2
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pcekit.cli", "build"], stdout=subprocess.PIPE,
+                stderr=write, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2 and proc.stdout == b""
 
     def test_interrupt_after_main_returns_keeps_the_exit_code(self, tmp_path):
         config = write_config(tmp_path)

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pcekit.quadrature import (
     GridQuadrature,
     write_grid_csv,
 )
-from references import integrate
+from references import integrate, meshgrid_full_grid, tensor_point_count
 
 
 def monomial_integral(degree):
@@ -171,6 +172,24 @@ class TestFullGrid:
         with pytest.raises(ConfigurationError, match="cap"):
             full_grid(6, 30)
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_bit_identical_to_meshgrid(self, dim):
+        for order in range(0, 7):
+            points, weights = meshgrid_full_grid(dim, order)
+            grid = full_grid(dim, order)
+            assert grid.points.flags.c_contiguous
+            assert grid.points.shape == points.shape
+            assert grid.points.tobytes() == points.tobytes()
+            assert grid.weights.tobytes() == weights.tobytes()
+
+    def test_weights_past_the_float_range(self):
+        # one point with weight 2^dim: finite at 1023 inputs, not at 1024
+        assert full_grid(1023, 0).weights.tolist() == [2.0**1023]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="float range in dimension 1024"):
+                full_grid(1024, 0)
+
 
 class TestSparseGrid:
     def test_known_point_counts(self):
@@ -292,6 +311,15 @@ class TestLatticeSparseGrid:
         monkeypatch.setattr(quadrature, "POINT_COUNT_CAP", 101_574)
         with pytest.raises(ConfigurationError, match="101575 tensor points .* cap of 101574"):
             sparse_grid(8, 5)
+
+    @pytest.mark.parametrize("dim", range(1, 31))
+    def test_tensor_point_count_equals_whole_polynomial_count(self, dim):
+        for level in range(1, 12):
+            assert quadrature._tensor_point_count(dim, level) == tensor_point_count(dim, level)
+
+    def test_level_one_count_in_many_dimensions(self):
+        # the centre term and one three-point term per axis: 3 * dim + 1
+        assert quadrature._tensor_point_count(5000, 1) == 15_001
 
     def test_cap_is_checked_before_allocating(self):
         tracemalloc.start()

@@ -199,31 +199,34 @@ def cmd_uq(args: argparse.Namespace) -> int:
     count = args.samples if args.samples is not None else cfg.report.uq_samples
     if not 2 <= count <= config.POINT_COUNT_CAP:
         raise ConfigurationError(f"uq needs 2 to {config.POINT_COUNT_CAP} samples, got {count}")
-    model = _load_model(cfg, args.model)
+    with sampling.rank_column(count) as ranks:  # forks a helper for a large table
+        model = _load_model(cfg, args.model)
 
-    design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
-    started = time.perf_counter()
-    ordered = model.evaluate_scaled(design.points)
-    elapsed = time.perf_counter() - started
-    ordered.sort(axis=0)  # in place: each output's samples, sorted
+        design = sampling.latin_hypercube(count, model.dim, 1, cfg.validation.seed)
+        started = time.perf_counter()
+        ordered = model.evaluate_scaled(design.points)
+        elapsed = time.perf_counter() - started
+        ordered.sort(axis=0)  # in place: each output's samples, sorted
 
-    qs = cfg.report.percentiles
-    labels = ["Sample minimum", *(f"{_ordinal(q)} percentile" for q in qs), "Sample maximum"]
-    empirical = [ordered[0], *sampling._sorted_percentiles(ordered, qs), ordered[-1]]
-    rows = [("Mean", model.mean(), "Analytic"), ("Standard deviation", model.std_dev(), "Analytic")]
-    rows += [(label, values, "Empirical") for label, values in zip(labels, empirical)]
+        qs = cfg.report.percentiles
+        labels = ["Sample minimum", *(f"{_ordinal(q)} percentile" for q in qs), "Sample maximum"]
+        empirical = [ordered[0], *sampling._sorted_percentiles(ordered, qs), ordered[-1]]
+        rows = [("Mean", model.mean(), "Analytic"),
+                ("Standard deviation", model.std_dev(), "Analytic")]
+        rows += [(label, values, "Empirical") for label, values in zip(labels, empirical)]
 
-    names = list(model.output_names)
-    cells = [["Statistic"] + names + ["Derivation"]]
-    for label, numbers, derivation in rows:
-        cells.append([label] + [f"{v:.6g}" for v in numbers] + [derivation])
-    widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
-    comments = (*_stamp(cfg), f"samples={count} generator=PCG64")
-    with _report_file(cfg, "uq_summary.txt", *comments) as handle:
-        for row in cells:
-            handle.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-    with _report_file(cfg, "cdf.csv", *comments) as handle:
-        sampling.write_cdf_csv(handle, names, ordered)
+        names = list(model.output_names)
+        cells = [["Statistic"] + names + ["Derivation"]]
+        for label, numbers, derivation in rows:
+            cells.append([label] + [f"{v:.6g}" for v in numbers] + [derivation])
+        widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
+        comments = (*_stamp(cfg), f"samples={count} generator=PCG64")
+        with _report_file(cfg, "uq_summary.txt", *comments) as handle:
+            for row in cells:
+                line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                handle.write(line.rstrip() + "\n")
+        with _report_file(cfg, "cdf.csv", *comments) as handle:
+            sampling.write_cdf_csv(handle, names, ordered, ranks)
     with _report_file(cfg, "hist.csv", *comments) as handle:
         sampling.write_histogram_csv(handle, names, ordered, cfg.report.histogram_bins)
 
@@ -374,14 +377,14 @@ def main(argv=None) -> int:
                 del os.environ[name]
         return args.func(args)
     except PcekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        message, code = exc, exc.exit_code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        message, code = exc, EXIT_IO
     except KeyboardInterrupt:  # solver groups are killed and writers reaped on the way
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        message, code = "interrupted", EXIT_INTERRUPTED
+    with contextlib.suppress(OSError):  # a stderr that cannot take it: the code tells
+        print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> NoReturn:

@@ -163,7 +163,7 @@ def full_grid(dim: int, order: int) -> GridQuadrature:
             f"above the cap of {POINT_COUNT_CAP}"
         )
     rule = gauss_legendre_1d(n1)
-    lattice = _decode(np.arange(count), np.zeros((1, 0), dtype=np.int64), n1, dim)
+    lattice = _decode(np.arange(count), n1, dim)
     weights = np.ones(count)
     for column in lattice.T:
         weights *= rule.weights[column]
@@ -183,12 +183,18 @@ def _tensor_point_count(dim: int, level: int) -> int:
     return sum(ways[max(level - dim + 1, 0):])
 
 
-def _decode(keys: np.ndarray, prefixes: np.ndarray, radix: int, width: int) -> np.ndarray:
-    """Lattice rows of keys made of a prefix rank and `width` base-radix digits."""
-    digits = np.empty((len(keys), width), dtype=np.int64)
-    for column in range(width - 1, -1, -1):
-        keys, digits[:, column] = np.divmod(keys, radix)
-    return np.hstack([prefixes[keys], digits])
+def _decode(keys: np.ndarray, radix: int, width: int, rankings=()) -> np.ndarray:
+    """Lattice rows, `width` wide, of keys of base-radix digits over a rank.
+    Keys hold the digits from the column of the last (table, column) pair of
+    `rankings` on, and their rank indexes its table, whose keys are decoded
+    the same way against the pair before; below the first, the rank is 0."""
+    rows = np.empty((len(keys), width), dtype=np.int64)
+    for table, start in [*reversed(rankings), (None, 0)]:
+        for column in range(width - 1, start - 1, -1):
+            keys, rows[:, column] = np.divmod(keys, radix)
+        if table is not None:
+            keys, width = table[keys], start
+    return rows
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in full_grid
@@ -245,13 +251,13 @@ def sparse_grid(dim: int, level: int) -> GridQuadrature:
     # dimension, the last dimension fastest, as in a product over the axes.
     term, weight = np.arange(len(excess)), coefficients[gap]
     keys = np.zeros(len(excess), dtype=np.int64)
-    prefixes = np.zeros((1, 0), dtype=np.int64)  # the lattice rows key ranks stand for
+    rankings = []  # (ranked keys, j): later keys, digits from j on over a rank into them
     bound = 1  # every key is below it
     for j in range(dim):
         if bound * radix > np.iinfo(np.int64).max:
             # Another digit would overflow: rank the keys, keeping order.
             unique, keys = np.unique(keys, return_inverse=True)
-            prefixes = _decode(unique, prefixes, radix, j - prefixes.shape[1])
+            rankings.append((unique, j))
             keys, bound = keys.ravel(), len(unique)
         n = counts[excess[term, j]]
         parent = np.repeat(np.arange(len(term)), n)
@@ -268,7 +274,7 @@ def sparse_grid(dim: int, level: int) -> GridQuadrature:
     np.add.at(merged, inverse.ravel(), weight)
     if not np.isfinite(merged).all():
         raise ConfigurationError(f"sparse grid weights pass the float range in dimension {dim}")
-    points = rules[-1].nodes[_decode(unique, prefixes, radix, dim - prefixes.shape[1])]
+    points = rules[-1].nodes[_decode(unique, radix, dim, rankings)]
     return GridQuadrature(dim, points, merged)
 
 

@@ -6,16 +6,18 @@ interpolation between order statistics at position h = (n - 1) q + 1 (the
 widespread "type 7" convention); the choice is deliberate and recorded here
 because goldens depend on it.
 
-Tables of at least 2 x SHARE_MIN_BLOCKS blocks of CSV_BLOCK_ROWS rows are
-formatted on every usable CPU, by forked processes writing to spool files
-(unlinked temporaries under TMPDIR); the bytes are the same at any CPU count.
+Tables are formatted a block of CSV_BLOCK_ROWS rows per % call.  Tables of
+at least 2 x SHARE_MIN_BLOCKS blocks are formatted on every usable CPU, by
+forked processes writing to spool files (unlinked temporaries under TMPDIR),
+and cdf.csv's probability column can be formatted by a forked helper before
+its values exist (rank_column); the bytes are the same at any CPU count.
 """
 from __future__ import annotations
 
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,8 @@ CSV_BLOCK_ROWS = 4096
 # output made uq slower (the fork, its copy-on-write faults and the wait
 # outweighed the second CPU), while 64k rows formatted about 40% faster.
 SHARE_MIN_BLOCKS = 8
+# Bytes per line of cumulative-probability text: row r's is at RANK_RECORD * r.
+RANK_RECORD = 23
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,10 @@ def latin_hypercube(strata: int, dim: int, repeats: int = 1, seed: int = 0) -> L
         block = points[r * strata:(r + 1) * strata]
         for j in range(dim):
             cells = rng.permutation(strata)
-            offsets = rng.random(strata)
-            block[:, j] = -1.0 + 2.0 * (cells + offsets) / strata
+            np.add(cells, rng.random(strata), out=block[:, j])
+    points *= 2.0  # -1 + 2 (cells + offsets) / strata, the same bits, in place
+    points /= strata
+    points += -1.0
     return LhsDesign(points)
 
 
@@ -134,23 +140,36 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _write_blocks(handle: IO[str], count: int, format_block: Callable[[int, int], str]) -> None:
-    """Write format_block(start, stop) for the blocks of CSV_BLOCK_ROWS of
-    `count` rows, in order, in one contiguous share of at least
-    SHARE_MIN_BLOCKS blocks per usable CPU: forked children format every
-    share but the first into spools, copied in once they exit.  A failed
-    child raises OSError; every way out kills and reaps the children not
+def _blocks(count: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of each block of CSV_BLOCK_ROWS of `count` rows."""
+    return [(s, min(s + CSV_BLOCK_ROWS, count)) for s in range(0, count, CSV_BLOCK_ROWS)]
+
+
+def _share_count(count: int) -> int:
+    """One share per usable CPU, each of at least SHARE_MIN_BLOCKS blocks, or one."""
+    return min(_usable_cpus(), len(_blocks(count)) // SHARE_MIN_BLOCKS) or 1
+
+
+@contextlib.contextmanager
+def _forked(works: Sequence[Callable[[IO[str]], object]]) -> Iterator[tuple[list, Callable]]:
+    """Fork a child per work, which runs work(spool) into a spool of its own
+    (an unlinked temporary under TMPDIR) and exits; yield the spools and
+    reap(), which waits for the oldest child not yet reaped and raises
+    OSError if it failed.  Every way out kills and reaps the children not
     yet reaped."""
-    blocks = [(s, min(s + CSV_BLOCK_ROWS, count)) for s in range(0, count, CSV_BLOCK_ROWS)]
-    shares = min(_usable_cpus(), len(blocks) // SHARE_MIN_BLOCKS) or 1
-    cuts = [len(blocks) * k // shares for k in range(shares + 1)]
     parent, pids, spools = os.getpid(), [], []
+
+    def reap() -> None:
+        status = os.waitpid(pids[0], 0)[1]
+        del pids[0]
+        if status:
+            raise OSError(f"a CSV row formatting process failed (wait status {status})")
+
     try:
-        if shares > 1:  # only a table split into shares loads these
-            import shutil
+        if works:  # only a table split into shares loads these
             import signal
             import tempfile
-        for k in range(1, shares):
+        for work in works:
             spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
             # SIGINT is held over the fork, where an at-fork hook would print it.
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -159,17 +178,10 @@ def _write_blocks(handle: IO[str], count: int, format_block: Callable[[int, int]
             finally:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
             if pids[-1] == 0:
-                spools[-1].writelines(format_block(*b) for b in blocks[cuts[k]:cuts[k + 1]])
+                work(spools[-1])
                 spools[-1].flush()
                 os._exit(0)
-        handle.writelines(format_block(*b) for b in blocks[:cuts[1]])
-        for spool in spools:
-            status = os.waitpid(pids[0], 0)[1]
-            del pids[0]
-            if status:
-                raise OSError(f"a CSV row formatting process failed (wait status {status})")
-            spool.seek(0)
-            shutil.copyfileobj(spool, handle)
+        yield spools, reap
     finally:
         if os.getpid() != parent:  # a child that failed: no traceback, no flush
             os._exit(1)
@@ -181,33 +193,92 @@ def _write_blocks(handle: IO[str], count: int, format_block: Callable[[int, int]
             spool.close()
 
 
+def _write_blocks(handle: IO[str], count: int, format_block: Callable[[int, int], str]) -> None:
+    """Write format_block(start, stop) for the blocks of `count` rows, in
+    order, in _share_count(count) shares: forked children format every
+    share but the first into spools, copied in once they exit."""
+    blocks, shares = _blocks(count), _share_count(count)
+    cuts = [len(blocks) * k // shares for k in range(shares + 1)]
+    works = [lambda spool, share=blocks[cuts[k]:cuts[k + 1]]:
+             spool.writelines(format_block(*b) for b in share) for k in range(1, shares)]
+    with _forked(works) as (spools, reap):
+        handle.writelines(format_block(*b) for b in blocks[:cuts[1]])
+        for spool in spools:
+            import shutil
+
+            reap()
+            spool.seek(0)
+            shutil.copyfileobj(spool, handle)
+
+
+def _fill(template: str, columns: Sequence[list]) -> str:
+    """Rows of a block's equal-length columns through one %-template: the
+    template repeated once per row, filled by one % call."""
+    cells: list = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j::len(columns)] = column
+    return template * len(columns[0]) % tuple(cells)
+
+
 def write_rows(handle: IO[str], template: str, columns: Sequence[np.ndarray]) -> None:
     """Rows of equal-length columns through one %-template, in blocks of
     CSV_BLOCK_ROWS rows, so no table of Python objects outlives a block."""
     def format_block(start: int, stop: int) -> str:
-        block = [column[start:stop].tolist() for column in columns]
-        return "".join([template % row for row in zip(*block)])
+        return _fill(template, [column[start:stop].tolist() for column in columns])
 
     _write_blocks(handle, len(columns[0]), format_block)
 
 
-def write_cdf_csv(handle: IO[str], names: Sequence[str], ordered: np.ndarray) -> None:
+def _rank_text(start: int, stop: int, count: int) -> str:
+    """The cumulative probabilities k/count of rows start to stop - 1
+    (k = row + 1) in %.17g, each padded to a line of RANK_RECORD bytes: with
+    count within the point cap, no text is longer than 22 characters (0.000
+    and 17 digits, or 17 digits, a point and e-0x)."""
+    ranks = (np.arange(start + 1, stop + 1) / count).tolist()
+    return "%-22.17g\n" * len(ranks) % tuple(ranks)
+
+
+@contextlib.contextmanager
+def rank_column(count: int) -> Iterator[Callable[[], Callable[[int, int], str]] | None]:
+    """For a table that will be split into shares, fork a helper that spools
+    every block's _rank_text while the caller draws and evaluates the
+    samples, and yield a function that reaps it and returns a reader of the
+    texts of rows start to stop - 1 by os.pread, at no shared file offset;
+    otherwise yield None: write_cdf_csv formats the texts as it goes."""
+    if _share_count(count) < 2:
+        yield None
+        return
+    texts = (_rank_text(start, stop, count) for start, stop in _blocks(count))  # in the helper
+    with _forked([lambda spool: spool.writelines(texts)]) as ([spool], reap):
+        def read_back() -> Callable[[int, int], str]:
+            reap()
+            return lambda start, stop: os.pread(
+                spool.fileno(), RANK_RECORD * (stop - start), RANK_RECORD * start).decode()
+
+        yield read_back
+
+
+def write_cdf_csv(
+    handle: IO[str], names: Sequence[str], ordered: np.ndarray,
+    ranks: Callable[[], Callable[[int, int], str]] | None = None,
+) -> None:
     """Per output: a value column and a cumulative-probability column.
 
     `ordered` holds each output's samples sorted, one column per name; the
     k-th of n values sits at cumulative probability k/n, one column shared
-    by every output, formed and formatted once per block.  Cells use 17
+    by every output, whose texts come from `ranks`, yielded by
+    rank_column(n), or are formatted here, once per block.  Cells use 17
     significant digits and rows end in CRLF as csv.writer's do.
     """
     count = len(ordered)
     handle.write(_csv_row(sum(([f"{n}_value", f"{n}_cumulative_probability"] for n in names), [])))
     template = ",".join(["%.17g,%s"] * len(names)) + "\r\n"
+    rank_text = ranks() if ranks else lambda start, stop: _rank_text(start, stop, count)
 
     def format_block(start: int, stop: int) -> str:
-        ranks = (np.arange(start + 1, stop + 1) / count).tolist()
-        text = ("%.17g\n" * len(ranks) % tuple(ranks)).split("\n")
-        columns = sum(([column, text] for column in ordered[start:stop].T.tolist()), [])
-        return "".join([template % row for row in zip(*columns)])
+        text = rank_text(start, stop).split()
+        values = ordered[start:stop].T.tolist()
+        return _fill(template, sum(([column, text] for column in values), []))
 
     _write_blocks(handle, count, format_block)
 

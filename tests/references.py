@@ -68,6 +68,20 @@ def integrate(grid, f):
     return float(values @ grid.weights)
 
 
+def latin_hypercube(strata, dim, repeats, seed):
+    """Latin hypercube points, each column formed and scaled on its own as
+    the draws come: per design and dimension a permutation of the strata,
+    then an offset in each."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    points = np.empty((strata * repeats, dim))
+    for r in range(repeats):
+        for j in range(dim):
+            cells = rng.permutation(strata)
+            offsets = rng.random(strata)
+            points[r * strata:(r + 1) * strata, j] = -1.0 + 2.0 * (cells + offsets) / strata
+    return points
+
+
 def write_cdf_csv(handle, names, ordered):
     """cdf.csv cell by cell through csv.writer: per output its sorted values
     and their cumulative probabilities k/n, each formatted on its own."""

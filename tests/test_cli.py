@@ -1,6 +1,7 @@
 import atexit
 import csv
 import importlib
+import io
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from pcekit import blackbox, cli, sampling, surrogate
 from pcekit.blackbox import BlackBoxModel, EvaluationCache
 from pcekit.cli import main
 from pcekit.config import load_config
+from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.quadrature import POINT_COUNT_CAP
 from pcekit.sampling import latin_hypercube
 from pcekit.surrogate import unscale_points
@@ -682,6 +684,27 @@ sys.stdout.flush = interrupting_flush
 cli.run()
 """
 
+# uq whose evaluation is interrupted by a SIGINT to the whole process group,
+# as Ctrl-C sends it, while the helper formats cdf.csv's probability column.
+SIGINT_WHILE_EVALUATING = """
+import os, signal, time
+import pcekit.cli as cli
+from pcekit import surrogate
+def evaluate(self, points):
+    os.killpg(0, signal.SIGINT)
+    time.sleep(60)
+surrogate.PceModel.evaluate_scaled = evaluate
+cli.run()
+"""
+
+
+class BrokenPipe(io.TextIOBase):
+    """A stream whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 # An external solver of two inputs: their sum and their product.
 SUM_AND_PRODUCT = (
     "import csv, sys\n"
@@ -737,6 +760,85 @@ class TestProcessEnd:
         finally:
             os.close(write)
         assert proc.returncode == 2 and proc.stdout == b""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["grid", "--dim", "0", "--full", "1"], 2), (["build", "--config", "missing.json"], 4),
+    ], ids=["config-error", "io-error"])
+    def test_error_with_closed_stderr_keeps_the_exit_code(self, tmp_path, argv, code):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pcekit.cli", *argv], stdout=subprocess.PIPE,
+                stderr=write, env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == code and proc.stdout == b""
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigurationError("bad"), 2), (EvaluationError("bad"), 3), (OSError("bad"), 4),
+        (KeyboardInterrupt(), 130),
+    ], ids=["config", "evaluation", "io", "interrupt"])
+    def test_every_error_line_that_stderr_refuses_keeps_the_exit_code(
+        self, monkeypatch, error, code
+    ):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_grid", fail)
+        monkeypatch.setattr(sys, "stderr", BrokenPipe())
+        assert main(["grid", "--dim", "1", "--full", "1"]) == code
+
+    @pytest.mark.parametrize("error, code", [(None, 0), (EvaluationError("diverged"), 3),
+                                             (KeyboardInterrupt(), 130)],
+                             ids=["success", "evaluation-error", "interrupt"])
+    def test_large_uq_leaves_no_process_thread_or_spool(self, tmp_path, monkeypatch, error, code):
+        # The helper that formats cdf.csv's probability column is forked
+        # before the model is loaded, and one share child once the samples
+        # are sorted; a failure in between kills and reaps the helper.
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        if error is not None:
+            def evaluate(self, points):
+                time.sleep(0.05)  # the helper is still formatting
+                raise error
+
+            monkeypatch.setattr(surrogate.PceModel, "evaluate_scaled", evaluate)
+        assert main(["uq", "--config", str(config), "--samples", "200000"]) == code
+        assert len(forks) == (2 if error is None else 1)
+        assert threading.active_count() == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(temp.iterdir()) == []
+        reports = {path.name for path in (tmp_path / "report").iterdir()}
+        written = {"uq_summary.txt", "cdf.csv", "hist.csv"} if error is None else set()
+        assert reports == {"run.log"} | written
+
+    def test_sigint_to_the_group_while_evaluating_leaves_no_process(self, tmp_path):
+        config = write_config(tmp_path)
+        main(["build", "--config", str(config)])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SIGINT_WHILE_EVALUATING, "uq", "--config", str(config),
+             "--samples", "200000"],
+            env={**os.environ, "PYTHONPATH": SRC}, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["error: interrupted"]
+        assert {path.name for path in (tmp_path / "report").iterdir()} == {"run.log"}
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
     def test_interrupt_after_main_returns_keeps_the_exit_code(self, tmp_path):
         config = write_config(tmp_path)
@@ -920,6 +1022,10 @@ class TestStartup:
         assert "pcekit.sobol" not in build and "pcekit.sampling" not in build
         # the config checks builtin names without the module that evaluates models
         assert "pcekit.blackbox" not in uq and "pcekit.blackbox" not in sobol
+        # below the size whose tables are split into shares, uq forks no
+        # helper and loads nothing for one: only forking adds a module
+        shared = loaded_modules(tmp_path, "uq", "--config", config, "--samples", "70000")
+        assert shared - uq <= {"signal"}
         assert "pcekit.blackbox" in build
         # np.percentile loads numpy.ma on numpy 2; numpy 1 loads it with numpy
         code = "import sys, numpy; print('numpy.ma' in sys.modules)"

@@ -286,8 +286,9 @@ class TestLatticeSparseGrid:
     @pytest.mark.parametrize(
         "dim,level",
         [(d, l) for d in range(1, 7) for l in range(1, min(3 * d, 6) + 1)]
-        # wide grids whose lattice keys outgrow one int64 and get ranked
-        + [(40, 1), (28, 2)],
+        # wide grids whose lattice keys outgrow one int64 and get ranked,
+        # once and (80, 1) and (60, 2) twice
+        + [(40, 1), (28, 2), (80, 1), (60, 2)],
     )
     def test_bit_identical_to_dict_merge(self, dim, level):
         points, weights = dict_merge_sparse_grid(dim, level)

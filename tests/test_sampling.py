@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcekit import sampling
+from pcekit.quadrature import GridQuadrature, write_grid_csv
 from pcekit.sampling import (
     latin_hypercube,
     percentile_values,
@@ -60,6 +61,12 @@ class TestLatinHypercube:
         assert np.array_equal(a.points, b.points)
         c = latin_hypercube(16, 5, repeats=3, seed=100)
         assert not np.array_equal(a.points, c.points)
+
+    @pytest.mark.parametrize("shape", [(10, 8, 300), (200000, 4, 1), (1, 1, 1), (7, 3, 5),
+                                       (3000, 6, 1)])
+    def test_bit_identical_to_scaling_each_column_as_drawn(self, shape):
+        points = latin_hypercube(*shape, seed=11).points
+        assert points.tobytes() == references.latin_hypercube(*shape, seed=11).tobytes()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -282,10 +289,13 @@ class TestBlockWriter:
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: shares)
         rng = np.random.default_rng(count)
         ordered = np.sort(rng.normal(size=(count, len(names))) * 1e3, axis=0)
-        expected, cdf = io.StringIO(), io.StringIO()
+        expected, cdf, spooled = io.StringIO(), io.StringIO(), io.StringIO()
         references.write_cdf_csv(expected, names, ordered)
         write_cdf_csv(cdf, names, ordered)
         assert cdf.getvalue() == expected.getvalue()
+        with sampling.rank_column(count) as ranks:
+            write_cdf_csv(spooled, names, ordered, ranks)
+        assert spooled.getvalue() == expected.getvalue()
 
         columns = [ordered[:, 0], np.arange(count), ordered[:, -1] / 7]
         template = "x,%.17g,%d,%.17g\r\n"
@@ -338,3 +348,87 @@ class TestBlockWriter:
         references.write_cdf_csv(expected, ["y"], ordered)
         write_cdf_csv(cdf, ["y"], ordered)
         assert cdf.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("count", [61440, 61441, 131073])
+    def test_tables_around_the_share_threshold_match_the_references(self, monkeypatch, count):
+        # 2 x SHARE_MIN_BLOCKS blocks of 4096 rows, the last one partial,
+        # start at 61441 rows: on two CPUs the tables from there on are
+        # shared and cdf.csv's probability texts come from the helper; on
+        # one CPU nothing forks.  131073 rows end in a block of one row.
+        names = ["a,b"]
+        rng = np.random.default_rng(count)
+        ordered = np.sort(rng.normal(size=(count, 2)) * 1e3, axis=0)
+        expected = {"cdf": io.StringIO()}
+        references.write_cdf_csv(expected["cdf"], names, ordered[:, :1])
+        if count < 131073:  # the other tables share cdf.csv's writer: one count each side
+            columns = [ordered[:, 0], np.arange(count), ordered[:, 1] / 7]
+            grid = GridQuadrature(2, ordered, -ordered[:, 0])
+            expected.update({name: io.StringIO() for name in ("hist", "rows", "grid")})
+            references.write_histogram_csv(expected["hist"], names, ordered[:, :1], count)
+            references.write_rows(expected["rows"], "x,%.17g,%d,%.17g\r\n", columns)
+            expected["grid"].write("x1,x2,weight\n")
+            references.write_rows(expected["grid"], "%.17g,%.17g,%.17g\n",
+                                  [*ordered.T, grid.weights])
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for cpus in (1, 2):
+            monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+            tables = {name: io.StringIO() for name in expected}
+            with sampling.rank_column(count) as ranks:
+                assert len(forks) == (cpus == 2 and count > 15 * 4096)
+                write_cdf_csv(tables["cdf"], names, ordered[:, :1], ranks)
+            if count < 131073:
+                write_histogram_csv(tables["hist"], names, ordered[:, :1], count)
+                write_rows(tables["rows"], "x,%.17g,%d,%.17g\r\n", columns)
+                write_grid_csv(grid, tables["grid"])
+            assert {name: table.getvalue() for name, table in tables.items()} == {
+                name: table.getvalue() for name, table in expected.items()}
+            assert_no_child_left()
+            forks.clear()
+
+
+class TestRankColumn:
+    """cdf.csv's probability texts, spooled by a forked helper for a table
+    split into shares."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sampling, "CSV_BLOCK_ROWS", 4)
+        monkeypatch.setattr(sampling, "SHARE_MIN_BLOCKS", 1)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+
+    def test_blocks_read_back_are_the_texts_formatted_inline(self):
+        with sampling.rank_column(11) as ranks:
+            read = ranks()
+            assert_no_child_left()  # reaped before any block is read
+            for start in (8, 0, 4):  # in any order
+                stop = min(start + 4, 11)
+                assert read(start, stop) == sampling._rank_text(start, stop, 11)
+        assert sampling._rank_text(8, 11, 11).split() == [
+            "0.81818181818181823", "0.90909090909090906", "1"]
+
+    @pytest.mark.parametrize("count", [3, 7, 10**5 + 1, 10**7 - 1, 10**7])
+    def test_every_text_fits_its_record(self, count):
+        # at 10**7 - 1 rows, texts of both forms at the longest: row 2 is
+        # 3.0000003000000301e-07 and row 1999 0.00020000002000000199
+        for row in sorted(r for r in {0, 2, 1999, count // 3, count - 1} if r < count):
+            text = sampling._rank_text(row, row + 1, count)
+            assert len(text) == sampling.RANK_RECORD and text.endswith("\n")
+            assert text.split() == [format((row + 1) / count, ".17g")]
+        assert len(format(3 / (10**7 - 1), ".17g")) == len(format(2000 / (10**7 - 1), ".17g")) == 22
+
+    def test_a_failed_helper_raises_oserror_and_is_reaped(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_rank_text", fail_in_children(sampling._rank_text))
+        with sampling.rank_column(12) as ranks:
+            with pytest.raises(OSError, match="formatting process failed"):
+                ranks()
+        assert_no_child_left()
+
+    def test_leaving_early_kills_and_reaps_the_helper(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_rank_text", lambda start, stop, count: time.sleep(60))
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            with sampling.rank_column(12):
+                raise KeyboardInterrupt  # as while the samples are evaluated
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()

@@ -25,8 +25,7 @@ _EXPORTS = {
         "gauss_legendre_1d sparse_grid",
         "sampling": "LhsDesign latin_hypercube rmse rrmse",
         "sobol": "SobolReport full_report sobol_index total_index",
-        "surrogate": "FullGrid InputVariable PceModel SparseGrid build_pce load rescale save "
-        "unscale",
+        "surrogate": "FullGrid InputVariable PceModel SparseGrid build_pce load save",
     }.items()
     for name in names.split()
 }

@@ -45,18 +45,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import polybasis
+from . import polybasis, surrogate
 # ModelSpec lives with the config, which checks specs without this module.
 from .config import BUILTIN, IO_ARGFILE, ModelSpec, _floats  # noqa: F401  (re-exported)
-from .errors import ConfigurationError, EvaluationError
+from .errors import THREAD_ENV_VARS, ConfigurationError, EvaluationError
 
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store.
 STORE_BLOCK_CHARS = 2**20
-# Basis values (points x terms) the polynomial builtin holds at once.
-POLYNOMIAL_CHUNK_VALUES = 2**20
-# Thread-pool sizes set, where the environment leaves them unset, for launches run at once.
-THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
 CSG_PROXY_INPUTS = (
@@ -146,7 +142,8 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             raise ConfigurationError("polynomial variable ranges must have min < max")
 
     max_degrees = index_array.max(axis=0).tolist()
-    step = max(1, POLYNOMIAL_CHUNK_VALUES // len(index_array))
+    # Points per chunk: CHUNK_BYTES holds their basis rows and the table rows gathered into them.
+    step = max(1, surrogate.CHUNK_BYTES // (16 * len(index_array)))
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         xi = points if lo is None else 2.0 * (points - lo) / (hi - lo) - 1.0
@@ -644,12 +641,7 @@ class BlackBoxModel:
         self._builtin = BUILTIN_MODELS[spec.name](spec) if spec.kind == BUILTIN else None
 
     def __call__(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != len(self.spec.input_names):
-            raise ConfigurationError(
-                f"points have {points.shape[1]} columns but the model declares "
-                f"{len(self.spec.input_names)} inputs"
-            )
+        points = surrogate._points(points, len(self.spec.input_names))
         outputs, cached = self._evaluate(points)
         hits = int(cached.sum())
         with self._lock:

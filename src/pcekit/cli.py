@@ -31,11 +31,9 @@ from pathlib import Path
 from typing import IO, Iterator, NoReturn
 
 from . import __version__
-from .errors import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK
+from .errors import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, THREAD_ENV_VARS
 from .errors import ConfigurationError, EvaluationError, PcekitError
 
-# The thread-pool variables of blackbox.THREAD_ENV_VARS, named without loading numpy.
-THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # A BLAS thread count moves the last bits of the surrogate's sums.  So each
 # of these that the environment leaves unset is set to 1 on import, before
 # a command, or a harness that imports this module first, loads numpy; main
@@ -143,6 +141,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import config, sampling, surrogate
 
     cfg = config.load_config(args.config)
@@ -165,11 +165,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     names = model.output_names
     try:
-        metrics = [
-            (sampling.rmse(p, t), sampling.rrmse(p, t)) for p, t in zip(predictions.T, truths.T)
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            metrics = [
+                (sampling.rmse(p, t), sampling.rrmse(p, t)) for p, t in zip(predictions.T, truths.T)
+            ]
     except ValueError as exc:  # a true value of zero leaves the relative error undefined
         raise EvaluationError(f"validation metrics: {exc}") from exc
+    if not np.isfinite(metrics).all():
+        raise EvaluationError("validation metrics pass the float range")
     meta = model.build_meta
     header = ["method", "parameter"] + [f"{m}_{n}" for n in names for m in ("rmse", "rrmse")]
     cells = [format(value, ".17g") for pair in metrics for value in pair]
@@ -193,6 +196,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_uq(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import config, sampling
 
     cfg = config.load_config(args.config)
@@ -207,6 +212,10 @@ def cmd_uq(args: argparse.Namespace) -> int:
         ordered = model.evaluate_scaled(design.points)
         elapsed = time.perf_counter() - started
         ordered.sort(axis=0)  # in place: each output's samples, sorted
+        with np.errstate(over="ignore", invalid="ignore"):  # percentiles and bins lie within it
+            spread = ordered[-1] - ordered[0]
+        if not np.isfinite(spread).all():
+            raise EvaluationError("the surrogate's samples span past the float range")
 
         qs = cfg.report.percentiles
         labels = ["Sample minimum", *(f"{_ordinal(q)} percentile" for q in qs), "Sample maximum"]

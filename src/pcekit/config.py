@@ -73,7 +73,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (BUILTIN, EXTERNAL):
-            raise ConfigurationError(f"model kind must be builtin or external, got {self.kind!r}")
+            raise ConfigurationError(f"model.kind must be builtin or external, got {self.kind!r}")
         if not self.input_names:
             raise ConfigurationError("model needs at least one input name")
         if not self.output_names:
@@ -217,18 +217,13 @@ def _parse_inputs(raw: list, context: str) -> tuple[InputVariable, ...]:
 
 def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
     kind = _expect(raw, "kind", str, "model")
-    input_names = tuple(var.name for var in inputs)
+    names = {"input_names": tuple(var.name for var in inputs), "output_names": tuple(outputs)}
     if kind == BUILTIN:
         _reject_unknown(raw, {"kind", "name", "parameters"}, "model")
         if not isinstance(raw.get("parameters", {}), dict):
             raise ConfigurationError("model.parameters must be an object")
-        return ModelSpec(
-            kind=BUILTIN,
-            input_names=input_names,
-            output_names=tuple(outputs),
-            name=_expect(raw, "name", str, "model"),
-            parameters=raw.get("parameters", {}),
-        )
+        name = _expect(raw, "name", str, "model")
+        return ModelSpec(kind, **names, name=name, parameters=raw.get("parameters", {}))
     if kind == EXTERNAL:
         _reject_unknown(
             raw, {"kind", "command", "working_dir", "io_format", "timeout_seconds"}, "model"
@@ -240,9 +235,7 @@ def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
         if not isinstance(working_dir, str):
             raise ConfigurationError(f"model.working_dir must be a string, got {working_dir!r}")
         return ModelSpec(
-            kind=EXTERNAL,
-            input_names=input_names,
-            output_names=tuple(outputs),
+            kind, **names,
             command=tuple(command),
             working_dir=str(base / working_dir),
             io_format=str(raw.get("io_format", IO_ARGFILE)),
@@ -250,7 +243,7 @@ def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
                 raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS), "model.timeout_seconds"
             ),
         )
-    raise ConfigurationError(f"model.kind must be 'builtin' or 'external', got {kind!r}")
+    return ModelSpec(kind, **names)  # neither kind: ModelSpec's own check rejects it
 
 
 def _parse_method(raw: dict) -> FullGrid | SparseGrid:

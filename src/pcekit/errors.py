@@ -10,6 +10,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_INTERRUPTED = 130
+# The thread-pool size variables that cli pins and solver launches share, here without numpy.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class PcekitError(Exception):

@@ -167,9 +167,7 @@ def full_grid(dim: int, order: int) -> GridQuadrature:
     weights = np.ones(count)
     for column in lattice.T:
         weights *= rule.weights[column]
-    if not np.isfinite(weights).all():
-        raise ConfigurationError(f"full grid weights pass the float range in dimension {dim}")
-    return GridQuadrature(dim, rule.nodes[lattice], weights)
+    return _grid("full", dim, rule.nodes, lattice, weights)
 
 
 def _tensor_point_count(dim: int, level: int) -> int:
@@ -187,14 +185,22 @@ def _decode(keys: np.ndarray, radix: int, width: int, rankings=()) -> np.ndarray
     """Lattice rows, `width` wide, of keys of base-radix digits over a rank.
     Keys hold the digits from the column of the last (table, column) pair of
     `rankings` on, and their rank indexes its table, whose keys are decoded
-    the same way against the pair before; below the first, the rank is 0."""
-    rows = np.empty((len(keys), width), dtype=np.int64)
+    the same way against the pair before; below the first, the rank is 0.
+    Columns are decoded into contiguous rows, then transposed once."""
+    columns = np.empty((width, len(keys)), dtype=np.int64)
     for table, start in [*reversed(rankings), (None, 0)]:
         for column in range(width - 1, start - 1, -1):
-            keys, rows[:, column] = np.divmod(keys, radix)
+            keys, columns[column] = np.divmod(keys, radix)
         if table is not None:
             keys, width = table[keys], start
-    return rows
+    return np.ascontiguousarray(columns.T)
+
+
+def _grid(family: str, dim: int, nodes: np.ndarray, lattice: np.ndarray, weights) -> GridQuadrature:
+    """A family's grid of lattice rows over 1D nodes; its weights must be finite."""
+    if not np.isfinite(weights).all():
+        raise ConfigurationError(f"{family} grid weights pass the float range in dimension {dim}")
+    return GridQuadrature(dim, nodes[lattice], weights)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in full_grid
@@ -272,10 +278,7 @@ def sparse_grid(dim: int, level: int) -> GridQuadrature:
     unique, inverse = np.unique(keys, return_inverse=True)
     merged = np.zeros(len(unique))
     np.add.at(merged, inverse.ravel(), weight)
-    if not np.isfinite(merged).all():
-        raise ConfigurationError(f"sparse grid weights pass the float range in dimension {dim}")
-    points = rules[-1].nodes[_decode(unique, radix, dim, rankings)]
-    return GridQuadrature(dim, points, merged)
+    return _grid("sparse", dim, rules[-1].nodes, _decode(unique, radix, dim, rankings), merged)
 
 
 def write_grid_csv(grid: GridQuadrature, dest: IO[str]) -> None:

@@ -69,14 +69,19 @@ def latin_hypercube(strata: int, dim: int, repeats: int = 1, seed: int = 0) -> L
     return LhsDesign(points)
 
 
-def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
-    """Root mean square difference between two equal-length vectors."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truths, dtype=float)
+def _pair(predictions: Sequence[float], truths: Sequence[float], metric: str) -> tuple:
+    """A metric's two vectors as float arrays, checked to be of one non-zero length."""
+    p, t = (np.asarray(values, dtype=float) for values in (predictions, truths))
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
     if p.size == 0:
-        raise ValueError("rmse of empty vectors is undefined")
+        raise ValueError(f"{metric} of empty vectors is undefined")
+    return p, t
+
+
+def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
+    """Root mean square difference between two equal-length vectors."""
+    p, t = _pair(predictions, truths, "rmse")
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
@@ -85,12 +90,7 @@ def rrmse(predictions: Sequence[float], truths: Sequence[float]) -> float:
 
     Dimensionless; every truth value must be bounded away from zero.
     """
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truths, dtype=float)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("rrmse of empty vectors is undefined")
+    p, t = _pair(predictions, truths, "rrmse")
     bad = np.nonzero(np.abs(t) < 1e-300)[0]
     if bad.size:
         raise ValueError(f"rrmse undefined: truth value at index {bad[0]} is zero")

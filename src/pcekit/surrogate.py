@@ -118,33 +118,28 @@ class InputVariable:
             )
 
 
-def rescale(v: float, var: InputVariable) -> float:
-    """Map a physical value onto [-1, 1]: (2v - max - min) / (max - min).
-
-    Exactly -1 at v_min and +1 at v_max; values outside the range map
-    outside [-1, 1] (caller's policy).
-    """
-    return 2.0 * (v - var.v_min) / (var.v_max - var.v_min) - 1.0
-
-
-def unscale(xi: float, var: InputVariable) -> float:
-    """Inverse of rescale: -1 maps to v_min, +1 to v_max."""
-    return var.v_min + 0.5 * (xi + 1.0) * (var.v_max - var.v_min)
-
-
-def _columns(points: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
-    """The columns of an (M, N) point array, checked against N declared inputs."""
+def _points(points: np.ndarray, dim: int) -> np.ndarray:
+    """An (M, dim) float array of points, one point also as a vector."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != len(inputs):
+    if points.shape[1] != dim:
         raise ConfigurationError(
-            f"points have {points.shape[1]} columns but {len(inputs)} inputs are declared"
+            f"points have {points.shape[1]} columns but {dim} inputs are declared"
         )
-    return points.T
+    return points
 
 
 def unscale_points(xi: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
-    """Columnwise map of an (M, N) array on [-1, 1]^N to physical units."""
-    return np.column_stack([unscale(x, var) for x, var in zip(_columns(xi, inputs), inputs)])
+    """An (M, N) array on [-1, 1]^N in physical units, min + 0.5 (xi + 1) (max - min):
+    exactly min at -1 and max at +1, and outside the range outside [-1, 1]."""
+    low, high = np.array([(var.v_min, var.v_max) for var in inputs]).T
+    return low + 0.5 * (_points(xi, len(inputs)) + 1.0) * (high - low)
+
+
+def _unit_columns(points: np.ndarray, inputs: Sequence[InputVariable]) -> np.ndarray:
+    """Inverse of unscale_points, 2 (v - min) / (max - min) - 1, laid out as
+    the kernel reads points: a C-contiguous (N, M) array."""
+    low, high = np.array([(var.v_min, var.v_max) for var in inputs]).T[:, :, None]
+    return 2.0 * np.subtract(_points(points, len(inputs)).T, low, order="C") / (high - low) - 1.0
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,20 +351,13 @@ class PceModel:
     def evaluate(self, v: Sequence[float]) -> np.ndarray:
         """Evaluate the surrogate at one physical point: one value per output."""
         v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.size != self.dim:
-            raise ConfigurationError(
-                f"expected a point with {self.dim} coordinates, got shape {v.shape}"
-            )
-        return self.evaluate_batch(v[None, :])[0]
+        if v.ndim != 1:
+            raise ConfigurationError(f"expected one point, a vector, got shape {v.shape}")
+        return self.evaluate_batch(v)[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the surrogate at many physical points, (M, outputs): they
-        are rescaled into a (dim, M) array whose transpose evaluate_scaled reads."""
-        columns = _columns(points, self.inputs)
-        xi = np.empty(columns.shape)
-        for row, column, var in zip(xi, columns, self.inputs):
-            row[:] = rescale(column, var)
-        return self.evaluate_scaled(xi.T)
+        """Evaluate the surrogate at many physical points, (M, outputs)."""
+        return self.evaluate_scaled(_unit_columns(points, self.inputs).T)
 
     def evaluate_scaled(self, xi: np.ndarray) -> np.ndarray:
         """Evaluate the surrogate at many points on [-1, 1]^dim, (M, outputs).
@@ -378,17 +366,20 @@ class PceModel:
         xi's (dim, M) transpose, a view, in chunks, so transient memory stays
         within CHUNK_BYTES whatever M is.
         """
-        return self._kernel.evaluate(_columns(xi, self.inputs), self._block)
+        return self._kernel.evaluate(_points(xi, self.dim).T, self._block)
 
     def mean(self) -> np.ndarray:
         """Analytic mean per output: the constant-term coefficient."""
         return self.coefficients[0].copy()
 
+    @np.errstate(over="ignore", invalid="ignore")  # checked below
     def variance(self) -> np.ndarray:
         """Analytic variance per output: sum of squared coefficients times norms,
-        minus the squared mean."""
-        norms = self.basis_norms()
-        return norms @ (self.coefficients**2) - self.coefficients[0] ** 2
+        minus the squared mean.  EvaluationError where it passes the float range."""
+        variance = self.basis_norms() @ (self.coefficients**2) - self.coefficients[0] ** 2
+        if not np.isfinite(variance).all():
+            raise EvaluationError("the surrogate's variance passes the float range")
+        return variance
 
     def std_dev(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.variance(), 0.0))

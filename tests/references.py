@@ -28,6 +28,16 @@ def legendre_eval(n, x, *, degree_cap=DEGREE_CAP):
     return float(cur[0]) if scalar else cur
 
 
+def rescale(v, var):
+    """One input's physical value (or values) on [-1, 1]: 2 (v - min) / (max - min) - 1."""
+    return 2.0 * (v - var.v_min) / (var.v_max - var.v_min) - 1.0
+
+
+def unscale(xi, var):
+    """Inverse of rescale: -1 maps to the input's min, +1 to its max."""
+    return var.v_min + 0.5 * (xi + 1.0) * (var.v_max - var.v_min)
+
+
 def meshgrid_full_grid(dim, order):
     """Points and weights of the full Gauss-Legendre grid through np.meshgrid:
     one array per axis, raveled with the last axis fastest."""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcekit import blackbox
+from pcekit import blackbox, surrogate
 from pcekit.blackbox import (
     CSG_PROXY_INPUTS,
     CSG_PROXY_OUTPUTS,
@@ -226,6 +226,23 @@ class TestArrayBuiltins:
             assert values.shape == expected.shape, name
             assert values.tobytes() == expected.tobytes(), name
             assert function(points[7:8]).tobytes() == expected[7:8].tobytes()
+
+    @pytest.mark.parametrize("budget", ["shipped", "three-points"])
+    def test_polynomial_bits_hold_across_its_chunk_step(self, monkeypatch, budget):
+        # Chunks take CHUNK_BYTES / (16 bytes x terms) points: batches of one
+        # point short of a chunk, a whole chunk, and a chunk and a point.
+        spec, box = differential_specs()[4]
+        terms = len(spec.parameters["terms"])
+        if budget == "three-points":
+            monkeypatch.setattr(surrogate, "CHUNK_BYTES", 16 * terms * 3)
+        step = surrogate.CHUNK_BYTES // (16 * terms)
+        unit = np.random.default_rng(9).uniform(-1.0, 1.0, (step + 1, len(box)))
+        points = box[:, 0] + 0.5 * (unit + 1.0) * (box[:, 1] - box[:, 0])
+        reference = per_point_reference(spec)
+        expected = np.array([reference(point) for point in points])
+        function = builtin(spec)
+        for count in (step - 1, step, step + 1):
+            assert function(points[:count]).tobytes() == expected[:count].tobytes()
 
     @pytest.mark.parametrize("where", [0, 5, 10])
     @pytest.mark.parametrize("bad, message", [

@@ -578,6 +578,26 @@ class TestSobolCommand:
         assert main(["sobol", "--config", str(config)]) == 4
         assert "graded-lex order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e300", "1e308"])
+    @pytest.mark.parametrize("command", ["validate", "uq", "sobol"])
+    def test_model_past_the_float_range_exits_3(self, tmp_path, command, value):
+        # A coefficient row of 1e300 squares past the float range in the
+        # variance and the metrics; at 1e308 the samples span past it too.  A
+        # subprocess, so that a numpy warning would show on stderr.
+        config = write_config(tmp_path, validation={"lhs_strata": 10, "lhs_repeats": 5, "seed": 1})
+        assert main(["build", "--config", str(config)]) == 0
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        doc["coefficients"][list(doc["coefficients"])[1]] = [value, value]
+        path.write_text(json.dumps(doc, indent=2))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcekit.cli", command, "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert [p.name for p in (tmp_path / "report").iterdir()] == ["run.log"]  # the build's
+
 
 class TestGridCommand:
     def test_sparse_export_row_count(self, tmp_path):
@@ -649,7 +669,6 @@ class TestThreads:
         ).stdout
         # set where unset before numpy loads; as it was once main has loaded it
         assert json.loads(out.splitlines()[-1]) == [["1", "1", "3"], [None, None, "3"]]
-        assert cli.THREAD_ENV_VARS == blackbox.THREAD_ENV_VARS
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_launches_get_the_environment_as_given(self, tmp_path, workers):

@@ -26,10 +26,10 @@ from pcekit.surrogate import (
     SparseGrid,
     build_pce,
     load,
-    rescale,
     save,
-    unscale,
+    unscale_points,
 )
+import references
 from references import integrate, legendre_eval
 
 UNIT_SQUARE = [InputVariable("x1", -1.0, 1.0), InputVariable("x2", -1.0, 1.0)]
@@ -62,27 +62,66 @@ def projection_oracle(func, index, nodes=24):
     return (2 * index[0] + 1) * (2 * index[1] + 1) / 4.0 * total
 
 
+def rescale(values, var):
+    """The physical values of one input on [-1, 1], through the array map."""
+    return surrogate._unit_columns(np.reshape(values, (-1, 1)), [var])[0]
+
+
+def unscale(values, var):
+    """Values of one input on [-1, 1] in physical units, through the array map."""
+    return unscale_points(np.reshape(values, (-1, 1)), [var])[:, 0]
+
+
 class TestRescaling:
     def test_endpoints(self):
         var = InputVariable("k", 10.0, 1000.0)
-        assert rescale(10.0, var) == -1.0
-        assert rescale(1000.0, var) == 1.0
-        assert unscale(-1.0, var) == 10.0
-        assert unscale(1.0, var) == 1000.0
+        assert rescale([10.0, 1000.0], var).tolist() == [-1.0, 1.0]
+        assert unscale([-1.0, 1.0], var).tolist() == [10.0, 1000.0]
 
     def test_midpoints(self):
-        assert rescale(505.0, InputVariable("k", 10.0, 1000.0)) == 0.0
-        assert unscale(0.0, InputVariable("phi", 0.005, 0.05)) == pytest.approx(0.0275)
+        assert rescale(505.0, InputVariable("k", 10.0, 1000.0)).tolist() == [0.0]
+        assert unscale(0.0, InputVariable("phi", 0.005, 0.05))[0] == pytest.approx(0.0275)
 
     @given(st.floats(min_value=0.005, max_value=0.05, allow_nan=False))
     def test_round_trip(self, v):
         var = InputVariable("phi", 0.005, 0.05)
-        assert unscale(rescale(v, var), var) == pytest.approx(v, rel=1e-12)
+        assert unscale(rescale(v, var), var)[0] == pytest.approx(v, rel=1e-12)
 
     def test_out_of_range_maps_outside(self):
-        var = InputVariable("k", 0.0, 10.0)
-        assert rescale(-5.0, var) < -1.0
-        assert rescale(20.0, var) > 1.0
+        low, high = rescale([-5.0, 20.0], InputVariable("k", 0.0, 10.0))
+        assert low < -1.0 and high > 1.0
+
+    def test_maps_match_the_per_variable_formulas_bit_for_bit(self):
+        # references.rescale and unscale are the per-variable maps the array
+        # maps replaced; per value, at the range ends, inside, outside and at
+        # -0.0, in each direction.
+        inputs = [InputVariable(n, lo, hi) for n, lo, hi in CSG_PROXY_INPUTS]
+        inputs += [InputVariable("s", -3.0, 7.5), InputVariable("z", -0.0, 1e-300)]
+        rng = np.random.Generator(np.random.PCG64(5))
+        unit = np.concatenate([[-1.0, 1.0, -0.0, 0.0, -1.5, 2.0, -1e300], rng.uniform(-1, 1, 60)])
+        xi = np.column_stack([np.roll(unit, j) for j in range(len(inputs))])
+        physical = unscale_points(xi, inputs)
+        expected = [
+            [references.unscale(x, var) for x in column] for column, var in zip(xi.T, inputs)
+        ]
+        assert physical.flags.c_contiguous and physical.shape == xi.shape
+        assert physical.tobytes() == np.array(expected).T.tobytes()
+
+        ends = np.array([[var.v_min, var.v_max] for var in inputs])
+        values = np.column_stack([ends, -ends, -0.0 * ends, 0.5 * ends]).T.copy()
+        values = np.vstack([values, physical])
+        columns = surrogate._unit_columns(values, inputs)
+        expected = [
+            [references.rescale(v, var) for v in column] for column, var in zip(values.T, inputs)
+        ]
+        assert columns.flags.c_contiguous and columns.shape == values.T.shape
+        assert columns.tobytes() == np.array(expected).tobytes()
+
+    def test_points_must_match_the_declared_inputs(self):
+        for points in (np.zeros((4, 3)), np.zeros(3)):
+            for scale in (unscale_points, surrogate._unit_columns):
+                with pytest.raises(ConfigurationError, match="3 columns but 2 inputs"):
+                    scale(points, UNIT_SQUARE)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ConfigurationError, match="strictly below"):
@@ -240,9 +279,11 @@ class TestEvaluate:
         scaled = model.evaluate_scaled(design)
         round_trip = model.evaluate_batch(surrogate.unscale_points(design, inputs))
         assert np.all(np.abs(scaled - round_trip) <= 1e-12 * np.abs(round_trip))
-        # evaluate_batch is evaluate_scaled after the rescale, bit for bit
+        # evaluate_batch is evaluate_scaled after the per-variable rescale, bit for bit
         physical = surrogate.unscale_points(design, inputs)
-        xi = np.column_stack([rescale(column, var) for column, var in zip(physical.T, inputs)])
+        xi = np.column_stack(
+            [references.rescale(column, var) for column, var in zip(physical.T, inputs)]
+        )
         assert model.evaluate_scaled(xi).tobytes() == model.evaluate_batch(physical).tobytes()
         with pytest.raises(ConfigurationError, match="columns"):
             model.evaluate_scaled(design[:, :3])

@@ -28,7 +28,8 @@ three fields, and the cache writes each line in exactly that byte form
 followed by ',"checksum":"<hex>"}'; every string in it is printable ASCII
 other than the quote and the backslash, and a fingerprint that is not is
 refused.  On load, only lines in that form are read, each checked against
-its own text and read by slicing; any other line is corrupt.  Fresh
+its own text and read by slicing; any other line is corrupt.  A checkpoint
+records what earlier loads found, so each line is checked once.  Fresh
 results are appended in batches as they complete (per external launch, per
 builtin batch), so a failed batch keeps what succeeded.  The cache
 location can be forced with the PCEKIT_CACHE environment variable.
@@ -36,12 +37,14 @@ location can be forced with the PCEKIT_CACHE environment variable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import re
+import struct
 import threading
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +56,14 @@ from .errors import THREAD_ENV_VARS, ConfigurationError, EvaluationError
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store.
 STORE_BLOCK_CHARS = 2**20
+# A cache checkpoint's tag and version, and the bytes hashed per read and
+# index rows per block when one is checked, read or written.  Blocks stay
+# under 128 KiB: freeing a larger one raises the C allocator's mmap
+# threshold, which raised a later validate's peak RSS by 1.9 MB.
+CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/1"
+HASH_BLOCK_BYTES = 2**16
+CHECKPOINT_BLOCK_ROWS = 2**10
+CORRUPT_LINE = "cache %s line %d is corrupt (%s); treating as a miss"
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
 CSG_PROXY_INPUTS = (
@@ -129,7 +140,7 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     coeff_array = np.array(coefficients)
 
     ranges = spec.parameters.get("variables")
-    lo = hi = None
+    inputs = None
     if ranges is not None:
         bounds = ranges if isinstance(ranges, (list, tuple)) else []
         bounds = [_floats(pair, "polynomial parameters.variables entry") for pair in bounds]
@@ -137,22 +148,21 @@ def _make_polynomial(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             raise ConfigurationError(
                 "polynomial parameters.variables must list one [min, max] pair per input"
             )
-        lo, hi = np.array(bounds).T
-        if not np.all(lo < hi):
-            raise ConfigurationError("polynomial variable ranges must have min < max")
+        inputs = [surrogate.InputVariable(n, *b) for n, b in zip(spec.input_names, bounds)]
 
     max_degrees = index_array.max(axis=0).tolist()
     # Points per chunk: CHUNK_BYTES holds their basis rows and the table rows gathered into them.
     step = max(1, surrogate.CHUNK_BYTES // (16 * len(index_array)))
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        xi = points if lo is None else 2.0 * (points - lo) / (hi - lo) - 1.0
+        # One row per input on [-1, 1], mapped as the surrogate maps its inputs.
+        xi = points.T if inputs is None else surrogate._unit_columns(points, inputs)
         out = np.empty((len(points), n_out))
         for start in range(0, len(points), step):
-            chunk = xi[start:start + step]
-            basis = np.ones((len(chunk), len(index_array)))
+            chunk = xi[:, start:start + step]
+            basis = np.ones((chunk.shape[1], len(index_array)))
             for j in range(dim):
-                table = polybasis.legendre_table(max_degrees[j], chunk[:, j])
+                table = polybasis.legendre_table(max_degrees[j], chunk[j])
                 basis *= table[index_array[:, j]].T
             # One vector-matrix product per point sums the terms in the same
             # order whatever the batch; a matrix product would not.
@@ -246,6 +256,16 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+def _sha256(handle, digest: hashlib._Hash, size: int) -> bytes:
+    """Update digest with the next size bytes of the binary handle, read
+    HASH_BLOCK_BYTES at a time; the last block, empty if the file ends first."""
+    block = b""
+    while size > 0 and (block := handle.read(min(size, HASH_BLOCK_BYTES))):
+        digest.update(block)
+        size -= len(block)
+    return block
+
+
 def _render_rows(points: np.ndarray) -> list[str]:
     """Each row of an (M, N) array as "v1,...,vN", every v "%.17g".
 
@@ -278,58 +298,155 @@ class EvaluationCache:
     Each line is {"fingerprint", "inputs", "outputs", "checksum"} with the
     numbers as canonical decimal strings.  The in-memory index maps each
     model fingerprint to {input row: outputs}, a row being the inputs as
-    _render_rows writes them.  It is loaded once at construction, by the
-    one checksum scan of the file, which also counts its valid_lines and
-    corrupt_lines; appends are serialized through a lock so batch workers
-    can share one cache.
+    _render_rows writes them.  It is loaded once at construction, which
+    also counts the file's valid_lines and corrupt_lines; appends are
+    serialized through a lock so batch workers can share one cache.
+
+    Each line is checked at one open, not at every one: the checkpoint
+    beside the cache, <cache>.checkpoint, holds what checking a prefix of
+    it that ends at a newline found, as ASCII lines (deleting it only costs
+    the next open a full scan):
+
+        pcekit-cache-checkpoint/1 BYTES LINES VALID CORRUPT MODELS SHA256
+        LINE ERROR                 per corrupt line in the prefix
+        ROWS OUTPUTS FINGERPRINT   per model, then per row:
+        HEX ROW                    the outputs as little-endian doubles
+        seal SHA256                of all the lines above
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
+        self.checkpoint = self.path.with_name(self.path.name + ".checkpoint")
         self._lock = threading.Lock()
         self._index: dict[str, dict[str, tuple[float, ...]]] = {}
         self.valid_lines = self.corrupt_lines = 0
         if self.path.exists():
-            self._index, self.valid_lines, self.corrupt_lines = self._scan()
+            self._load()
 
-    def _scan(self) -> tuple[dict[str, dict], int, int]:
-        """Read the file: the index of its valid lines (a later line wins a
-        repeated fingerprint and row), and how many lines are valid and
-        corrupt; each corrupt line is logged with its number and error.
+    def _load(self) -> None:
+        """Load what the checkpoint covers from it (see _resume) and scan
+        the rest, read with undecodable bytes escaped (no valid line holds
+        one).  If the scan read lines, the last ending in a newline, the
+        checkpoint is written anew for the file as read."""
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            raw = handle.buffer
+            start, lineno, digest, corrupt = self._resume(raw)
+            handle.seek(start)
+            lineno = self._scan(handle, lineno, corrupt)
+            end = raw.tell()
+            raw.seek(start)
+            if _sha256(raw, digest, end - start).endswith(b"\n"):
+                self._save(end, lineno, digest.hexdigest(), corrupt)
+        self.corrupt_lines = len(corrupt)
+
+    def _resume(self, cache) -> tuple[int, int, hashlib._Hash, list[tuple[int, str]]]:
+        """Where the scan of the cache (a binary handle) carries on from: byte
+        offset, line number, sha256 of the bytes before and their corrupt
+        lines.  The checkpoint is loaded, its warnings logged again, only if
+        its tag is CHECKPOINT_FORMAT, its seal holds and the cache begins
+        with its prefix; else (missing, stale, damaged) the scan starts at 0."""
+        try:
+            with open(self.checkpoint, "r", encoding="ascii", newline="\n") as handle:
+                head = handle.readline()
+                tag, *counts, prefix = head.split()
+                size, lines, valid, bad, models = map(int, counts)
+                if tag != CHECKPOINT_FORMAT or size > os.fstat(cache.fileno()).st_size:
+                    raise ValueError("a foreign checkpoint, or one of a longer cache")
+                seal, digest = hashlib.sha256(), hashlib.sha256()
+                handle.buffer.seek(0)  # the seal hashes all but its own 70 bytes
+                _sha256(handle.buffer, seal, os.fstat(handle.fileno()).st_size - 70)
+                _sha256(cache, digest, size)
+                if (handle.buffer.read() != f"seal {seal.hexdigest()}\n".encode()
+                        or digest.hexdigest() != prefix):
+                    raise ValueError("a damaged checkpoint, or one of another cache")
+                handle.seek(len(head))
+                errors = (handle.readline()[:-1].split(" ", 1) for _ in range(bad))
+                corrupt = [(int(lineno), error) for lineno, error in errors]
+                index = {}
+                for _ in range(models):
+                    count, width, fingerprint = handle.readline()[:-1].split(" ", 2)
+                    width, cells = int(width), 16 * int(width)
+                    table = index[fingerprint] = {}
+                    for left in range(int(count), 0, -CHECKPOINT_BLOCK_ROWS):
+                        block = list(itertools.islice(handle, min(left, CHECKPOINT_BLOCK_ROWS)))
+                        hexes = bytes.fromhex("".join([line[:cells] for line in block]))
+                        values = iter(struct.unpack(f"<{len(block) * width}d", hexes))
+                        rows = [line[cells + 1:-1] for line in block]
+                        table.update(zip(rows, zip(*[values] * width)))
+        except (OSError, ValueError, struct.error):
+            return 0, 0, hashlib.sha256(), []
+        self._index, self.valid_lines = index, valid
+        for lineno, error in corrupt:
+            _warn(CORRUPT_LINE, self.path, lineno, error)
+        return size, lines, digest, corrupt
+
+    def _scan(self, lines: Iterable[str], lineno: int, corrupt: list[tuple[int, str]]) -> int:
+        """Check lines, numbered on from lineno, into the index (a later line
+        wins a repeated fingerprint and row) and valid_lines; each corrupt
+        line is logged and added to corrupt.  Returns the last line number.
 
         A line, stripped of surrounding whitespace, is valid only if it is
         in the form store writes (_CANONICAL_LINE), with the checksum of its
         own text and outputs that float() reads; blank lines are skipped.
-        A line that is not valid UTF-8 is corrupt: the file is read with
-        its undecodable bytes escaped, which no line in that form holds.
         """
-        index: dict[str, dict[str, tuple[float, ...]]] = {}
-        valid = corrupt = 0
+        index = self._index
+        valid = 0
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
-        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                # A line as store writes it matches before any stripping.
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            # A line as store writes it matches before any stripping.
+            match = canonical(line)
+            if match is None:
+                line = line.strip()
+                if not line:
+                    continue
                 match = canonical(line)
+            try:
                 if match is None:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    match = canonical(line)
-                try:
-                    if match is None:
-                        raise ValueError("not in the form the cache writes")
-                    payload, fingerprint, inputs, outputs, checksum = match.groups()
-                    if sha256((payload + "}").encode()).hexdigest() != checksum:
-                        raise ValueError("checksum mismatch")
-                    row = inputs.replace('","', ",")
-                    index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
-                    valid += 1
-                except ValueError as exc:
-                    corrupt += 1
-                    message = "cache %s line %d is corrupt (%s); treating as a miss"
-                    _warn(message, self.path, lineno, exc)
-        return index, valid, corrupt
+                    raise ValueError("not in the form the cache writes")
+                payload, fingerprint, inputs, outputs, checksum = match.groups()
+                if sha256((payload + "}").encode()).hexdigest() != checksum:
+                    raise ValueError("checksum mismatch")
+                row = inputs.replace('","', ",")
+                index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
+                valid += 1
+            except ValueError as exc:
+                corrupt.append((lineno, str(exc)))
+                _warn(CORRUPT_LINE, self.path, lineno, exc)
+        self.valid_lines += valid
+        return lineno
+
+    def _save(self, size: int, lines: int, prefix: str, corrupt: list[tuple[int, str]]) -> None:
+        """Write the checkpoint of the cache's first size bytes (lines long, of
+        sha256 prefix) as surrogate._replacing writes, CHECKPOINT_BLOCK_ROWS
+        rows at a time; nothing if that fails or a model's rows differ in
+        their number of outputs, which the format gives once per model."""
+        widths = [set(map(len, table.values())) for table in self._index.values()]
+        if any(len(width) != 1 for width in widths):
+            return
+        seal = hashlib.sha256()
+
+        def put(text: str) -> None:
+            seal.update(text.encode())
+            handle.write(text)
+
+        try:
+            with surrogate._replacing(self.checkpoint) as handle:
+                put(f"{CHECKPOINT_FORMAT} {size} {lines} {self.valid_lines} {len(corrupt)} "
+                    f"{len(self._index)} {prefix}\n")
+                put("".join([f"{lineno} {error}\n" for lineno, error in corrupt]))
+                for (fingerprint, table), (width,) in zip(self._index.items(), widths):
+                    rows, values = list(table), list(table.values())
+                    put(f"{len(rows)} {width} {fingerprint}\n")
+                    for at in range(0, len(rows), CHECKPOINT_BLOCK_ROWS):
+                        block = values[at:at + CHECKPOINT_BLOCK_ROWS]
+                        flat = itertools.chain.from_iterable(block)
+                        cells = struct.pack(f"<{len(block) * width}d", *flat).hex(" ", 8 * width)
+                        pairs = zip(cells.split(" "), rows[at:at + CHECKPOINT_BLOCK_ROWS])
+                        put("\n".join(map(" ".join, pairs)) + "\n")
+                handle.write(f"seal {seal.hexdigest()}\n")
+        except OSError:
+            pass
 
     def __len__(self) -> int:
         """The number of records, over every model."""

@@ -534,7 +534,8 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
 
     Keys must be ASCII decimal integers, as many in each key, separated by
     commas; the values, lists of one length, are converted as float()
-    converts them, but booleans and nulls are rejected.
+    converts them, but booleans, nulls and values that are not finite
+    (such as "1e400" or "nan") are rejected.
     """
     keys = ",".join(raw)
     rows = list(raw.values())
@@ -548,7 +549,11 @@ def _coefficient_table(raw: dict) -> tuple[np.ndarray, np.ndarray]:
     indices = np.fromstring(keys, dtype=np.int64, sep=",")
     if indices.size != len(rows) * (fields.pop() + 1) or indices.max() == np.iinfo(np.int64).max:
         raise ValueError("keys hold an empty field or an integer beyond int64")
-    return indices.reshape(len(rows), -1), np.array(values, dtype=float).reshape(len(rows), -1)
+    coefficients = np.array(values, dtype=float).reshape(len(rows), -1)
+    finite = np.isfinite(coefficients).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"entry {list(raw)[np.argmin(finite)]!r} holds a value that is not finite")
+    return indices.reshape(len(rows), -1), coefficients
 
 
 def load(source) -> PceModel:

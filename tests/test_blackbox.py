@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -725,9 +727,11 @@ def fields(fingerprint=FP, inputs=("1",), outputs=("2",)):
     return {"fingerprint": fingerprint, "inputs": list(inputs), "outputs": outputs}
 
 
-def corpus_lines():
+def corpus_lines(ragged=True):
     """Cache lines of every kind the loader meets: as store writes them, in
-    store's form but written otherwise, and corrupt."""
+    store's form but written otherwise, and corrupt.  Unless ragged, the
+    valid lines with one or three outputs, where their model's other rows
+    have two, are filed under models of their own."""
     points = np.array([[0.05, 100.0, 1.0 / 3.0], [-0.0, 5e-324, 1e300], [7.0, 8.0, 9.0]])
     outputs = np.array([[14.112115600976798, -2.5], [np.inf, 0.1], [1.0, 2.0]])
     lines = []
@@ -735,12 +739,13 @@ def corpus_lines():
         lines += store_lines(fingerprint, points, outputs)
     canonical = lines[0]
     pair = fields(inputs=("1", "2.5"), outputs=["3", "-4e-05"])
+    one, three = (FP, FP) if ragged else ("one output", "three outputs")
     lines += [
         # valid: store's form, written by json.dumps
         record_line(pair, **COMPACT),
-        record_line(fields(inputs=("",)), **COMPACT),
-        record_line(fields(inputs=("1,2",)), **COMPACT),
-        record_line(fields(outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
+        record_line(fields(one, inputs=("",)), **COMPACT),
+        record_line(fields(one, inputs=("1,2",)), **COMPACT),
+        record_line(fields(three, outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
         "   " + canonical + "\t",
         # a repeated key: the later line wins
         record_line(fields(inputs=("1", "2.5"), outputs=["5", "6"]), **COMPACT),
@@ -841,6 +846,208 @@ class TestLoaderDifferential:
             assert (cache.valid_lines, cache.corrupt_lines) == (
                 expected_valid, len(expected_corrupt)
             )
+
+
+def scans(monkeypatch):
+    """The (line number it carries on from, lines checked) of each scan an
+    EvaluationCache makes from now on."""
+    seen = []
+    scan = EvaluationCache._scan
+
+    def recording(self, lines, lineno, corrupt):
+        lines = list(lines)
+        seen.append((lineno, len(lines)))
+        return scan(self, lines, lineno, corrupt)
+
+    monkeypatch.setattr(EvaluationCache, "_scan", recording)
+    return seen
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def line_count(path):
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return sum(1 for _ in handle)
+
+
+def checkpoint_of(path):
+    return path.with_name(path.name + ".checkpoint")
+
+
+def resealed(data):
+    """A checkpoint's bytes with the seal line computed anew over its body."""
+    body = data[:-70]
+    return body + b"seal " + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
+def flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+# Ways a checkpoint stops matching its cache, each applied to (cache, checkpoint).
+DAMAGES = {
+    "missing": lambda cache, checkpoint: checkpoint.unlink(),
+    "empty": lambda cache, checkpoint: checkpoint.write_bytes(b""),
+    "truncated": lambda cache, checkpoint: checkpoint.write_bytes(checkpoint.read_bytes()[:-100]),
+    "byte-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
+        flipped(checkpoint.read_bytes(), checkpoint.stat().st_size // 2)),
+    "seal-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
+        flipped(checkpoint.read_bytes(), checkpoint.stat().st_size - 2)),
+    "foreign-version": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
+        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/1 ", b"pcekit-cache-checkpoint/2 "))),
+    "stale": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[::-1]),
+    "cache-shortened": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[:-5]),
+    "cache-byte-flipped": lambda cache, checkpoint: cache.write_bytes(
+        flipped(cache.read_bytes(), 100)),
+}
+
+
+class TestCheckpoint:
+    def test_corpus_loads_like_the_reference_through_its_checkpoint(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        path = tmp_path / "cache.jsonl"
+        lines = corpus_lines(ragged=False)
+        write_lines(path, lines)
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)  # opened fresh, which writes the checkpoint
+        assert checkpoint_of(path).exists()
+        assert_loads_like_reference(path, caplog)  # from the checkpoint
+        # One valid line, which replaces the first record's outputs, and one corrupt line.
+        points = np.array([[0.05, 100.0, 1.0 / 3.0]])
+        appended = store_lines(FP, points, np.array([[-0.0, 5e-324]])) + ["this is not json"]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in appended))
+        assert_loads_like_reference(path, caplog)  # the checkpoint, then the two lines
+        assert_loads_like_reference(path, caplog)  # from the checkpoint that open wrote
+        count = len(lines)
+        assert seen == [(0, count), (count, 0), (count, 2), (count + 2, 0)]
+
+    @pytest.mark.parametrize("damage", list(DAMAGES))
+    def test_a_checkpoint_that_does_not_match_is_not_used(
+        self, tmp_path, caplog, monkeypatch, damage
+    ):
+        path = tmp_path / "cache.jsonl"
+        write_lines(path, corpus_lines(ragged=False))
+        EvaluationCache(path)
+        DAMAGES[damage](path, checkpoint_of(path))
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)  # a full scan, which writes a new checkpoint
+        assert_loads_like_reference(path, caplog)
+        count = line_count(path)
+        assert seen == [(0, count), (count, 0)]
+
+    def test_a_ragged_table_writes_no_checkpoint(self, tmp_path, caplog, monkeypatch):
+        # The corpus as it stands files rows of one, two and three outputs under one model.
+        path = tmp_path / "cache.jsonl"
+        write_lines(path, corpus_lines())
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert_loads_like_reference(path, caplog)
+        count = line_count(path)
+        assert seen == [(0, count), (0, count)] and os.listdir(tmp_path) == ["cache.jsonl"]
+        # A ragged row after a checkpoint leaves that checkpoint as it was.
+        write_lines(path, corpus_lines(ragged=False))
+        EvaluationCache(path)
+        written = checkpoint_of(path).read_bytes()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(record_line(fields(outputs=["1"]), **COMPACT) + "\n")
+        del seen[:]
+        assert_loads_like_reference(path, caplog)
+        assert_loads_like_reference(path, caplog)
+        count = line_count(path) - 1
+        assert seen == [(count, 1), (count, 1)] and checkpoint_of(path).read_bytes() == written
+
+    def test_a_last_line_without_its_newline_is_not_covered(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        lines = corpus_lines(ragged=False)
+        # CRLF endings, a stray carriage return and a valid last line without its newline.
+        path.write_text("\r\n".join(lines) + "\r" + lines[0], encoding="utf-8", newline="")
+        assert_loads_like_reference(path, caplog)
+        assert not checkpoint_of(path).exists()
+        write_lines(path, lines)
+        EvaluationCache(path)
+        written = checkpoint_of(path).read_bytes()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(lines[0][:-40])  # a write cut short
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert checkpoint_of(path).read_bytes() == written
+        # store ends the torn line before it appends; that line is then covered.
+        EvaluationCache(path).store("another model", ["1"], np.array([[2.0]]))
+        assert_loads_like_reference(path, caplog)
+        assert_loads_like_reference(path, caplog)
+        count = len(lines)
+        assert seen == [(count, 1), (count, 1), (count, 2), (count + 2, 0)]
+
+    def test_a_checkpoint_that_cannot_be_written_changes_nothing(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        write_lines(path, corpus_lines(ragged=False))
+        checkpoint_of(path).mkdir()  # no file can be moved onto a directory
+        assert_loads_like_reference(path, caplog)
+        assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.checkpoint"]
+        assert not os.listdir(checkpoint_of(path))
+
+    def test_a_read_only_directory_still_opens(self, tmp_path, caplog):
+        directory = tmp_path / "read-only"
+        directory.mkdir()
+        path = directory / "cache.jsonl"
+        write_lines(path, corpus_lines(ragged=False))
+        directory.chmod(0o555)
+        try:
+            assert_loads_like_reference(path, caplog)
+            names = sorted(os.listdir(directory))
+        finally:
+            directory.chmod(0o755)
+        # File modes do not bind root, whose checkpoint is written.
+        written = ["cache.jsonl.checkpoint"] if os.geteuid() == 0 else []
+        assert names == ["cache.jsonl", *written]
+
+    def test_an_interrupt_during_the_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        lines = corpus_lines(ragged=False)
+        write_lines(path, lines[:10])
+        EvaluationCache(path)
+        written = checkpoint_of(path).read_bytes()
+        write_lines(path, lines)
+        replacing = surrogate._replacing
+
+        @contextlib.contextmanager
+        def interrupted(target):
+            with replacing(target) as handle:
+                def write(text):
+                    handle.write(text)
+                    raise KeyboardInterrupt
+                yield types.SimpleNamespace(write=write)
+
+        monkeypatch.setattr(surrogate, "_replacing", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            EvaluationCache(path)
+        assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.checkpoint"]
+        assert checkpoint_of(path).read_bytes() == written
+
+    def test_hits_through_the_checkpoint_are_bit_identical(self, tmp_path, monkeypatch):
+        spec = builtin_spec(
+            "csg-proxy",
+            inputs=tuple(n for n, _, _ in CSG_PROXY_INPUTS),
+            outputs=CSG_PROXY_OUTPUTS,
+        )
+        lo, hi = np.array([(lo, hi) for _, lo, hi in CSG_PROXY_INPUTS]).T
+        points = lo + (hi - lo) * np.random.default_rng(8).random((200, 4))
+        path = tmp_path / "cache.jsonl"
+        fresh = BlackBoxModel(spec, cache=EvaluationCache(path))(points)
+        special = np.array([[-0.0, 5e-324], [np.nan, -np.inf], [1e300, 1.0 / 3.0]])
+        EvaluationCache(path).store("special", ["a", "b", "c"], special)
+        seen = scans(monkeypatch)
+        caches = [EvaluationCache(path), EvaluationCache(path)]
+        assert seen == [(200, 3), (203, 0)]
+        for cache in caches:
+            box = BlackBoxModel(spec, cache=cache)
+            assert box(points).tobytes() == fresh.tobytes()
+            assert (box.fresh_count, box.cached_count) == (0, 200)
+            assert np.array(cache.lookup("special", ["a", "b", "c"])).tobytes() == special.tobytes()
 
 
 ECHO_DOUBLER = """\

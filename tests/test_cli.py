@@ -599,6 +599,25 @@ class TestSobolCommand:
         assert [p.name for p in (tmp_path / "report").iterdir()] == ["run.log"]  # the build's
 
 
+    @pytest.mark.parametrize("value", ['"1e400"', '"inf"', '"nan"', "1e999"])
+    def test_model_with_a_non_finite_coefficient_exits_4(self, tmp_path, capsys, value):
+        # Refused when the model loads, naming the entry, before any command runs.
+        config = write_config(tmp_path)
+        assert main(["build", "--config", str(config)]) == 0
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        key = list(doc["coefficients"])[1]
+        doc["coefficients"][key][0] = "VALUE"
+        path.write_text(json.dumps(doc, indent=2).replace('"VALUE"', value))
+        capsys.readouterr()
+        for command in ("validate", "uq", "sobol"):
+            assert main([command, "--config", str(config)]) == 4
+            err = capsys.readouterr().err
+            assert err.splitlines() == [
+                f"error: malformed model coefficients: entry {key!r} holds a value that is not finite"
+            ]
+
+
 class TestGridCommand:
     def test_sparse_export_row_count(self, tmp_path):
         out = tmp_path / "grid.csv"

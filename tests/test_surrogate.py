@@ -679,7 +679,8 @@ def odd_models():
     square = [InputVariable('x "1"\\é', -1.0, 1e-300), InputVariable("x,2", 5e-324, 2.0 / 3.0)]
     tensor = Neighborhood(TENSOR_PRODUCT, 3, 2)
     total = Neighborhood(TOTAL_ORDER, 4, 3)
-    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, 1e300, -1.0 / 3.0, 1e-5, 123456789.0])
+    largest = np.finfo(float).max
+    special = np.array([0.0, -0.0, largest, -largest, 5e-324, 1e300, -1.0 / 3.0, 1e-5, 123456789.0])
     return [
         PceModel(square, ["y"], tensor, surrogate.multiindex.index_array(tensor),
                  np.resize(special, (16, 1)), {"meta": ["-Infinity", None, {"coefficients": {}}]}),
@@ -767,6 +768,14 @@ class TestBlockPersistence:
         node[path[-1]] = value
         with pytest.raises(ModelFormatError, match=field):
             load(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("value", ['"1e400"', '"-inf"', '"nan"', "1e999", "NaN"])
+    def test_non_finite_coefficients_are_format_errors(self, value):
+        doc = json.loads(saved_text(odd_models()[1]))
+        doc["coefficients"]["0,1,0"][1] = "VALUE"
+        text = json.dumps(doc).replace('"VALUE"', value)
+        with pytest.raises(ModelFormatError, match="coefficients: entry '0,1,0' holds a value that is not finite"):
+            load(io.StringIO(text))
 
     def test_undecodable_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.json"

@@ -29,10 +29,12 @@ followed by ',"checksum":"<hex>"}'; every string in it is printable ASCII
 other than the quote and the backslash, and a fingerprint that is not is
 refused.  On load, only lines in that form are read, each checked against
 its own text and read by slicing; any other line is corrupt.  A checkpoint
-records what earlier loads found, so each line is checked once.  Fresh
-results are appended in batches as they complete (per external launch, per
-builtin batch), so a failed batch keeps what succeeded.  The cache
-location can be forced with the PCEKIT_CACHE environment variable.
+records what the lines hold; the batch that appends writes it anew, so no
+open checks a line pcekit wrote, and a line another writer appended is
+checked once.  Fresh results are appended in batches as they complete (per
+external launch, per builtin batch), so a failed batch keeps what
+succeeded.  The cache location can be forced with the PCEKIT_CACHE
+environment variable.
 """
 from __future__ import annotations
 
@@ -299,13 +301,16 @@ class EvaluationCache:
     numbers as canonical decimal strings.  The in-memory index maps each
     model fingerprint to {input row: outputs}, a row being the inputs as
     _render_rows writes them.  It is loaded once at construction, which
-    also counts the file's valid_lines and corrupt_lines; appends are
-    serialized through a lock so batch workers can share one cache.
+    also counts the file's corrupt_lines and its valid_lines (to which
+    store adds the lines it writes); appends are serialized through a lock
+    so batch workers can share one cache.
 
     Each line is checked at one open, not at every one: the checkpoint
     beside the cache, <cache>.checkpoint, holds what checking a prefix of
     it that ends at a newline found, as ASCII lines (deleting it only costs
-    the next open a full scan):
+    the next open a full scan).  An instance keeps it current as it
+    appends (see store and save_checkpoint, which BlackBoxModel calls once
+    per batch), so only lines another writer appended are ever checked:
 
         pcekit-cache-checkpoint/1 BYTES LINES VALID CORRUPT MODELS SHA256
         LINE ERROR                 per corrupt line in the prefix
@@ -320,6 +325,11 @@ class EvaluationCache:
         self._lock = threading.Lock()
         self._index: dict[str, dict[str, tuple[float, ...]]] = {}
         self.valid_lines = self.corrupt_lines = 0
+        # The file as this instance knows it: the bytes it checked or wrote
+        # (None once they are not the whole file), their line count, sha256
+        # and corrupt lines, and the bytes the checkpoint on disk covers.
+        self._size: int | None = 0
+        self._lines, self._digest, self._corrupt, self._saved = 0, hashlib.sha256(), [], 0
         if self.path.exists():
             self._load()
 
@@ -335,9 +345,11 @@ class EvaluationCache:
             lineno = self._scan(handle, lineno, corrupt)
             end = raw.tell()
             raw.seek(start)
-            if _sha256(raw, digest, end - start).endswith(b"\n"):
-                self._save(end, lineno, digest.hexdigest(), corrupt)
+            ended = end == start or _sha256(raw, digest, end - start).endswith(b"\n")
+        self._size = end if ended else None
+        self._lines, self._digest, self._corrupt, self._saved = lineno, digest, corrupt, start
         self.corrupt_lines = len(corrupt)
+        self._save()
 
     def _resume(self, cache) -> tuple[int, int, hashlib._Hash, list[tuple[int, str]]]:
         """Where the scan of the cache (a binary handle) carries on from: byte
@@ -416,11 +428,15 @@ class EvaluationCache:
         self.valid_lines += valid
         return lineno
 
-    def _save(self, size: int, lines: int, prefix: str, corrupt: list[tuple[int, str]]) -> None:
-        """Write the checkpoint of the cache's first size bytes (lines long, of
-        sha256 prefix) as surrogate._replacing writes, CHECKPOINT_BLOCK_ROWS
-        rows at a time; nothing if that fails or a model's rows differ in
-        their number of outputs, which the format gives once per model."""
+    def _save(self) -> None:
+        """Write the checkpoint of the file as this instance knows it (unless
+        it covers those bytes already, or they are not the whole file) as
+        surrogate._replacing writes, CHECKPOINT_BLOCK_ROWS rows at a time;
+        nothing if that fails or a model's rows differ in their number of
+        outputs, which the format gives once per model."""
+        size, corrupt = self._size, self._corrupt
+        if size in (None, self._saved):
+            return
         widths = [set(map(len, table.values())) for table in self._index.values()]
         if any(len(width) != 1 for width in widths):
             return
@@ -432,8 +448,8 @@ class EvaluationCache:
 
         try:
             with surrogate._replacing(self.checkpoint) as handle:
-                put(f"{CHECKPOINT_FORMAT} {size} {lines} {self.valid_lines} {len(corrupt)} "
-                    f"{len(self._index)} {prefix}\n")
+                put(f"{CHECKPOINT_FORMAT} {size} {self._lines} {self.valid_lines} {len(corrupt)} "
+                    f"{len(self._index)} {self._digest.hexdigest()}\n")
                 put("".join([f"{lineno} {error}\n" for lineno, error in corrupt]))
                 for (fingerprint, table), (width,) in zip(self._index.items(), widths):
                     rows, values = list(table), list(table.values())
@@ -446,7 +462,8 @@ class EvaluationCache:
                         put("\n".join(map(" ".join, pairs)) + "\n")
                 handle.write(f"seal {seal.hexdigest()}\n")
         except OSError:
-            pass
+            return
+        self._saved = size
 
     def __len__(self) -> int:
         """The number of records, over every model."""
@@ -464,21 +481,40 @@ class EvaluationCache:
         STORE_BLOCK_CHARS characters.  A last line left without its newline
         by a write cut short is ended first, so that it stays one corrupt
         line and the first new record is not joined onto it.  A fingerprint
-        that the cache's line form cannot hold (see _PLAIN) raises ValueError.
+        or a row that the line form cannot hold (see _PLAIN), or a row count
+        other than the outputs', raises ValueError before anything is
+        written.  The lines extend what the next save_checkpoint covers,
+        unless the file no longer ends where this instance left it: another
+        writer appended, and from then on this instance writes no
+        checkpoint; the next open checks those lines.
         """
         if not re.fullmatch(_PLAIN, fingerprint):
             raise ValueError(f"fingerprint {fingerprint!r} holds a quote, a backslash "
                              "or a character that is not printable ASCII")
+        if not re.fullmatch(_PLAIN, "".join(rows)):
+            raise ValueError("a row holds a quote, a backslash or a character "
+                             "that is not printable ASCII")
         outputs = np.asarray(outputs, dtype=float)
+        if len(rows) != len(outputs):
+            raise ValueError(f"{len(rows)} rows for {len(outputs)} rows of outputs")
         head = '{"fingerprint":"' + fingerprint + '","inputs":["'
         tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
         values = [tuple(row) for row in outputs.tolist()]
         with self._lock, open(self.path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
+            # Unknown until every line is written and flushed, so a failed
+            # write leaves it so.
+            known, self._size = end == self._size, None
             if end:
                 handle.seek(end - 1)
                 if handle.read(1) != b"\n":
                     handle.write(b"\n")
+
+            def write(block: list[str]) -> None:
+                data = "".join(block).encode()
+                handle.write(data)
+                self._digest.update(data)
+
             block: list[str] = []
             size = 0
             for row, value in zip(rows, values):
@@ -489,10 +525,19 @@ class EvaluationCache:
                 block.append(body + ',"checksum":"' + checksum + '"}\n')
                 size += len(block[-1])
                 if size >= STORE_BLOCK_CHARS:
-                    handle.write("".join(block).encode())
+                    write(block)
                     block, size = [], 0
-            handle.write("".join(block).encode())
+            write(block)
+            handle.flush()
             self._index.setdefault(fingerprint, {}).update(zip(rows, values))
+            self.valid_lines += len(rows)
+            if known:
+                self._size, self._lines = handle.tell(), self._lines + len(rows)
+
+    def save_checkpoint(self) -> None:
+        """Write the checkpoint if store has appended since the last one."""
+        with self._lock:
+            self._save()
 
 
 def _input_csv(names: Sequence[str], rows: Sequence[str]) -> str:
@@ -772,7 +817,8 @@ class BlackBoxModel:
         Hits come back bit-identically to the original evaluation.  Misses
         are computed and committed to the cache as they complete: per
         external chunk, and for builtins once, after the last point or
-        before raising on a failing one.
+        before raising on a failing one.  The cache's checkpoint is written
+        once, when the batch ends or fails.
         """
         cache = self.cache
         outputs = np.empty((len(points), len(self.spec.output_names)))
@@ -794,9 +840,13 @@ class BlackBoxModel:
             if cache is not None and len(done):
                 cache.store(self.fingerprint, [rows[i] for i in done.tolist()], values)
 
-        if self._builtin is None:
-            miss_rows = [rows[i] for i in misses.tolist()]
-            _run_external_batch(self.spec, miss_rows, self.workers, commit)
-        else:
-            _run_builtin(self.spec, self._builtin, points[misses], commit)
+        try:
+            if self._builtin is None:
+                miss_rows = [rows[i] for i in misses.tolist()]
+                _run_external_batch(self.spec, miss_rows, self.workers, commit)
+            else:
+                _run_builtin(self.spec, self._builtin, points[misses], commit)
+        finally:
+            if cache is not None:
+                cache.save_checkpoint()
         return outputs, cached

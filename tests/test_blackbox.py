@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import hashlib
+import io
 import json
 import logging
 import math
@@ -1048,6 +1050,136 @@ class TestCheckpoint:
             assert box(points).tobytes() == fresh.tobytes()
             assert (box.fresh_count, box.cached_count) == (0, 200)
             assert np.array(cache.lookup("special", ["a", "b", "c"])).tobytes() == special.tobytes()
+
+    @pytest.mark.parametrize("start", ["no file", "corpus"])
+    @pytest.mark.parametrize("kind", ["builtin", "external"])
+    def test_a_batch_leaves_a_checkpoint_of_the_whole_file(
+        self, tmp_path, caplog, monkeypatch, kind, start
+    ):
+        path = tmp_path / "cache.jsonl"
+        if start == "corpus":
+            write_lines(path, corpus_lines(ragged=False))
+        points = np.column_stack([np.arange(6.0), np.arange(6.0) / 7.0])
+        if kind == "builtin":
+            box = BlackBoxModel(builtin_spec("sobol-example-1"), cache=EvaluationCache(path))
+        else:
+            script = tmp_path / "double.py"
+            script.write_text(ECHO_DOUBLER)
+            box = BlackBoxModel(external_spec(script), cache=EvaluationCache(path), workers=2)
+        box(points)
+        written = checkpoint_of(path).read_bytes()
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert seen == [(line_count(path), 0)]
+        # The same bytes as the checkpoint a full check of the file writes.
+        checkpoint_of(path).unlink()
+        assert_loads_like_reference(path, caplog)
+        assert checkpoint_of(path).read_bytes() == written
+
+    def test_lines_another_writer_appends_are_checked(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        lines = corpus_lines(ragged=False)
+        write_lines(path, lines)
+        cache = EvaluationCache(path)
+        # One valid line, which replaces a record's outputs, and one corrupt line.
+        points = np.array([[0.05, 100.0, 1.0 / 3.0]])
+        appended = store_lines(FP, points, np.array([[-0.0, 5e-324]])) + ["this is not json"]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in appended))
+        cache.store("another model", ["1", "2"], np.array([[1.0], [2.0]]))
+        cache.store("another model", ["3"], np.array([[3.0]]))
+        cache.save_checkpoint()  # writes none: the file is not the one it opened
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert_loads_like_reference(path, caplog)
+        count = len(lines)
+        assert seen == [(count, 5), (count + 5, 0)]
+
+    def test_two_instances_storing_in_turn(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        first, second = EvaluationCache(path), EvaluationCache(path)
+        for cache, fingerprint, row in [(first, "a", "1"), (second, "b", "2"), (first, "a", "3")]:
+            cache.store(fingerprint, [row], np.array([[float(row)]]))
+            cache.save_checkpoint()
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert_loads_like_reference(path, caplog)
+        assert seen == [(1, 2), (3, 0)]
+
+    def test_a_checkpoint_that_cannot_be_written_keeps_the_lines(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        checkpoint_of(path).mkdir()  # no file can be moved onto a directory
+        spec = builtin_spec("sobol-example-1")
+        points = np.array([[0.5, 0.5], [0.1, -0.2]])
+        fresh = BlackBoxModel(spec, cache=EvaluationCache(path))(points)
+        cache = EvaluationCache(path)
+        cache.store("another model", ["1"], np.array([[2.0]]))
+        cache.save_checkpoint()
+        assert not os.listdir(checkpoint_of(path))
+        assert_loads_like_reference(path, caplog)
+        box = BlackBoxModel(spec, cache=EvaluationCache(path))
+        assert box(points).tobytes() == fresh.tobytes() and box.cached_count == 2
+
+    def test_a_failing_chunk_leaves_the_others_checkpointed(self, tmp_path, caplog, monkeypatch):
+        script = tmp_path / "solver.py"
+        script.write_text(FAILS_ON_MARKED_ROW.format(fixed=str(tmp_path / "fixed")))
+        spec = external_spec(script)
+        points = np.array([[2.0, 0.5], [3.0, 0.5], [1.0, 0.5], [4.0, 0.5]])  # chunk 1 holds 1
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(EvaluationError, match="diverged"):
+            BlackBoxModel(spec, cache=EvaluationCache(path), workers=2)(points)
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert seen == [(2, 0)]
+        hits = EvaluationCache(path).lookup(spec.fingerprint(), blackbox._render_rows(points))
+        assert [hit is not None for hit in hits] == [True, True, False, False]
+
+    @pytest.mark.parametrize("rows, outputs", [
+        (['a"b'], [[1.0]]),
+        (["back\\slash"], [[1.0]]),
+        (["two\nlines"], [[1.0]]),
+        (["1", "tab\there"], [[1.0], [2.0]]),
+        (["é"], [[1.0]]),
+        (["1", "2"], [[1.0]]),
+        (["1"], [[1.0], [2.0]]),
+    ])
+    def test_store_refuses_rows_its_lines_cannot_hold(self, tmp_path, rows, outputs):
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(path)
+        cache.store("fp", ["0"], np.array([[0.0]]))
+        cache.save_checkpoint()
+        before = path.read_bytes(), checkpoint_of(path).read_bytes()
+        with pytest.raises(ValueError, match="not printable ASCII|rows of outputs"):
+            cache.store("fp", rows, np.array(outputs))
+        assert (path.read_bytes(), checkpoint_of(path).read_bytes()) == before
+        assert cache.lookup("fp", rows) == [None] * len(rows) and cache.valid_lines == 1
+
+    def test_a_failed_flush_leaves_the_lines_to_be_checked(self, tmp_path, caplog, monkeypatch):
+        class FlushFails(io.BufferedRandom):
+            def flush(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(path)
+        cache.store("fp", ["0"], np.array([[0.0]]))
+        assert not checkpoint_of(path).exists()  # store itself writes none
+        cache.save_checkpoint()
+        before = checkpoint_of(path).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(blackbox, "open", lambda file, mode: FlushFails(io.FileIO(file, "a+")),
+                          raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                cache.store("fp", ["1"], np.array([[1.0]]))
+        assert cache.lookup("fp", ["1"]) == [None]
+        # Writes none: the instance no longer knows the file, then or later.
+        cache.save_checkpoint()
+        assert checkpoint_of(path).read_bytes() == before
+        cache.store("fp", ["2"], np.array([[2.0]]))
+        cache.save_checkpoint()
+        assert checkpoint_of(path).read_bytes() == before
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)
+        assert seen == [(1, 1)]
 
 
 ECHO_DOUBLER = """\

@@ -16,34 +16,37 @@ their share of the cores, unless the environment sizes them.  What only a
 launch or a warning needs (subprocess, tempfile, signal, csv,
 concurrent.futures, logging) is imported where it is used.
 
-Evaluations are memoized in an append-only JSON-lines cache.  A batch's
-rows are rendered as text once ("%.17g" values, comma-separated, each
-distinct value of a column formatted once; a quadrature grid has a few per
-column), and that text keys the cache (under the spec fingerprint, so
-regenerated grids hit the cache reliably), and makes the cache lines and
-the solver's input rows.  Every cache line carries a checksum, and corrupt
-lines are logged and treated as misses, never returned as data.  The
-checksum is the sha256 of the compact sorted-key JSON of the line's other
-three fields, and the cache writes each line in exactly that byte form
-followed by ',"checksum":"<hex>"}'; every string in it is printable ASCII
-other than the quote and the backslash, and a fingerprint that is not is
-refused.  On load, only lines in that form are read, each checked against
-its own text and read by slicing; any other line is corrupt.  A checkpoint
-records what the lines hold; the batch that appends writes it anew, so no
-open checks a line pcekit wrote, and a line another writer appended is
-checked once.  Fresh results are appended in batches as they complete (per
-external launch, per builtin batch), so a failed batch keeps what
-succeeded.  The cache location can be forced with the PCEKIT_CACHE
-environment variable.
+Evaluations are memoized in an append-only JSON-lines cache, indexed by
+value: a point's key is its doubles' bits (every NaN as one NaN, since
+every NaN renders as "nan"), and each model fingerprint's rows of one input
+and one output count are two arrays, the keys sorted by their bytes and
+the outputs, so a batch is looked up with one searchsorted.  Only the
+misses are rendered as text ("%.17g" values, comma-separated, each distinct
+value of a column formatted once; a quadrature grid has a few per column),
+once: that text makes the solver's input rows and the cache lines.  A
+line's row keys its point only if it is the rendering of float() of its
+cells, as the lines pcekit writes are; a row written otherwise never hits,
+as no point renders to it.  Every cache line carries a checksum, and
+corrupt lines are logged and treated as misses, never returned as data.
+The checksum is the sha256 of the compact sorted-key JSON of the line's
+other three fields, and the cache writes each line in exactly that byte
+form followed by ',"checksum":"<hex>"}'; every string in it is printable
+ASCII other than the quote and the backslash, and a fingerprint that is
+not is refused.  On load, only lines in that form are read, each checked
+against its own text and read by slicing; any other line is corrupt.  A
+checkpoint records what the lines hold, the index arrays as hex; the batch
+that appends writes it anew, so no open checks a line pcekit wrote, and a
+line another writer appended is checked once.  Fresh results are appended
+in batches as they complete (per external launch, per builtin batch), so a
+failed batch keeps what succeeded.  The cache location can be forced with
+the PCEKIT_CACHE environment variable.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 import re
-import struct
 import threading
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -58,13 +61,14 @@ from .errors import THREAD_ENV_VARS, ConfigurationError, EvaluationError
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store.
 STORE_BLOCK_CHARS = 2**20
-# A cache checkpoint's tag and version, and the bytes hashed per read and
-# index rows per block when one is checked, read or written.  Blocks stay
-# under 128 KiB: freeing a larger one raises the C allocator's mmap
-# threshold, which raised a later validate's peak RSS by 1.9 MB.
-CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/1"
+# A cache checkpoint's tag and version, the bytes hashed per read when one is
+# checked, and the array bytes per line (as twice as many hex digits) when
+# one is read or written.  Blocks stay under 128 KiB: freeing a larger one
+# raises the C allocator's mmap threshold, which raised a later validate's
+# peak RSS by 1.9 MB.
+CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/2"
 HASH_BLOCK_BYTES = 2**16
-CHECKPOINT_BLOCK_ROWS = 2**10
+CHECKPOINT_BLOCK_BYTES = 2**15
 CORRUPT_LINE = "cache %s line %d is corrupt (%s); treating as a miss"
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
@@ -286,6 +290,34 @@ def _render_rows(points: np.ndarray) -> list[str]:
     return list(map("".join, zip(*columns)))
 
 
+def _float(cell: str) -> float:
+    """float(cell), or NaN where float() cannot read it: NaN renders "nan"."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _keys(points: np.ndarray) -> np.ndarray:
+    """Each row of an (M, N) array as one key of N*8 bytes, its little-endian
+    doubles, with every NaN as float("nan"): "%.17g" renders them all "nan"."""
+    points = np.ascontiguousarray(points, dtype="<f8")
+    nan = np.isnan(points)
+    if nan.any():
+        points = np.where(nan, np.nan, points)
+    return points.view(f"V{8 * points.shape[1]}").ravel()
+
+
+def _read_hex(handle, array: np.ndarray) -> np.ndarray:
+    """array, its bytes read from the hex lines next in the text handle, as
+    EvaluationCache._save writes them; a line too short or long raises ValueError."""
+    data = array.reshape(-1).view(np.uint8)
+    for at in range(0, len(data), CHECKPOINT_BLOCK_BYTES):
+        block = bytes.fromhex(handle.readline())
+        data[at:at + CHECKPOINT_BLOCK_BYTES] = np.frombuffer(block, np.uint8)
+    return array
+
+
 def resolve_cache_path(configured: str | os.PathLike | None) -> Path | None:
     """Configured cache path, unless the environment variable overrides it."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -298,12 +330,15 @@ class EvaluationCache:
     """Append-only, checksummed JSON-lines store of model evaluations.
 
     Each line is {"fingerprint", "inputs", "outputs", "checksum"} with the
-    numbers as canonical decimal strings.  The in-memory index maps each
-    model fingerprint to {input row: outputs}, a row being the inputs as
-    _render_rows writes them.  It is loaded once at construction, which
-    also counts the file's corrupt_lines and its valid_lines (to which
-    store adds the lines it writes); appends are serialized through a lock
-    so batch workers can share one cache.
+    numbers as canonical decimal strings.  The in-memory index holds one
+    table per (fingerprint, input count, output count): the points' keys
+    (see _keys) sorted by their bytes, and the matching rows of outputs.  A
+    line's row is keyed by float() of its cells only if _render_rows gives
+    it back; the (fingerprint, row) of any other valid line is a stray,
+    counted by len() but never a hit.  The index is loaded once at
+    construction, which also counts the file's corrupt_lines and its
+    valid_lines (to which store adds the lines it writes); appends are
+    serialized through a lock so batch workers can share one cache.
 
     Each line is checked at one open, not at every one: the checkpoint
     beside the cache, <cache>.checkpoint, holds what checking a prefix of
@@ -312,18 +347,25 @@ class EvaluationCache:
     appends (see store and save_checkpoint, which BlackBoxModel calls once
     per batch), so only lines another writer appended are ever checked:
 
-        pcekit-cache-checkpoint/1 BYTES LINES VALID CORRUPT MODELS SHA256
-        LINE ERROR                 per corrupt line in the prefix
-        ROWS OUTPUTS FINGERPRINT   per model, then per row:
-        HEX ROW                    the outputs as little-endian doubles
-        seal SHA256                of all the lines above
+        pcekit-cache-checkpoint/2 BYTES LINES VALID CORRUPT STRAYS TABLES SHA256
+        LINE ERROR                       per corrupt line in the prefix
+        FINGERPRINT<tab>ROW              per stray, in sorted order
+        ROWS INPUTS OUTPUTS FINGERPRINT  per table, in sorted order, then
+        HEX                              its keys, then its outputs, as
+                                         little-endian bytes in lines of
+                                         CHECKPOINT_BLOCK_BYTES
+        seal SHA256                      of all the lines above
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self.checkpoint = self.path.with_name(self.path.name + ".checkpoint")
         self._lock = threading.Lock()
-        self._index: dict[str, dict[str, tuple[float, ...]]] = {}
+        self._index: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._strays: set[tuple[str, str]] = set()
+        # Rows store appended, as (fingerprint, points, outputs), that the
+        # index has not merged yet (see _settle).
+        self._pending: list[tuple[str, np.ndarray, np.ndarray]] = []
         self.valid_lines = self.corrupt_lines = 0
         # The file as this instance knows it: the bytes it checked or wrote
         # (None once they are not the whole file), their line count, sha256
@@ -356,14 +398,17 @@ class EvaluationCache:
         offset, line number, sha256 of the bytes before and their corrupt
         lines.  The checkpoint is loaded, its warnings logged again, only if
         its tag is CHECKPOINT_FORMAT, its seal holds and the cache begins
-        with its prefix; else (missing, stale, damaged) the scan starts at 0."""
+        with its prefix; else (missing, stale, damaged, of another version)
+        the scan starts at 0."""
         try:
             with open(self.checkpoint, "r", encoding="ascii", newline="\n") as handle:
                 head = handle.readline()
                 tag, *counts, prefix = head.split()
-                size, lines, valid, bad, models = map(int, counts)
-                if tag != CHECKPOINT_FORMAT or size > os.fstat(cache.fileno()).st_size:
-                    raise ValueError("a foreign checkpoint, or one of a longer cache")
+                if tag != CHECKPOINT_FORMAT:
+                    raise ValueError("a foreign checkpoint")
+                size, lines, valid, bad, odd, tables = map(int, counts)
+                if size > os.fstat(cache.fileno()).st_size:
+                    raise ValueError("the checkpoint of a longer cache")
                 seal, digest = hashlib.sha256(), hashlib.sha256()
                 handle.buffer.seek(0)  # the seal hashes all but its own 70 bytes
                 _sha256(handle.buffer, seal, os.fstat(handle.fileno()).st_size - 70)
@@ -374,34 +419,33 @@ class EvaluationCache:
                 handle.seek(len(head))
                 errors = (handle.readline()[:-1].split(" ", 1) for _ in range(bad))
                 corrupt = [(int(lineno), error) for lineno, error in errors]
+                strays = {tuple(handle.readline()[:-1].split("\t")) for _ in range(odd)}
                 index = {}
-                for _ in range(models):
-                    count, width, fingerprint = handle.readline()[:-1].split(" ", 2)
-                    width, cells = int(width), 16 * int(width)
-                    table = index[fingerprint] = {}
-                    for left in range(int(count), 0, -CHECKPOINT_BLOCK_ROWS):
-                        block = list(itertools.islice(handle, min(left, CHECKPOINT_BLOCK_ROWS)))
-                        hexes = bytes.fromhex("".join([line[:cells] for line in block]))
-                        values = iter(struct.unpack(f"<{len(block) * width}d", hexes))
-                        rows = [line[cells + 1:-1] for line in block]
-                        table.update(zip(rows, zip(*[values] * width)))
-        except (OSError, ValueError, struct.error):
+                for _ in range(tables):
+                    count, inputs, outputs, fingerprint = handle.readline()[:-1].split(" ", 3)
+                    count, inputs, outputs = int(count), int(inputs), int(outputs)
+                    index[fingerprint, inputs, outputs] = (
+                        _read_hex(handle, np.empty(count, f"V{8 * inputs}")),
+                        _read_hex(handle, np.empty((count, outputs), "<f8")),
+                    )
+        except (OSError, ValueError):
             return 0, 0, hashlib.sha256(), []
-        self._index, self.valid_lines = index, valid
+        self._index, self._strays, self.valid_lines = index, strays, valid
         for lineno, error in corrupt:
             _warn(CORRUPT_LINE, self.path, lineno, error)
         return size, lines, digest, corrupt
 
     def _scan(self, lines: Iterable[str], lineno: int, corrupt: list[tuple[int, str]]) -> int:
         """Check lines, numbered on from lineno, into the index (a later line
-        wins a repeated fingerprint and row) and valid_lines; each corrupt
-        line is logged and added to corrupt.  Returns the last line number.
+        wins a repeated fingerprint and row, and a row that is not the
+        rendering of its cells is a stray) and valid_lines; each corrupt line
+        is logged and added to corrupt.  Returns the last line number.
 
         A line, stripped of surrounding whitespace, is valid only if it is
         in the form store writes (_CANONICAL_LINE), with the checksum of its
         own text and outputs that float() reads; blank lines are skipped.
         """
-        index = self._index
+        found: dict[str, dict[str, tuple[float, ...]]] = {}
         valid = 0
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
@@ -420,25 +464,84 @@ class EvaluationCache:
                 if sha256((payload + "}").encode()).hexdigest() != checksum:
                     raise ValueError("checksum mismatch")
                 row = inputs.replace('","', ",")
-                index.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
+                found.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
                 valid += 1
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
                 _warn(CORRUPT_LINE, self.path, lineno, exc)
         self.valid_lines += valid
+        for fingerprint, table in found.items():
+            # Rows by their numbers of inputs and outputs; in each group,
+            # each distinct cell is read and rendered once, and a row is
+            # kept if every cell renders back to itself.
+            groups: dict[tuple[int, int], list[str]] = {}
+            for row, values in table.items():
+                groups.setdefault((row.count(","), len(values)), []).append(row)
+            for rows in groups.values():
+                cells = ",".join(rows).split(",")
+                distinct = {cell: at for at, cell in enumerate(dict.fromkeys(cells))}
+                numbers = np.array(list(map(_float, distinct)))
+                exact = list(map(str.__eq__, distinct, _render_rows(numbers[:, None])))
+                at = np.array(list(map(distinct.__getitem__, cells))).reshape(len(rows), -1)
+                points, kept = numbers[at], np.array(exact)[at].all(axis=1)
+                self._strays.update((fingerprint, row) for row, hit in zip(rows, kept) if not hit)
+                values = np.array(list(map(table.__getitem__, rows)), dtype="<f8")
+                self._file(fingerprint, points[kept], values[kept])
         return lineno
+
+    def _file(self, fingerprint: str, points: np.ndarray, outputs: np.ndarray) -> None:
+        """Merge each point's row of outputs into the model's sorted table of
+        their widths.  The last of a repeated key wins, also over the rows
+        of that key in the model's tables of other output counts, which go.
+        Beyond the merged table, the arrays made are of the batch's length:
+        sorting the old and new rows together raised peak RSS by 2-3 MB."""
+        if not len(points):
+            return
+        keys = _keys(points)
+        order = np.argsort(keys, kind="stable")
+        keys, outputs = keys[order], outputs[order]
+        last = np.append(keys[1:] != keys[:-1], True)  # in each run of one key
+        if not last.all():
+            keys, outputs = keys[last], outputs[last]
+        name = (fingerprint, points.shape[1], outputs.shape[1])
+        table = keys, outputs
+        for other in [other for other in self._index if other[:2] == name[:2]]:
+            old_keys, old_outputs = self._index[other]
+            at = np.searchsorted(old_keys, keys).clip(max=len(old_keys) - 1)
+            kept = np.ones(len(old_keys), dtype=bool)
+            kept[at[old_keys[at] == keys]] = False
+            if not kept.all():
+                old_keys, old_outputs = old_keys[kept], old_outputs[kept]
+            if other != name:
+                if len(old_keys):
+                    self._index[other] = old_keys, old_outputs
+                else:
+                    del self._index[other]
+                continue
+            # Where each row lands: the new ones among the old, in key order.
+            new = np.searchsorted(old_keys, keys) + np.arange(len(keys))
+            old = np.ones(len(old_keys) + len(keys), dtype=bool)
+            old[new] = False
+            table = np.empty(len(old), keys.dtype), np.empty((len(old), outputs.shape[1]))
+            for merged, rows, batch in zip(table, (old_keys, old_outputs), (keys, outputs)):
+                merged[old], merged[new] = rows, batch
+        self._index[name] = table
+
+    def _settle(self) -> None:
+        """Merge what store appended into the index, under the lock, on the
+        thread that reads it next: arrays made on a launch thread stay in its
+        malloc arena, which raised a cold build's peak RSS by up to 3 MB."""
+        for batch in self._pending:
+            self._file(*batch)
+        self._pending.clear()
 
     def _save(self) -> None:
         """Write the checkpoint of the file as this instance knows it (unless
         it covers those bytes already, or they are not the whole file) as
-        surrogate._replacing writes, CHECKPOINT_BLOCK_ROWS rows at a time;
-        nothing if that fails or a model's rows differ in their number of
-        outputs, which the format gives once per model."""
+        surrogate._replacing writes; nothing if that fails."""
+        self._settle()
         size, corrupt = self._size, self._corrupt
         if size in (None, self._saved):
-            return
-        widths = [set(map(len, table.values())) for table in self._index.values()]
-        if any(len(width) != 1 for width in widths):
             return
         seal = hashlib.sha256()
 
@@ -446,20 +549,21 @@ class EvaluationCache:
             seal.update(text.encode())
             handle.write(text)
 
+        def put_hex(array: np.ndarray) -> None:
+            data = array.reshape(-1).view(np.uint8)
+            for at in range(0, len(data), CHECKPOINT_BLOCK_BYTES):
+                put(data[at:at + CHECKPOINT_BLOCK_BYTES].tobytes().hex() + "\n")
+
         try:
             with surrogate._replacing(self.checkpoint) as handle:
                 put(f"{CHECKPOINT_FORMAT} {size} {self._lines} {self.valid_lines} {len(corrupt)} "
-                    f"{len(self._index)} {self._digest.hexdigest()}\n")
+                    f"{len(self._strays)} {len(self._index)} {self._digest.hexdigest()}\n")
                 put("".join([f"{lineno} {error}\n" for lineno, error in corrupt]))
-                for (fingerprint, table), (width,) in zip(self._index.items(), widths):
-                    rows, values = list(table), list(table.values())
-                    put(f"{len(rows)} {width} {fingerprint}\n")
-                    for at in range(0, len(rows), CHECKPOINT_BLOCK_ROWS):
-                        block = values[at:at + CHECKPOINT_BLOCK_ROWS]
-                        flat = itertools.chain.from_iterable(block)
-                        cells = struct.pack(f"<{len(block) * width}d", *flat).hex(" ", 8 * width)
-                        pairs = zip(cells.split(" "), rows[at:at + CHECKPOINT_BLOCK_ROWS])
-                        put("\n".join(map(" ".join, pairs)) + "\n")
+                put("".join([f"{model}\t{row}\n" for model, row in sorted(self._strays)]))
+                for (fingerprint, inputs, outputs), (keys, values) in sorted(self._index.items()):
+                    put(f"{len(keys)} {inputs} {outputs} {fingerprint}\n")
+                    put_hex(keys)
+                    put_hex(values)
                 handle.write(f"seal {seal.hexdigest()}\n")
         except OSError:
             return
@@ -467,26 +571,47 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         """The number of records, over every model."""
-        return sum(map(len, self._index.values()))
+        with self._lock:
+            self._settle()
+        return sum(len(keys) for keys, _ in self._index.values()) + len(self._strays)
 
-    def lookup(self, fingerprint: str, rows: Sequence[str]) -> list[tuple[float, ...] | None]:
-        """The model's outputs at each row (from _render_rows), or None where it misses."""
-        return list(map(self._index.get(fingerprint, {}).get, rows))
+    def lookup(
+        self, fingerprint: str, points: np.ndarray, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of the (M, N) points the model holds `width` outputs at,
+        as a mask, and those outputs in row order: one search of the model's
+        sorted keys for the whole batch."""
+        points = np.asarray(points, dtype=float)
+        with self._lock:
+            self._settle()
+            table = self._index.get((fingerprint, points.shape[1], width))
+        if table is None:
+            return np.zeros(len(points), dtype=bool), np.empty((0, width))
+        keys, values = table
+        query = _keys(points)
+        at = np.searchsorted(keys, query).clip(max=len(keys) - 1)
+        hits = keys[at] == query
+        return hits, values[at[hits]]
 
-    def store(self, fingerprint: str, rows: Sequence[str], outputs: np.ndarray) -> None:
-        """Append one record per row (from _render_rows) with its row of outputs.
+    def store(
+        self, fingerprint: str, points: np.ndarray, outputs: np.ndarray, rows: Sequence[str]
+    ) -> None:
+        """Append one record per row of the (M, N) points with its row of
+        outputs.  rows are _render_rows(points), which the caller made for
+        the solver: the lines hold them, the index the points.  The arrays
+        are kept, not copied, until the index merges them (see _settle).
 
         Each line is the json.dumps rendering of its record.  The lines go
         out under the lock through one open of the file, in blocks of about
         STORE_BLOCK_CHARS characters.  A last line left without its newline
         by a write cut short is ended first, so that it stays one corrupt
         line and the first new record is not joined onto it.  A fingerprint
-        or a row that the line form cannot hold (see _PLAIN), or a row count
-        other than the outputs', raises ValueError before anything is
-        written.  The lines extend what the next save_checkpoint covers,
-        unless the file no longer ends where this instance left it: another
-        writer appended, and from then on this instance writes no
-        checkpoint; the next open checks those lines.
+        or a row that the line form cannot hold (see _PLAIN), or points,
+        outputs and rows that are not of one row count, raise ValueError
+        before anything is written.  The lines extend what the next
+        save_checkpoint covers, unless the file no longer ends where this
+        instance left it: another writer appended, and from then on this
+        instance writes no checkpoint; the next open checks those lines.
         """
         if not re.fullmatch(_PLAIN, fingerprint):
             raise ValueError(f"fingerprint {fingerprint!r} holds a quote, a backslash "
@@ -494,9 +619,10 @@ class EvaluationCache:
         if not re.fullmatch(_PLAIN, "".join(rows)):
             raise ValueError("a row holds a quote, a backslash or a character "
                              "that is not printable ASCII")
-        outputs = np.asarray(outputs, dtype=float)
-        if len(rows) != len(outputs):
-            raise ValueError(f"{len(rows)} rows for {len(outputs)} rows of outputs")
+        points, outputs = np.asarray(points, dtype=float), np.asarray(outputs, dtype="<f8")
+        if points.ndim != 2 or outputs.ndim != 2 or not len(rows) == len(points) == len(outputs):
+            raise ValueError(f"{len(rows)} rows and points of shape {points.shape} "
+                             f"for outputs of shape {outputs.shape}")
         head = '{"fingerprint":"' + fingerprint + '","inputs":["'
         tail = '"],"outputs":["' + '","'.join(["%.17g"] * outputs.shape[1]) + '"]'
         values = [tuple(row) for row in outputs.tolist()]
@@ -529,7 +655,7 @@ class EvaluationCache:
                     block, size = [], 0
             write(block)
             handle.flush()
-            self._index.setdefault(fingerprint, {}).update(zip(rows, values))
+            self._pending.append((fingerprint, points, outputs))
             self.valid_lines += len(rows)
             if known:
                 self._size, self._lines = handle.tell(), self._lines + len(rows)
@@ -569,6 +695,12 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
         raise EvaluationError(
             f"external model wrote {len(data)} rows for {expected_rows} input points"
         )
+    for number, row in enumerate(data, start=1):
+        if len(row) != len(output_names):
+            raise EvaluationError(
+                f"external model wrote {len(row)} values in output row {number} "
+                f"for {len(output_names)} declared outputs"
+            )
     try:
         return np.array([[float(cell) for cell in row] for row in data])
     except ValueError as exc:
@@ -821,31 +953,30 @@ class BlackBoxModel:
         once, when the batch ends or fails.
         """
         cache = self.cache
-        outputs = np.empty((len(points), len(self.spec.output_names)))
+        width = len(self.spec.output_names)
+        outputs = np.empty((len(points), width))
         cached = np.zeros(len(points), dtype=bool)
-        # Rendered once: the rows the cache is keyed by are the solver's rows.
-        rows = _render_rows(points) if cache is not None or self._builtin is None else []
         if cache is not None:
-            hits = cache.lookup(self.fingerprint, rows)
-            cached[:] = [hit is not None for hit in hits]
-            if cached.any():
-                outputs[cached] = [hit for hit in hits if hit is not None]
+            cached, hits = cache.lookup(self.fingerprint, points, width)
+            outputs[cached] = hits
         misses = np.flatnonzero(~cached)
         if not len(misses):
             return outputs, cached
+        # Taken and rendered once, here: commit stores slices of them from
+        # the launch threads.  The rows are the solver's and the cache lines'.
+        missed = points[misses]
+        rows = _render_rows(missed) if cache is not None or self._builtin is None else []
 
         def commit(chunk: slice, values: np.ndarray) -> None:
-            done = misses[chunk]
-            outputs[done] = values
-            if cache is not None and len(done):
-                cache.store(self.fingerprint, [rows[i] for i in done.tolist()], values)
+            outputs[misses[chunk]] = values
+            if cache is not None and len(values):
+                cache.store(self.fingerprint, missed[chunk], values, rows[chunk])
 
         try:
             if self._builtin is None:
-                miss_rows = [rows[i] for i in misses.tolist()]
-                _run_external_batch(self.spec, miss_rows, self.workers, commit)
+                _run_external_batch(self.spec, rows, self.workers, commit)
             else:
-                _run_builtin(self.spec, self._builtin, points[misses], commit)
+                _run_builtin(self.spec, self._builtin, missed, commit)
         finally:
             if cache is not None:
                 cache.save_checkpoint()

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -265,11 +266,10 @@ class TestArrayBuiltins:
         with np.errstate(all="ignore"), pytest.raises(EvaluationError, match=message) as info:
             BlackBoxModel(spec, cache=EvaluationCache(path))(points)
         assert str(points[where].tolist()) in str(info.value)
-        cache = EvaluationCache(path)
-        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
-        assert [hit is not None for hit in hits] == [i < where for i in range(11)]
+        hits, values = EvaluationCache(path).lookup(spec.fingerprint(), points, 2)
+        assert hits.tolist() == [i < where for i in range(11)]
         expected = BlackBoxModel(spec)(points[:where]) if where else np.empty((0, 2))
-        assert np.array(hits[:where]).reshape(-1, 2).tolist() == expected.tolist()
+        assert values.tolist() == expected.tolist()
 
 
 class TestFingerprint:
@@ -352,8 +352,25 @@ class TestCache:
         spec = builtin_spec("sobol-example-1")
         points = np.array([[0.5, 0.5], [0.1, -0.2]])
         BlackBoxModel(spec, cache=cache)(points)
-        assert cache.lookup("no such model", blackbox._render_rows(points)) == [None, None]
-        assert len(cache) == 2 and list(cache._index) == [spec.fingerprint()]
+        hits, values = cache.lookup("no such model", points, 1)
+        assert hits.tolist() == [False, False] and values.shape == (0, 1)
+        assert len(cache) == 2 and list(cache._index) == [(spec.fingerprint(), 2, 1)]
+
+    def test_a_line_of_another_output_count_is_a_miss(self, tmp_path):
+        # Another program's line: pcekit's fingerprint names the outputs.
+        spec = builtin_spec("constant", inputs=("x",), outputs=("a", "b"),
+                            parameters={"values": [1.0, 2.0]})
+        path = tmp_path / "cache.jsonl"
+        line = fields(spec.fingerprint(), inputs=("0.5",), outputs=["7"])
+        write_lines(path, [record_line(line, **COMPACT)])
+        box = BlackBoxModel(spec, cache=EvaluationCache(path))
+        assert box(np.array([[0.5]])).tolist() == [[1.0, 2.0]]
+        assert (box.fresh_count, box.cached_count) == (1, 0)
+        # The later line, of two outputs, replaces it.
+        reloaded = EvaluationCache(path)
+        assert len(reloaded) == 1
+        assert reloaded.lookup(spec.fingerprint(), [[0.5]], 1)[0].tolist() == [False]
+        assert reloaded.lookup(spec.fingerprint(), [[0.5]], 2)[1].tolist() == [[1.0, 2.0]]
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PCEKIT_CACHE", str(tmp_path / "forced.jsonl"))
@@ -500,6 +517,12 @@ def template_cache_cases():
     return [(csg, lo + 0.5 * (unit + 1.0) * (hi - lo)), (const, odd)]
 
 
+def store(cache, fingerprint, points, outputs):
+    """cache.store with the rows BlackBoxModel renders for the solver."""
+    points = np.asarray(points, dtype=float)
+    cache.store(fingerprint, points, outputs, blackbox._render_rows(points))
+
+
 class TestBatchedCache:
     VALUES = np.array([
         [0.5, -0.0, 1e-300, -2.0],
@@ -511,18 +534,16 @@ class TestBatchedCache:
     def test_store_lines_match_json_dumps(self, tmp_path, fingerprint):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points, outputs = self.VALUES[:, :3], self.VALUES[:, 1:]
-        rows = blackbox._render_rows(points)
-        cache.store(fingerprint, rows, outputs)
-        cache.store(fingerprint, blackbox._render_rows(points[:1] + 1.0), outputs[:1])
+        store(cache, fingerprint, points, outputs)
+        store(cache, fingerprint, points[:1] + 1.0, outputs[:1])
         expected = [json_dumps_record(fingerprint, p, o) for p, o in zip(points, outputs)]
         expected.append(json_dumps_record(fingerprint, points[0] + 1.0, outputs[0]))
         assert (tmp_path / "cache.jsonl").read_text(encoding="utf-8") == "".join(expected)
         reloaded = EvaluationCache(tmp_path / "cache.jsonl")
         assert reloaded.corrupt_lines == 0
-        assert (
-            reloaded.lookup(fingerprint, rows) == cache.lookup(fingerprint, rows)
-            == list(map(tuple, outputs.tolist()))
-        )
+        for hits, values in (reloaded.lookup(fingerprint, points, 3),
+                             cache.lookup(fingerprint, points, 3)):
+            assert hits.all() and values.tobytes() == outputs.tobytes()
 
     @pytest.mark.parametrize(
         "fingerprint", ['a "quote"', "back\\slash", "é", "tab\there", "del\x7f"]
@@ -530,8 +551,9 @@ class TestBatchedCache:
     def test_store_refuses_a_fingerprint_its_lines_cannot_hold(self, tmp_path, fingerprint):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         with pytest.raises(ValueError, match="not printable ASCII"):
-            cache.store(fingerprint, ["1"], np.array([[2.0]]))
-        assert not cache.path.exists() and cache.lookup(fingerprint, ["1"]) == [None]
+            store(cache, fingerprint, [[1.0]], [[2.0]])
+        assert not cache.path.exists()
+        assert cache.lookup(fingerprint, [[1.0]], 1)[0].tolist() == [False]
 
     def test_rows_are_17_digit_renderings(self):
         rows = blackbox._render_rows(self.VALUES)
@@ -542,21 +564,21 @@ class TestBatchedCache:
         monkeypatch.setattr(blackbox, "STORE_BLOCK_CHARS", 500)
         cache = EvaluationCache(tmp_path / "cache.jsonl")
         points = np.arange(60.0).reshape(20, 3) / 7.0
-        cache.store("fp", blackbox._render_rows(points), points[:, :1])
+        store(cache, "fp", points, points[:, :1])
         lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8")
         assert lines == "".join(json_dumps_record("fp", p, p[:1]) for p in points)
 
     def test_store_after_torn_last_line_keeps_every_record(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         points = np.arange(9.0).reshape(3, 3)
-        rows = blackbox._render_rows(points)
-        EvaluationCache(path).store("fp", rows[:1], points[:1, :1])
+        store(EvaluationCache(path), "fp", points[:1], points[:1, :1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint":"fp","inputs":["1')  # a write cut short
-        EvaluationCache(path).store("fp", rows[1:], points[1:, :1])
+        store(EvaluationCache(path), "fp", points[1:], points[1:, :1])
         reloaded = EvaluationCache(path)
         assert len(reloaded) == 3 and reloaded.corrupt_lines == 1
-        assert reloaded.lookup("fp", rows) == [(0.0,), (3.0,), (6.0,)]
+        hits, values = reloaded.lookup("fp", points, 1)
+        assert hits.all() and values.tolist() == [[0.0], [3.0], [6.0]]
 
     def test_concurrent_store_loses_no_record(self, tmp_path):
         cache = EvaluationCache(tmp_path / "cache.jsonl")
@@ -566,7 +588,7 @@ class TestBatchedCache:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(cache.store, "fp", blackbox._render_rows(b), b)
+                    pool.submit(store, cache, "fp", b, b)
                     for b in batches
                 ]
                 for future in futures:
@@ -695,16 +717,42 @@ def store_lines(fingerprint, points, outputs):
     """The lines EvaluationCache.store writes for these records."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = EvaluationCache(Path(tmp) / "cache.jsonl")
-        cache.store(fingerprint, blackbox._render_rows(points), outputs)
+        store(cache, fingerprint, points, outputs)
         return cache.path.read_text(encoding="utf-8").splitlines()
 
 
-def index_bits(index):
-    """A nested index's items with the outputs as raw doubles, so NaNs compare."""
-    return [
-        (fingerprint, [(row, struct.pack(f"{len(v)}d", *v)) for row, v in rows.items()])
-        for fingerprint, rows in index.items()
-    ]
+def split_reference(index):
+    """A reference index as the cache holds it: ({(fingerprint, inputs,
+    outputs): {row: outputs as raw doubles}} of the rows that are the "%.17g"
+    rendering of float() of their cells, and the (fingerprint, row) of
+    every other row."""
+    tables, strays = {}, set()
+    for fingerprint, rows in index.items():
+        for row, values in rows.items():
+            try:
+                point = [float(cell) for cell in row.split(",")]
+            except ValueError:
+                point = None
+            if point is None or template_rows([point]) != [row]:
+                strays.add((fingerprint, row))
+                continue
+            table = tables.setdefault((fingerprint, len(point), len(values)), {})
+            table[row] = struct.pack(f"<{len(values)}d", *values)
+    return tables, strays
+
+
+def cache_tables(cache):
+    """An EvaluationCache's index in split_reference's form."""
+    tables = {}
+    for (fingerprint, inputs, outputs), (keys, values) in cache._index.items():
+        rows = template_rows(keys.view("<f8").reshape(-1, inputs))
+        tables[fingerprint, inputs, outputs] = dict(zip(rows, map(bytes, values)))
+    return tables, cache._strays
+
+
+def assert_indexes_like_reference(cache, expected_index):
+    assert cache_tables(cache) == split_reference(expected_index)
+    assert len(cache) == sum(map(len, expected_index.values()))
 
 
 def assert_loads_like_reference(path, caplog):
@@ -712,7 +760,7 @@ def assert_loads_like_reference(path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="pcekit.blackbox"):
         cache = EvaluationCache(path)
-    assert index_bits(cache._index) == index_bits(expected_index)
+    assert_indexes_like_reference(cache, expected_index)
     assert cache.corrupt_lines == len(expected_corrupt)
     assert [r.getMessage() for r in caplog.records] == [
         f"cache {path} line {lineno} is corrupt ({error}); treating as a miss"
@@ -844,10 +892,82 @@ class TestLoaderDifferential:
             path.write_text(line + "\n", encoding="utf-8")
             expected_index, expected_valid, expected_corrupt = reference_scan(path)
             cache = EvaluationCache(path)
-            assert index_bits(cache._index) == index_bits(expected_index)
+            assert_indexes_like_reference(cache, expected_index)
             assert (cache.valid_lines, cache.corrupt_lines) == (
                 expected_valid, len(expected_corrupt)
             )
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF0000000000123], dtype=np.uint64).view(float)
+STRAY_ROWS = ["1.0", " 1", "+1", "1e0", ""]
+
+
+def lookup_cases():
+    """Points the index is asked for: sparse-grid and LHS points, special
+    values (signed zeros, a subnormal, 1e300 and two NaN payloads) and the
+    points that the corpus's rows and the stray rows read as."""
+    special = np.array([
+        [-0.0, 0.0], [0.0, -0.0], [5e-324, 1e300], [NAN_PAYLOADS[0], 1.0],
+        [NAN_PAYLOADS[1], 1.0], [1.0, NAN_PAYLOADS[1]], [1.0, 2.0], [1.0, 2.5],
+    ])
+    return {
+        "sparse": 3.0 + sparse_grid(2, 4).points,
+        "lhs": latin_hypercube(6, 3, 2, 4).points,
+        "special": special,
+        "corpus": np.array([[0.05, 100.0, 1.0 / 3.0], [-0.0, 5e-324, 1e300], [7.0, 8.0, 9.0]]),
+        "one input": np.array([[1.0], [0.0], [np.nan]]),
+    }
+
+
+def assert_looks_up_like_the_text_rule(cache, path):
+    """Every case's hits and values, under every fingerprint and width, are
+    those of the reference index looked up by "%.17g" row text; and the
+    counts agree."""
+    index, valid, corrupt = reference_scan(path)
+    assert (cache.valid_lines, cache.corrupt_lines) == (valid, len(corrupt))
+    assert len(cache) == sum(map(len, index.values()))
+    for fingerprint in [*index, "no such model"]:
+        for points in lookup_cases().values():
+            found = [index.get(fingerprint, {}).get(row) for row in template_rows(points)]
+            for width in (1, 2, 3):
+                hits, values = cache.lookup(fingerprint, points, width)
+                expected = [value is not None and len(value) == width for value in found]
+                assert hits.tolist() == expected, (fingerprint, width)
+                rows = [value for value, hit in zip(found, expected) if hit]
+                assert values.shape == (len(rows), width)
+                assert values.tobytes() == struct.pack(f"<{len(rows) * width}d", *sum(rows, ()))
+
+
+class TestLookupDifferential:
+    def test_the_index_hits_where_the_row_text_does(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cases = lookup_cases()
+        lines = []
+        for name, points in cases.items():
+            with np.errstate(invalid="ignore"):
+                outputs = np.column_stack([points.sum(axis=1), -points[:, 0]])
+            lines += store_lines(FP, points, outputs) + store_lines(name, points, outputs[:, :1])
+        # Rows that float() reads but that are not the rendering of what it reads.
+        for row in STRAY_ROWS:
+            lines.append(record_line(fields("fp", inputs=(row,)), **COMPACT))
+        lines.append(record_line(fields("fp", inputs=("1,2",), outputs=["5"]), **COMPACT))
+        write_lines(path, lines + corpus_lines() + lines[:5])
+        seen = scans(monkeypatch)
+        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)  # every line checked
+        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)  # from the checkpoint
+        assert seen == [(0, line_count(path)), (line_count(path), 0)]
+        # Points stored through an open instance, the NaNs among them with
+        # other payloads, and looked up before and after the next open.  (An
+        # output NaN's payload is kept until then; pcekit stores none.)
+        cache = EvaluationCache(path)
+        special = cases["special"]
+        outputs = np.arange(2.0 * len(special)).reshape(-1, 2)
+        store(cache, "fp", special[::-1], outputs)
+        store(cache, "fp", special[:, ::-1], outputs[::-1])
+        store(cache, "fp", [[1.0]], [[3.0]])  # beside the stray rows that read as 1.0
+        cache.save_checkpoint()
+        assert_looks_up_like_the_text_rule(cache, path)
+        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)
 
 
 def scans(monkeypatch):
@@ -898,7 +1018,7 @@ DAMAGES = {
     "seal-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
         flipped(checkpoint.read_bytes(), checkpoint.stat().st_size - 2)),
     "foreign-version": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
-        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/1 ", b"pcekit-cache-checkpoint/2 "))),
+        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/2 ", b"pcekit-cache-checkpoint/3 "))),
     "stale": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[::-1]),
     "cache-shortened": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[:-5]),
     "cache-byte-flipped": lambda cache, checkpoint: cache.write_bytes(
@@ -941,26 +1061,32 @@ class TestCheckpoint:
         count = line_count(path)
         assert seen == [(0, count), (count, 0)]
 
-    def test_a_ragged_table_writes_no_checkpoint(self, tmp_path, caplog, monkeypatch):
-        # The corpus as it stands files rows of one, two and three outputs under one model.
+    def test_a_ragged_model_is_checkpointed(self, tmp_path, caplog, monkeypatch):
+        # The corpus as it stands files rows of one, two and three outputs
+        # under one model, each output count in a table of its own.
         path = tmp_path / "cache.jsonl"
         write_lines(path, corpus_lines())
         seen = scans(monkeypatch)
         assert_loads_like_reference(path, caplog)
         assert_loads_like_reference(path, caplog)
         count = line_count(path)
-        assert seen == [(0, count), (0, count)] and os.listdir(tmp_path) == ["cache.jsonl"]
-        # A ragged row after a checkpoint leaves that checkpoint as it was.
-        write_lines(path, corpus_lines(ragged=False))
-        EvaluationCache(path)
+        assert seen == [(0, count), (count, 0)]
+        # A row of another output count replaces its key's row in the
+        # model's other tables, through the checkpoint as in a full check.
         written = checkpoint_of(path).read_bytes()
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(record_line(fields(outputs=["1"]), **COMPACT) + "\n")
+            for outputs in (["1"], ["7", "8", "9"]):
+                handle.write(record_line(fields(inputs=("1", "2.5"), outputs=outputs), **COMPACT))
+                handle.write("\n")
         del seen[:]
         assert_loads_like_reference(path, caplog)
         assert_loads_like_reference(path, caplog)
-        count = line_count(path) - 1
-        assert seen == [(count, 1), (count, 1)] and checkpoint_of(path).read_bytes() == written
+        assert seen == [(count, 2), (count + 2, 0)]
+        assert checkpoint_of(path).read_bytes() != written
+        rewritten = checkpoint_of(path).read_bytes()
+        checkpoint_of(path).unlink()
+        assert_loads_like_reference(path, caplog)
+        assert checkpoint_of(path).read_bytes() == rewritten
 
     def test_a_last_line_without_its_newline_is_not_covered(self, tmp_path, caplog, monkeypatch):
         path = tmp_path / "cache.jsonl"
@@ -978,7 +1104,7 @@ class TestCheckpoint:
         assert_loads_like_reference(path, caplog)
         assert checkpoint_of(path).read_bytes() == written
         # store ends the torn line before it appends; that line is then covered.
-        EvaluationCache(path).store("another model", ["1"], np.array([[2.0]]))
+        store(EvaluationCache(path), "another model", [[1.0]], [[2.0]])
         assert_loads_like_reference(path, caplog)
         assert_loads_like_reference(path, caplog)
         count = len(lines)
@@ -1041,7 +1167,7 @@ class TestCheckpoint:
         path = tmp_path / "cache.jsonl"
         fresh = BlackBoxModel(spec, cache=EvaluationCache(path))(points)
         special = np.array([[-0.0, 5e-324], [np.nan, -np.inf], [1e300, 1.0 / 3.0]])
-        EvaluationCache(path).store("special", ["a", "b", "c"], special)
+        store(EvaluationCache(path), "special", special, special)
         seen = scans(monkeypatch)
         caches = [EvaluationCache(path), EvaluationCache(path)]
         assert seen == [(200, 3), (203, 0)]
@@ -1049,7 +1175,8 @@ class TestCheckpoint:
             box = BlackBoxModel(spec, cache=cache)
             assert box(points).tobytes() == fresh.tobytes()
             assert (box.fresh_count, box.cached_count) == (0, 200)
-            assert np.array(cache.lookup("special", ["a", "b", "c"])).tobytes() == special.tobytes()
+            hits, values = cache.lookup("special", special, 2)
+            assert hits.all() and values.tobytes() == special.tobytes()
 
     @pytest.mark.parametrize("start", ["no file", "corpus"])
     @pytest.mark.parametrize("kind", ["builtin", "external"])
@@ -1086,8 +1213,8 @@ class TestCheckpoint:
         appended = store_lines(FP, points, np.array([[-0.0, 5e-324]])) + ["this is not json"]
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("".join(line + "\n" for line in appended))
-        cache.store("another model", ["1", "2"], np.array([[1.0], [2.0]]))
-        cache.store("another model", ["3"], np.array([[3.0]]))
+        store(cache, "another model", [[1.0], [2.0]], [[1.0], [2.0]])
+        store(cache, "another model", [[3.0]], [[3.0]])
         cache.save_checkpoint()  # writes none: the file is not the one it opened
         seen = scans(monkeypatch)
         assert_loads_like_reference(path, caplog)
@@ -1098,8 +1225,8 @@ class TestCheckpoint:
     def test_two_instances_storing_in_turn(self, tmp_path, caplog, monkeypatch):
         path = tmp_path / "cache.jsonl"
         first, second = EvaluationCache(path), EvaluationCache(path)
-        for cache, fingerprint, row in [(first, "a", "1"), (second, "b", "2"), (first, "a", "3")]:
-            cache.store(fingerprint, [row], np.array([[float(row)]]))
+        for cache, fingerprint, value in [(first, "a", 1.0), (second, "b", 2.0), (first, "a", 3.0)]:
+            store(cache, fingerprint, [[value]], [[value]])
             cache.save_checkpoint()
         seen = scans(monkeypatch)
         assert_loads_like_reference(path, caplog)
@@ -1113,7 +1240,7 @@ class TestCheckpoint:
         points = np.array([[0.5, 0.5], [0.1, -0.2]])
         fresh = BlackBoxModel(spec, cache=EvaluationCache(path))(points)
         cache = EvaluationCache(path)
-        cache.store("another model", ["1"], np.array([[2.0]]))
+        store(cache, "another model", [[1.0]], [[2.0]])
         cache.save_checkpoint()
         assert not os.listdir(checkpoint_of(path))
         assert_loads_like_reference(path, caplog)
@@ -1131,8 +1258,20 @@ class TestCheckpoint:
         seen = scans(monkeypatch)
         assert_loads_like_reference(path, caplog)
         assert seen == [(2, 0)]
-        hits = EvaluationCache(path).lookup(spec.fingerprint(), blackbox._render_rows(points))
-        assert [hit is not None for hit in hits] == [True, True, False, False]
+        hits, _ = EvaluationCache(path).lookup(spec.fingerprint(), points, 2)
+        assert hits.tolist() == [True, True, False, False]
+
+    def assert_store_refuses(self, tmp_path, points, outputs, rows):
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(path)
+        store(cache, "fp", [[0.0]], [[0.0]])
+        cache.save_checkpoint()
+        before = path.read_bytes(), checkpoint_of(path).read_bytes()
+        with pytest.raises(ValueError, match="not printable ASCII|rows and points of shape"):
+            cache.store("fp", points, outputs, rows)
+        assert (path.read_bytes(), checkpoint_of(path).read_bytes()) == before
+        hits, _ = cache.lookup("fp", [[1.0], [2.0]], 1)
+        assert hits.tolist() == [False, False] and cache.valid_lines == len(cache) == 1
 
     @pytest.mark.parametrize("rows, outputs", [
         (['a"b'], [[1.0]]),
@@ -1144,15 +1283,18 @@ class TestCheckpoint:
         (["1"], [[1.0], [2.0]]),
     ])
     def test_store_refuses_rows_its_lines_cannot_hold(self, tmp_path, rows, outputs):
-        path = tmp_path / "cache.jsonl"
-        cache = EvaluationCache(path)
-        cache.store("fp", ["0"], np.array([[0.0]]))
-        cache.save_checkpoint()
-        before = path.read_bytes(), checkpoint_of(path).read_bytes()
-        with pytest.raises(ValueError, match="not printable ASCII|rows of outputs"):
-            cache.store("fp", rows, np.array(outputs))
-        assert (path.read_bytes(), checkpoint_of(path).read_bytes()) == before
-        assert cache.lookup("fp", rows) == [None] * len(rows) and cache.valid_lines == 1
+        points = np.arange(1.0, len(outputs) + 1.0)[:, None]
+        self.assert_store_refuses(tmp_path, points, outputs, rows)
+
+    @pytest.mark.parametrize("points, outputs", [
+        ([[1.0], [2.0]], [[1.0]]),
+        ([[1.0]], [[1.0], [2.0]]),
+        ([1.0], [[1.0]]),
+        ([[1.0]], [1.0]),
+        ([[[1.0]]], [[1.0]]),
+    ])
+    def test_store_refuses_points_and_outputs_that_do_not_pair(self, tmp_path, points, outputs):
+        self.assert_store_refuses(tmp_path, points, outputs, ["1"] * len(points))
 
     def test_a_failed_flush_leaves_the_lines_to_be_checked(self, tmp_path, caplog, monkeypatch):
         class FlushFails(io.BufferedRandom):
@@ -1161,7 +1303,7 @@ class TestCheckpoint:
 
         path = tmp_path / "cache.jsonl"
         cache = EvaluationCache(path)
-        cache.store("fp", ["0"], np.array([[0.0]]))
+        store(cache, "fp", [[0.0]], [[0.0]])
         assert not checkpoint_of(path).exists()  # store itself writes none
         cache.save_checkpoint()
         before = checkpoint_of(path).read_bytes()
@@ -1169,17 +1311,53 @@ class TestCheckpoint:
             patch.setattr(blackbox, "open", lambda file, mode: FlushFails(io.FileIO(file, "a+")),
                           raising=False)
             with pytest.raises(OSError, match="No space left"):
-                cache.store("fp", ["1"], np.array([[1.0]]))
-        assert cache.lookup("fp", ["1"]) == [None]
+                store(cache, "fp", [[1.0]], [[1.0]])
+        assert cache.lookup("fp", [[1.0]], 1)[0].tolist() == [False]
         # Writes none: the instance no longer knows the file, then or later.
         cache.save_checkpoint()
         assert checkpoint_of(path).read_bytes() == before
-        cache.store("fp", ["2"], np.array([[2.0]]))
+        store(cache, "fp", [[2.0]], [[2.0]])
         cache.save_checkpoint()
         assert checkpoint_of(path).read_bytes() == before
         seen = scans(monkeypatch)
         assert_loads_like_reference(path, caplog)
         assert seen == [(1, 1)]
+
+    def test_a_version_1_checkpoint_is_replaced_once(self, tmp_path, caplog, monkeypatch):
+        # The cache and the checkpoint the previous format's code wrote for it.
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes((DATA / "v1_checkpoint_cache.jsonl").read_bytes())
+        checkpoint_of(path).write_bytes((DATA / "v1_checkpoint_cache.checkpoint-v1").read_bytes())
+        assert checkpoint_of(path).read_text().startswith("pcekit-cache-checkpoint/1 7916 43 ")
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)  # a full check, which writes version 2
+        assert checkpoint_of(path).read_text().startswith("pcekit-cache-checkpoint/2 7916 43 ")
+        assert_loads_like_reference(path, caplog)
+        count = line_count(path)
+        assert seen == [(0, count), (count, 0)]
+
+    def test_the_checkpoint_and_the_index_allocate_little_beyond_the_arrays(self, tmp_path):
+        # The 18,713 points of the sparse8d-external cache after validate:
+        # a level-5 8-D sparse grid and 3000 LHS points, one output each.
+        points = np.vstack([sparse_grid(8, 5).points, latin_hypercube(10, 8, 300, 1).points])
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(path)
+        store(cache, "fp", points, points[:, :1] ** 2)
+        cache.save_checkpoint()
+        tracemalloc.start()
+        try:
+            cache = EvaluationCache(path)
+            before, opened = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cache._saved = 0  # written anew, as after a batch
+            cache._save()
+            _, saved = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keys, values = cache._index["fp", 8, 1]
+        assert len(cache) == len(keys) == 18713
+        arrays = keys.nbytes + values.nbytes
+        assert opened - arrays <= 2**20 and saved - before <= 2**20
 
 
 ECHO_DOUBLER = """\
@@ -1383,8 +1561,8 @@ class TestResume:
             BlackBoxModel(spec, cache=EvaluationCache(path), workers=4)(points)
         cache = EvaluationCache(path)
         assert len(cache) == 6
-        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
-        assert [hit is not None for hit in hits] == [False] * 2 + [True] * 6
+        hits, _ = cache.lookup(spec.fingerprint(), points, 2)
+        assert hits.tolist() == [False] * 2 + [True] * 6
 
         fixed.touch()
         box = BlackBoxModel(spec, cache=cache, workers=4)
@@ -1504,8 +1682,8 @@ class TestBatchSemantics:
         spec = builtin_spec("sobol-example-2")
         BlackBoxModel(spec, cache=cache)(np.array([[0.5, 0.5]]))
         points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
-        hits = cache.lookup(spec.fingerprint(), blackbox._render_rows(points))
-        assert [hit is not None for hit in hits] == [False, True, False]
+        hits, values = cache.lookup(spec.fingerprint(), points, 1)
+        assert hits.tolist() == [False, True, False] and values.tolist() == [[0.625]]
         box = BlackBoxModel(spec, cache=cache)
         outputs = box(points)
         assert (box.fresh_count, box.cached_count) == (2, 1)

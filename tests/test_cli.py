@@ -303,6 +303,38 @@ class TestBuild:
         built = surrogate.load(tmp_path / "cfg" / "model.json")
         assert built.mean() == pytest.approx([3.0])
 
+    @pytest.mark.parametrize("body, row", [
+        ("1.5,2.5", 1),  # two cells in every row, for one declared output
+        ("1.5\n2.5,3.5", 2),  # ragged rows
+    ], ids=["wide", "ragged"])
+    def test_malformed_solver_output_exits_3_naming_the_row(self, tmp_path, body, row):
+        # The solver writes the header, then the body's lines, its last one
+        # repeated to one row per input row.
+        script = tmp_path / "solver.py"
+        script.write_text(
+            "import sys\n"
+            "rows = open(sys.argv[1]).read().splitlines()[1:]\n"
+            f"body = {body!r}.splitlines()\n"
+            "print('y')\n"
+            "for i in range(len(rows)):\n"
+            "    print(body[min(i, len(body) - 1)])\n"
+        )
+        config = write_config(
+            tmp_path,
+            model={"kind": "external", "command": [sys.executable, str(script)]},
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}],
+            outputs=["y"],
+            method={"type": "full-grid", "order": 2},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcekit.cli", "build", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        message = f"external model wrote 2 values in output row {row} for 1 declared outputs"
+        assert proc.stderr.count(message) == 2  # the retry's warning, then the error
+        assert not (tmp_path / "cache.jsonl").exists() or not (tmp_path / "cache.jsonl").read_text()
+
 
 class TestValidate:
     def test_writes_metrics_and_scatter(self, tmp_path):
@@ -706,7 +738,7 @@ class TestThreads:
         )
         share = -1.0 if workers == 1 else float(max(1, usable_cores() // 2))
         seen = EvaluationCache(tmp_path / "cache.jsonl")._index.values()
-        assert {values for rows in seen for values in rows.values()} == {(share,) * 3}
+        assert {tuple(row) for _, values in seen for row in values.tolist()} == {(share,) * 3}
 
 
 # Calls cli.run() with stdout's flush wrapped to send SIGINT to this very

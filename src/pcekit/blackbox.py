@@ -34,8 +34,8 @@ form followed by ',"checksum":"<hex>"}'; every string in it is printable
 ASCII other than the quote and the backslash, and a fingerprint that is
 not is refused.  On load, only lines in that form are read, each checked
 against its own text and read by slicing; any other line is corrupt.  A
-checkpoint records what the lines hold, the index arrays as hex; the batch
-that appends writes it anew, so no open checks a line pcekit wrote, and a
+checkpoint, which the batch that appends writes anew, holds the index's
+arrays as they are in memory, so no open checks a line pcekit wrote, and a
 line another writer appended is checked once.  Fresh results are appended
 in batches as they complete (per external launch, per builtin batch), so a
 failed batch keeps what succeeded.  The cache location can be forced with
@@ -44,6 +44,7 @@ the PCEKIT_CACHE environment variable.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -61,14 +62,11 @@ from .errors import THREAD_ENV_VARS, ConfigurationError, EvaluationError
 CACHE_ENV_VAR = "PCEKIT_CACHE"
 # Text written to the cache per write call by EvaluationCache.store.
 STORE_BLOCK_CHARS = 2**20
-# A cache checkpoint's tag and version, the bytes hashed per read when one is
-# checked, and the array bytes per line (as twice as many hex digits) when
-# one is read or written.  Blocks stay under 128 KiB: freeing a larger one
-# raises the C allocator's mmap threshold, which raised a later validate's
-# peak RSS by 1.9 MB.
-CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/2"
+# A cache checkpoint's format, and the bytes hashed per read when one is
+# checked.  Blocks stay under 128 KiB: freeing a larger one raises the C
+# allocator's mmap threshold, which raised a later validate's peak RSS by 1.9 MB.
+CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/3"
 HASH_BLOCK_BYTES = 2**16
-CHECKPOINT_BLOCK_BYTES = 2**15
 CORRUPT_LINE = "cache %s line %d is corrupt (%s); treating as a miss"
 
 # The synthetic 4-input demonstration model; ranges for its bundled config.
@@ -308,22 +306,20 @@ def _keys(points: np.ndarray) -> np.ndarray:
     return points.view(f"V{8 * points.shape[1]}").ravel()
 
 
-def _read_hex(handle, array: np.ndarray) -> np.ndarray:
-    """array, its bytes read from the hex lines next in the text handle, as
-    EvaluationCache._save writes them; a line too short or long raises ValueError."""
-    data = array.reshape(-1).view(np.uint8)
-    for at in range(0, len(data), CHECKPOINT_BLOCK_BYTES):
-        block = bytes.fromhex(handle.readline())
-        data[at:at + CHECKPOINT_BLOCK_BYTES] = np.frombuffer(block, np.uint8)
-    return array
+def _typed(value, *kinds: type, least: int = 0) -> bool:
+    """Whether value is a list of lists of items of exactly the types kinds, ints >= least."""
+    return isinstance(value, list) and all(
+        isinstance(entry, list) and list(map(type, entry)) == [*kinds]
+        and all(item >= least for item in entry if type(item) is int) for entry in value)
 
 
 def resolve_cache_path(configured: str | os.PathLike | None) -> Path | None:
-    """Configured cache path, unless the environment variable overrides it."""
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(configured) if configured is not None else None
+    """Configured cache path, unless the environment variable overrides it.
+    A path without a file name (such as "." or "/") is a ConfigurationError."""
+    path = os.environ.get(CACHE_ENV_VAR) or configured
+    if path is not None and not Path(path).name:
+        raise ConfigurationError(f"cache path {str(path)!r} names no file")
+    return None if path is None else Path(path)
 
 
 class EvaluationCache:
@@ -340,21 +336,16 @@ class EvaluationCache:
     valid_lines (to which store adds the lines it writes); appends are
     serialized through a lock so batch workers can share one cache.
 
-    Each line is checked at one open, not at every one: the checkpoint
-    beside the cache, <cache>.checkpoint, holds what checking a prefix of
-    it that ends at a newline found, as ASCII lines (deleting it only costs
-    the next open a full scan).  An instance keeps it current as it
-    appends (see store and save_checkpoint, which BlackBoxModel calls once
-    per batch), so only lines another writer appended are ever checked:
-
-        pcekit-cache-checkpoint/2 BYTES LINES VALID CORRUPT STRAYS TABLES SHA256
-        LINE ERROR                       per corrupt line in the prefix
-        FINGERPRINT<tab>ROW              per stray, in sorted order
-        ROWS INPUTS OUTPUTS FINGERPRINT  per table, in sorted order, then
-        HEX                              its keys, then its outputs, as
-                                         little-endian bytes in lines of
-                                         CHECKPOINT_BLOCK_BYTES
-        seal SHA256                      of all the lines above
+    Each line is checked at one open, not at every one: <cache>.checkpoint
+    holds what checking a prefix of the cache that ends at a newline found
+    (deleting it only costs the next open a full scan).  An instance keeps
+    it current as it appends (see store and save_checkpoint, which
+    BlackBoxModel calls once per batch), so only lines another writer
+    appended are ever checked.  It is a JSON line (CHECKPOINT_FORMAT; the
+    prefix's size, lines and sha256; valid_lines; corrupt lines; strays; per
+    table [fingerprint, inputs, outputs, rows]), each table's keys and then
+    outputs as little-endian bytes in the head's order, and "seal SHA256"
+    of all the bytes before it.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -376,10 +367,10 @@ class EvaluationCache:
             self._load()
 
     def _load(self) -> None:
-        """Load what the checkpoint covers from it (see _resume) and scan
-        the rest, read with undecodable bytes escaped (no valid line holds
-        one).  If the scan read lines, the last ending in a newline, the
-        checkpoint is written anew for the file as read."""
+        """Load what the checkpoint covers from it (see _resume), scan the
+        rest (undecodable bytes escaped: no valid line holds one) and log
+        each corrupt line.  If the scan read lines, the last ending in a
+        newline, the checkpoint is written anew for the file as read."""
         with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             raw = handle.buffer
             start, lineno, digest, corrupt = self._resume(raw)
@@ -391,55 +382,50 @@ class EvaluationCache:
         self._size = end if ended else None
         self._lines, self._digest, self._corrupt, self._saved = lineno, digest, corrupt, start
         self.corrupt_lines = len(corrupt)
-        self._save()
-
-    def _resume(self, cache) -> tuple[int, int, hashlib._Hash, list[tuple[int, str]]]:
-        """Where the scan of the cache (a binary handle) carries on from: byte
-        offset, line number, sha256 of the bytes before and their corrupt
-        lines.  The checkpoint is loaded, its warnings logged again, only if
-        its tag is CHECKPOINT_FORMAT, its seal holds and the cache begins
-        with its prefix; else (missing, stale, damaged, of another version)
-        the scan starts at 0."""
-        try:
-            with open(self.checkpoint, "r", encoding="ascii", newline="\n") as handle:
-                head = handle.readline()
-                tag, *counts, prefix = head.split()
-                if tag != CHECKPOINT_FORMAT:
-                    raise ValueError("a foreign checkpoint")
-                size, lines, valid, bad, odd, tables = map(int, counts)
-                if size > os.fstat(cache.fileno()).st_size:
-                    raise ValueError("the checkpoint of a longer cache")
-                seal, digest = hashlib.sha256(), hashlib.sha256()
-                handle.buffer.seek(0)  # the seal hashes all but its own 70 bytes
-                _sha256(handle.buffer, seal, os.fstat(handle.fileno()).st_size - 70)
-                _sha256(cache, digest, size)
-                if (handle.buffer.read() != f"seal {seal.hexdigest()}\n".encode()
-                        or digest.hexdigest() != prefix):
-                    raise ValueError("a damaged checkpoint, or one of another cache")
-                handle.seek(len(head))
-                errors = (handle.readline()[:-1].split(" ", 1) for _ in range(bad))
-                corrupt = [(int(lineno), error) for lineno, error in errors]
-                strays = {tuple(handle.readline()[:-1].split("\t")) for _ in range(odd)}
-                index = {}
-                for _ in range(tables):
-                    count, inputs, outputs, fingerprint = handle.readline()[:-1].split(" ", 3)
-                    count, inputs, outputs = int(count), int(inputs), int(outputs)
-                    index[fingerprint, inputs, outputs] = (
-                        _read_hex(handle, np.empty(count, f"V{8 * inputs}")),
-                        _read_hex(handle, np.empty((count, outputs), "<f8")),
-                    )
-        except (OSError, ValueError):
-            return 0, 0, hashlib.sha256(), []
-        self._index, self._strays, self.valid_lines = index, strays, valid
         for lineno, error in corrupt:
             _warn(CORRUPT_LINE, self.path, lineno, error)
+        self._save()
+
+    def _resume(self, cache) -> tuple[int, int, hashlib._Hash, list]:
+        """Where the scan of the cache (a binary handle) carries on from: byte
+        offset, line number, sha256 of the bytes before and their corrupt
+        lines.  The checkpoint is loaded only if its seal holds, its head is
+        of CHECKPOINT_FORMAT, its tables fill the rest of it (checked before
+        any array is made) and the cache begins with its prefix."""
+        try:
+            with open(self.checkpoint, "rb") as handle:
+                body = os.fstat(handle.fileno()).st_size - 70  # all but the seal line
+                _sha256(handle, seal := hashlib.sha256(), body)
+                if handle.read() != f"seal {seal.hexdigest()}\n".encode():
+                    raise ValueError("a damaged checkpoint")
+                handle.seek(0)
+                head = json.loads(handle.readline())
+                size, lines, valid = counts = [head["size"], head["lines"], head["valid"]]
+                corrupt, strays, tables = head["corrupt"], head["strays"], head["tables"]
+                if not (head["format"] == CHECKPOINT_FORMAT and _typed([counts], int, int, int)
+                        and _typed(corrupt, int, str) and _typed(strays, str, str)
+                        and _typed(tables, str, int, int, int, least=1)):
+                    raise ValueError("a checkpoint of another format")
+                arrays = sum(rows * 8 * (inputs + outputs) for _, inputs, outputs, rows in tables)
+                _sha256(cache, digest := hashlib.sha256(), size)
+                if handle.tell() + arrays != body or digest.hexdigest() != head["sha256"]:
+                    raise ValueError("a checkpoint its tables do not fill, or of another cache")
+                index = {}
+                for fingerprint, inputs, outputs, rows in tables:
+                    table = np.empty(rows, f"V{8 * inputs}"), np.empty((rows, outputs), "<f8")
+                    for array in table:
+                        handle.readinto(array)
+                    index[fingerprint, inputs, outputs] = table
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            return 0, 0, hashlib.sha256(), []
+        self._index, self._strays, self.valid_lines = index, set(map(tuple, strays)), valid
         return size, lines, digest, corrupt
 
     def _scan(self, lines: Iterable[str], lineno: int, corrupt: list[tuple[int, str]]) -> int:
         """Check lines, numbered on from lineno, into the index (a later line
         wins a repeated fingerprint and row, and a row that is not the
         rendering of its cells is a stray) and valid_lines; each corrupt line
-        is logged and added to corrupt.  Returns the last line number.
+        is added to corrupt.  Returns the last line number.
 
         A line, stripped of surrounding whitespace, is valid only if it is
         in the form store writes (_CANONICAL_LINE), with the checksum of its
@@ -468,7 +454,6 @@ class EvaluationCache:
                 valid += 1
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
-                _warn(CORRUPT_LINE, self.path, lineno, exc)
         self.valid_lines += valid
         for fingerprint, table in found.items():
             # Rows by their numbers of inputs and outputs; in each group,
@@ -540,31 +525,22 @@ class EvaluationCache:
         it covers those bytes already, or they are not the whole file) as
         surrogate._replacing writes; nothing if that fails."""
         self._settle()
-        size, corrupt = self._size, self._corrupt
+        size = self._size
         if size in (None, self._saved):
             return
+        tables = sorted(self._index.items())
+        head = json.dumps({
+            "format": CHECKPOINT_FORMAT, "size": size, "lines": self._lines,
+            "sha256": self._digest.hexdigest(), "valid": self.valid_lines,
+            "corrupt": self._corrupt, "strays": sorted(self._strays),
+            "tables": [[*name, len(keys)] for name, (keys, _) in tables]})
         seal = hashlib.sha256()
-
-        def put(text: str) -> None:
-            seal.update(text.encode())
-            handle.write(text)
-
-        def put_hex(array: np.ndarray) -> None:
-            data = array.reshape(-1).view(np.uint8)
-            for at in range(0, len(data), CHECKPOINT_BLOCK_BYTES):
-                put(data[at:at + CHECKPOINT_BLOCK_BYTES].tobytes().hex() + "\n")
-
         try:
             with surrogate._replacing(self.checkpoint) as handle:
-                put(f"{CHECKPOINT_FORMAT} {size} {self._lines} {self.valid_lines} {len(corrupt)} "
-                    f"{len(self._strays)} {len(self._index)} {self._digest.hexdigest()}\n")
-                put("".join([f"{lineno} {error}\n" for lineno, error in corrupt]))
-                put("".join([f"{model}\t{row}\n" for model, row in sorted(self._strays)]))
-                for (fingerprint, inputs, outputs), (keys, values) in sorted(self._index.items()):
-                    put(f"{len(keys)} {inputs} {outputs} {fingerprint}\n")
-                    put_hex(keys)
-                    put_hex(values)
-                handle.write(f"seal {seal.hexdigest()}\n")
+                for data in [f"{head}\n".encode(), *(a for _, table in tables for a in table)]:
+                    seal.update(data)
+                    handle.buffer.write(data)
+                handle.buffer.write(f"seal {seal.hexdigest()}\n".encode())
         except OSError:
             return
         self._saved = size

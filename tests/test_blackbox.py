@@ -1008,6 +1008,14 @@ def flipped(data, at):
     return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
 
+def reheaded(checkpoint, edit):
+    """Rewrite the checkpoint with edit applied to its parsed JSON head, resealed."""
+    head, newline, rest = checkpoint.read_bytes().partition(b"\n")
+    head = json.loads(head)
+    edit(head)
+    checkpoint.write_bytes(resealed(json.dumps(head).encode() + newline + rest))
+
+
 # Ways a checkpoint stops matching its cache, each applied to (cache, checkpoint).
 DAMAGES = {
     "missing": lambda cache, checkpoint: checkpoint.unlink(),
@@ -1018,7 +1026,22 @@ DAMAGES = {
     "seal-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
         flipped(checkpoint.read_bytes(), checkpoint.stat().st_size - 2)),
     "foreign-version": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
-        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/2 ", b"pcekit-cache-checkpoint/3 "))),
+        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/3", b"pcekit-cache-checkpoint/4"))),
+    # Resealed heads that do not describe the body they seal.
+    "rows-2**47": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["tables"][0].__setitem__(3, 2**47)),
+    "negative-width": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["tables"][0].__setitem__(1, -head["tables"][0][1])),
+    "width-as-string": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["tables"][0].__setitem__(1, str(head["tables"][0][1]))),
+    "zero-width-table": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["tables"].append(["fp", 0, 0, 2**47])),
+    "one-row-short": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["tables"][0].__setitem__(3, head["tables"][0][3] - 1)),
+    "corrupt-entry-not-a-list": lambda cache, checkpoint: reheaded(
+        checkpoint, lambda head: head["corrupt"].__setitem__(0, "%d %s" % tuple(head["corrupt"][0]))),
+    "head-nested-too-deep": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
+        b"[" * 10**5 + b"]" * 10**5 + b"\n" + checkpoint.read_bytes().partition(b"\n")[2])),
     "stale": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[::-1]),
     "cache-shortened": lambda cache, checkpoint: write_lines(cache, corpus_lines(ragged=False)[:-5]),
     "cache-byte-flipped": lambda cache, checkpoint: cache.write_bytes(
@@ -1145,10 +1168,10 @@ class TestCheckpoint:
         @contextlib.contextmanager
         def interrupted(target):
             with replacing(target) as handle:
-                def write(text):
-                    handle.write(text)
+                def write(data):
+                    handle.buffer.write(data)
                     raise KeyboardInterrupt
-                yield types.SimpleNamespace(write=write)
+                yield types.SimpleNamespace(buffer=types.SimpleNamespace(write=write))
 
         monkeypatch.setattr(surrogate, "_replacing", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -1323,15 +1346,19 @@ class TestCheckpoint:
         assert_loads_like_reference(path, caplog)
         assert seen == [(1, 1)]
 
-    def test_a_version_1_checkpoint_is_replaced_once(self, tmp_path, caplog, monkeypatch):
-        # The cache and the checkpoint the previous format's code wrote for it.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_version_1_checkpoint_is_replaced_once(self, tmp_path, caplog, monkeypatch, version):
+        # The cache and the checkpoint an earlier format's code wrote for it.
         path = tmp_path / "cache.jsonl"
         path.write_bytes((DATA / "v1_checkpoint_cache.jsonl").read_bytes())
-        checkpoint_of(path).write_bytes((DATA / "v1_checkpoint_cache.checkpoint-v1").read_bytes())
-        assert checkpoint_of(path).read_text().startswith("pcekit-cache-checkpoint/1 7916 43 ")
+        checkpoint_of(path).write_bytes(
+            (DATA / f"v1_checkpoint_cache.checkpoint-v{version}").read_bytes())
+        assert checkpoint_of(path).read_text().startswith(
+            f"pcekit-cache-checkpoint/{version} 7916 43 ")
         seen = scans(monkeypatch)
-        assert_loads_like_reference(path, caplog)  # a full check, which writes version 2
-        assert checkpoint_of(path).read_text().startswith("pcekit-cache-checkpoint/2 7916 43 ")
+        assert_loads_like_reference(path, caplog)  # a full check, which writes version 3
+        assert checkpoint_of(path).read_bytes().startswith(
+            b'{"format": "pcekit-cache-checkpoint/3", "size": 7916, "lines": 43, ')
         assert_loads_like_reference(path, caplog)
         count = line_count(path)
         assert seen == [(0, count), (count, 0)]

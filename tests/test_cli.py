@@ -998,6 +998,21 @@ class TestCacheCommand:
     def test_needs_a_path(self, capsys):
         assert main(["cache", "stats"]) == 2
 
+    @pytest.mark.parametrize("action, path", [("verify", "."), ("stats", "/")])
+    def test_a_path_without_a_file_name_is_a_config_error(self, capsys, action, path):
+        assert main(["cache", action, "--path", path]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"cache path {path!r} names no file")
+
+    def test_an_environment_path_without_a_file_name_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("PCEKIT_CACHE", "/")
+        assert main(["build", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cache path '/' names no file" in err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestReproducibility:
     def test_repeated_runs_are_byte_identical(self, tmp_path):

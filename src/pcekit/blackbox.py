@@ -24,9 +24,8 @@ the outputs, so a batch is looked up with one searchsorted.  Only the
 misses are rendered as text ("%.17g" values, comma-separated, each distinct
 value of a column formatted once; a quadrature grid has a few per column),
 once: that text makes the solver's input rows and the cache lines.  A
-line's row keys its point only if it is the rendering of float() of its
-cells, as the lines pcekit writes are; a row written otherwise never hits,
-as no point renders to it.  Every cache line carries a checksum, and
+valid line keys the point float() reads from its input cells, however
+another writer wrote them.  Every cache line carries a checksum, and
 corrupt lines are logged and treated as misses, never returned as data.
 The checksum is the sha256 of the compact sorted-key JSON of the line's
 other three fields, and the cache writes each line in exactly that byte
@@ -65,7 +64,7 @@ STORE_BLOCK_CHARS = 2**20
 # A cache checkpoint's format, and the bytes hashed per read when one is
 # checked.  Blocks stay under 128 KiB: freeing a larger one raises the C
 # allocator's mmap threshold, which raised a later validate's peak RSS by 1.9 MB.
-CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/3"
+CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/4"
 HASH_BLOCK_BYTES = 2**16
 CORRUPT_LINE = "cache %s line %d is corrupt (%s); treating as a miss"
 
@@ -288,14 +287,6 @@ def _render_rows(points: np.ndarray) -> list[str]:
     return list(map("".join, zip(*columns)))
 
 
-def _float(cell: str) -> float:
-    """float(cell), or NaN where float() cannot read it: NaN renders "nan"."""
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
 def _keys(points: np.ndarray) -> np.ndarray:
     """Each row of an (M, N) array as one key of N*8 bytes, its little-endian
     doubles, with every NaN as float("nan"): "%.17g" renders them all "nan"."""
@@ -328,10 +319,8 @@ class EvaluationCache:
     Each line is {"fingerprint", "inputs", "outputs", "checksum"} with the
     numbers as canonical decimal strings.  The in-memory index holds one
     table per (fingerprint, input count, output count): the points' keys
-    (see _keys) sorted by their bytes, and the matching rows of outputs.  A
-    line's row is keyed by float() of its cells only if _render_rows gives
-    it back; the (fingerprint, row) of any other valid line is a stray,
-    counted by len() but never a hit.  The index is loaded once at
+    (see _keys) sorted by their bytes, and the matching rows of outputs; a
+    line is keyed by float() of its input cells.  The index is loaded once at
     construction, which also counts the file's corrupt_lines and its
     valid_lines (to which store adds the lines it writes); appends are
     serialized through a lock so batch workers can share one cache.
@@ -342,8 +331,8 @@ class EvaluationCache:
     it current as it appends (see store and save_checkpoint, which
     BlackBoxModel calls once per batch), so only lines another writer
     appended are ever checked.  It is a JSON line (CHECKPOINT_FORMAT; the
-    prefix's size, lines and sha256; valid_lines; corrupt lines; strays; per
-    table [fingerprint, inputs, outputs, rows]), each table's keys and then
+    prefix's size, lines and sha256; valid_lines; corrupt lines; per table
+    [fingerprint, inputs, outputs, rows]), each table's keys and then
     outputs as little-endian bytes in the head's order, and "seal SHA256"
     of all the bytes before it.
     """
@@ -353,7 +342,6 @@ class EvaluationCache:
         self.checkpoint = self.path.with_name(self.path.name + ".checkpoint")
         self._lock = threading.Lock()
         self._index: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._strays: set[tuple[str, str]] = set()
         # Rows store appended, as (fingerprint, points, outputs), that the
         # index has not merged yet (see _settle).
         self._pending: list[tuple[str, np.ndarray, np.ndarray]] = []
@@ -401,9 +389,9 @@ class EvaluationCache:
                 handle.seek(0)
                 head = json.loads(handle.readline())
                 size, lines, valid = counts = [head["size"], head["lines"], head["valid"]]
-                corrupt, strays, tables = head["corrupt"], head["strays"], head["tables"]
+                corrupt, tables = head["corrupt"], head["tables"]
                 if not (head["format"] == CHECKPOINT_FORMAT and _typed([counts], int, int, int)
-                        and _typed(corrupt, int, str) and _typed(strays, str, str)
+                        and _typed(corrupt, int, str)
                         and _typed(tables, str, int, int, int, least=1)):
                     raise ValueError("a checkpoint of another format")
                 arrays = sum(rows * 8 * (inputs + outputs) for _, inputs, outputs, rows in tables)
@@ -418,21 +406,21 @@ class EvaluationCache:
                     index[fingerprint, inputs, outputs] = table
         except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return 0, 0, hashlib.sha256(), []
-        self._index, self._strays, self.valid_lines = index, set(map(tuple, strays)), valid
+        self._index, self.valid_lines = index, valid
         return size, lines, digest, corrupt
 
     def _scan(self, lines: Iterable[str], lineno: int, corrupt: list[tuple[int, str]]) -> int:
-        """Check lines, numbered on from lineno, into the index (a later line
-        wins a repeated fingerprint and row, and a row that is not the
-        rendering of its cells is a stray) and valid_lines; each corrupt line
-        is added to corrupt.  Returns the last line number.
+        """Check lines, numbered on from lineno, into the index and
+        valid_lines; each corrupt line is added to corrupt.  Returns the last
+        line number.
 
         A line, stripped of surrounding whitespace, is valid only if it is
         in the form store writes (_CANONICAL_LINE), with the checksum of its
-        own text and outputs that float() reads; blank lines are skipped.
+        own text and cells that float() reads; blank lines are skipped.  It
+        keys the point float() reads from its inputs, and the last line of a
+        point wins, whatever its output count, also over the index (_file).
         """
-        found: dict[str, dict[str, tuple[float, ...]]] = {}
-        valid = 0
+        found: dict[tuple[str, int], tuple[list[float], list[float], list[int]]] = {}
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
         for lineno, line in enumerate(lines, start=lineno + 1):
@@ -449,29 +437,25 @@ class EvaluationCache:
                 payload, fingerprint, inputs, outputs, checksum = match.groups()
                 if sha256((payload + "}").encode()).hexdigest() != checksum:
                     raise ValueError("checksum mismatch")
-                row = inputs.replace('","', ",")
-                found.setdefault(fingerprint, {})[row] = tuple(map(float, outputs.split('","')))
-                valid += 1
+                point = [*map(float, inputs.replace('","', ",").split(","))]
+                row = [*map(float, outputs.split('","'))]
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
-        self.valid_lines += valid
-        for fingerprint, table in found.items():
-            # Rows by their numbers of inputs and outputs; in each group,
-            # each distinct cell is read and rendered once, and a row is
-            # kept if every cell renders back to itself.
-            groups: dict[tuple[int, int], list[str]] = {}
-            for row, values in table.items():
-                groups.setdefault((row.count(","), len(values)), []).append(row)
-            for rows in groups.values():
-                cells = ",".join(rows).split(",")
-                distinct = {cell: at for at, cell in enumerate(dict.fromkeys(cells))}
-                numbers = np.array(list(map(_float, distinct)))
-                exact = list(map(str.__eq__, distinct, _render_rows(numbers[:, None])))
-                at = np.array(list(map(distinct.__getitem__, cells))).reshape(len(rows), -1)
-                points, kept = numbers[at], np.array(exact)[at].all(axis=1)
-                self._strays.update((fingerprint, row) for row, hit in zip(rows, kept) if not hit)
-                values = np.array(list(map(table.__getitem__, rows)), dtype="<f8")
-                self._file(fingerprint, points[kept], values[kept])
+                continue
+            points, values, widths = found.setdefault((fingerprint, len(point)), ([], [], []))
+            points += point
+            values += row
+            widths.append(len(row))
+        for (fingerprint, inputs), (points, values, widths) in found.items():
+            self.valid_lines += len(widths)
+            points, values, widths = (np.reshape(points, (-1, inputs)),
+                                      np.array(values, dtype="<f8"), np.array(widths))
+            starts = np.cumsum(widths) - widths
+            # Each point's last line, its first in reverse, whatever its width.
+            last = len(widths) - 1 - np.unique(_keys(points)[::-1], return_index=True)[1]
+            for width in set(widths[last].tolist()):
+                at = last[widths[last] == width]
+                self._file(fingerprint, points[at], values[starts[at, None] + np.arange(width)])
         return lineno
 
     def _file(self, fingerprint: str, points: np.ndarray, outputs: np.ndarray) -> None:
@@ -532,7 +516,7 @@ class EvaluationCache:
         head = json.dumps({
             "format": CHECKPOINT_FORMAT, "size": size, "lines": self._lines,
             "sha256": self._digest.hexdigest(), "valid": self.valid_lines,
-            "corrupt": self._corrupt, "strays": sorted(self._strays),
+            "corrupt": self._corrupt,
             "tables": [[*name, len(keys)] for name, (keys, _) in tables]})
         seal = hashlib.sha256()
         try:
@@ -549,7 +533,7 @@ class EvaluationCache:
         """The number of records, over every model."""
         with self._lock:
             self._settle()
-        return sum(len(keys) for keys, _ in self._index.values()) + len(self._strays)
+        return sum(len(keys) for keys, _ in self._index.values())
 
     def lookup(
         self, fingerprint: str, points: np.ndarray, width: int

@@ -673,7 +673,10 @@ def reference_scan(path):
 
     A stripped line is valid when it is in store's form (in_store_form),
     its checksum is the sha256 of the compact sorted-key JSON of its other
-    three fields, and float() reads its outputs.  Blank lines are skipped."""
+    three fields, and float() reads its input cells (the comma-split row)
+    and its outputs.  It keys the "%.17g" row of the point float() reads,
+    and the last line of a point wins, whatever its output count.  Blank
+    lines are skipped."""
     index, valid, corrupt = {}, 0, []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -692,8 +695,9 @@ def reference_scan(path):
                 )
                 if hashlib.sha256(payload.encode()).hexdigest() != record["checksum"]:
                     raise ValueError("checksum mismatch")
-                row = ",".join(inputs)
-                index.setdefault(fingerprint, {})[row] = tuple(float(v) for v in outputs)
+                point = [float(cell) for cell in ",".join(inputs).split(",")]
+                values = tuple(float(v) for v in outputs)
+                index.setdefault(fingerprint, {})[template_rows([point])[0]] = values
                 valid += 1
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
@@ -722,23 +726,14 @@ def store_lines(fingerprint, points, outputs):
 
 
 def split_reference(index):
-    """A reference index as the cache holds it: ({(fingerprint, inputs,
-    outputs): {row: outputs as raw doubles}} of the rows that are the "%.17g"
-    rendering of float() of their cells, and the (fingerprint, row) of
-    every other row."""
-    tables, strays = {}, set()
+    """A reference index as the cache holds it: {(fingerprint, inputs,
+    outputs): {row: outputs as raw doubles}}."""
+    tables = {}
     for fingerprint, rows in index.items():
         for row, values in rows.items():
-            try:
-                point = [float(cell) for cell in row.split(",")]
-            except ValueError:
-                point = None
-            if point is None or template_rows([point]) != [row]:
-                strays.add((fingerprint, row))
-                continue
-            table = tables.setdefault((fingerprint, len(point), len(values)), {})
+            table = tables.setdefault((fingerprint, row.count(",") + 1, len(values)), {})
             table[row] = struct.pack(f"<{len(values)}d", *values)
-    return tables, strays
+    return tables
 
 
 def cache_tables(cache):
@@ -747,7 +742,7 @@ def cache_tables(cache):
     for (fingerprint, inputs, outputs), (keys, values) in cache._index.items():
         rows = template_rows(keys.view("<f8").reshape(-1, inputs))
         tables[fingerprint, inputs, outputs] = dict(zip(rows, map(bytes, values)))
-    return tables, cache._strays
+    return tables
 
 
 def assert_indexes_like_reference(cache, expected_index):
@@ -793,7 +788,6 @@ def corpus_lines(ragged=True):
     lines += [
         # valid: store's form, written by json.dumps
         record_line(pair, **COMPACT),
-        record_line(fields(one, inputs=("",)), **COMPACT),
         record_line(fields(one, inputs=("1,2",)), **COMPACT),
         record_line(fields(three, outputs=[" 1.5", "inf", "NaN"]), **COMPACT),
         "   " + canonical + "\t",
@@ -829,6 +823,9 @@ def corpus_lines(ragged=True):
         canonical.replace("checksum", "Checksum"),
         canonical.upper(),
         record_line(fields(outputs=["abc"]), **COMPACT),
+        # corrupt: an input cell that float() cannot read
+        record_line(fields(one, inputs=("",)), **COMPACT),
+        record_line(fields(inputs=("1", "abc")), **COMPACT),
         record_line(fields(inputs=(1,)), **COMPACT),
         record_line(fields(outputs=None), **COMPACT),
         record_line(fields(5), **COMPACT),
@@ -847,7 +844,7 @@ class TestLoaderDifferential:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert_loads_like_reference(path, caplog)
         index, valid, corrupt = reference_scan(path)
-        assert valid == 15 and len(corrupt) == 26  # the corpus holds both kinds
+        assert valid == 14 and len(corrupt) == 28  # the corpus holds both kinds
         # CRLF endings, a stray carriage return and no final newline
         path.write_text("\r\n".join(lines) + "\r" + lines[0], encoding="utf-8", newline="")
         assert_loads_like_reference(path, caplog)
@@ -866,6 +863,22 @@ class TestLoaderDifferential:
         index, valid, corrupt = reference_scan(path)
         assert valid == 12 and [lineno for lineno, _ in corrupt] == [4, 5, 6, 7, 17]
         assert all(error == NOT_IN_FORM for _, error in corrupt)
+
+    def test_lines_that_alternate_output_counts_are_filed_once_per_count(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        # Merging a batch into a model's table copies the table, so filing
+        # each run of one output count apart would take time quadratic in
+        # the lines.
+        path = tmp_path / "cache.jsonl"
+        write_lines(path, [record_line(fields(inputs=(str(i % 300),), outputs=["1"] * (1 + i % 2)),
+                                       **COMPACT) for i in range(1000)])
+        filed = []
+        file = EvaluationCache._file
+        monkeypatch.setattr(EvaluationCache, "_file",
+                            lambda self, *batch: filed.append(batch) or file(self, *batch))
+        assert_loads_like_reference(path, caplog)
+        assert sorted(outputs.shape for _, _, outputs in filed) == [(150, 1), (150, 2)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -899,13 +912,15 @@ class TestLoaderDifferential:
 
 
 NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF0000000000123], dtype=np.uint64).view(float)
-STRAY_ROWS = ["1.0", " 1", "+1", "1e0", ""]
+# Rows float() reads as 1.0 that are not its "%.17g" rendering, and rows it cannot read.
+OTHER_TEXTS_OF_1 = ["1.0", " 1", "+1", "1e0"]
+UNREADABLE_ROWS = ["", "abc"]
 
 
 def lookup_cases():
     """Points the index is asked for: sparse-grid and LHS points, special
     values (signed zeros, a subnormal, 1e300 and two NaN payloads) and the
-    points that the corpus's rows and the stray rows read as."""
+    points that the corpus's rows and OTHER_TEXTS_OF_1 read as."""
     special = np.array([
         [-0.0, 0.0], [0.0, -0.0], [5e-324, 1e300], [NAN_PAYLOADS[0], 1.0],
         [NAN_PAYLOADS[1], 1.0], [1.0, NAN_PAYLOADS[1]], [1.0, 2.0], [1.0, 2.5],
@@ -919,10 +934,10 @@ def lookup_cases():
     }
 
 
-def assert_looks_up_like_the_text_rule(cache, path):
+def assert_looks_up_like_the_reference(cache, path):
     """Every case's hits and values, under every fingerprint and width, are
-    those of the reference index looked up by "%.17g" row text; and the
-    counts agree."""
+    those of the reference index looked up by the "%.17g" row of the point;
+    and the counts agree."""
     index, valid, corrupt = reference_scan(path)
     assert (cache.valid_lines, cache.corrupt_lines) == (valid, len(corrupt))
     assert len(cache) == sum(map(len, index.values()))
@@ -947,15 +962,23 @@ class TestLookupDifferential:
             with np.errstate(invalid="ignore"):
                 outputs = np.column_stack([points.sum(axis=1), -points[:, 0]])
             lines += store_lines(FP, points, outputs) + store_lines(name, points, outputs[:, :1])
-        # Rows that float() reads but that are not the rendering of what it reads.
-        for row in STRAY_ROWS:
+        # Rows that float() reads as 1.0 but that are not its rendering (the
+        # last of them wins), and rows that float() cannot read.
+        for row in OTHER_TEXTS_OF_1 + UNREADABLE_ROWS:
             lines.append(record_line(fields("fp", inputs=(row,)), **COMPACT))
         lines.append(record_line(fields("fp", inputs=("1,2",), outputs=["5"]), **COMPACT))
+        # Texts of one point with one output, then two, then one: the last line wins.
+        for row, outputs in [("1e0", ["6"]), ("1", ["3", "4"]), ("1.0", ["5"])]:
+            lines.append(record_line(fields("two texts", (row,), outputs), **COMPACT))
         write_lines(path, lines + corpus_lines() + lines[:5])
         seen = scans(monkeypatch)
-        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)  # every line checked
-        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)  # from the checkpoint
+        assert_looks_up_like_the_reference(EvaluationCache(path), path)  # every line checked
+        assert_looks_up_like_the_reference(EvaluationCache(path), path)  # from the checkpoint
         assert seen == [(0, line_count(path)), (line_count(path), 0)]
+        cache = EvaluationCache(path)
+        assert cache.lookup("fp", [[1.0]], 1)[1].tolist() == [[2.0]]
+        assert cache.lookup("two texts", [[1.0]], 2)[0].tolist() == [False]
+        assert cache.lookup("two texts", [[1.0]], 1)[1].tolist() == [[5.0]]
         # Points stored through an open instance, the NaNs among them with
         # other payloads, and looked up before and after the next open.  (An
         # output NaN's payload is kept until then; pcekit stores none.)
@@ -964,10 +987,45 @@ class TestLookupDifferential:
         outputs = np.arange(2.0 * len(special)).reshape(-1, 2)
         store(cache, "fp", special[::-1], outputs)
         store(cache, "fp", special[:, ::-1], outputs[::-1])
-        store(cache, "fp", [[1.0]], [[3.0]])  # beside the stray rows that read as 1.0
+        store(cache, "fp", [[1.0]], [[3.0]])  # over the rows that read as 1.0
         cache.save_checkpoint()
-        assert_looks_up_like_the_text_rule(cache, path)
-        assert_looks_up_like_the_text_rule(EvaluationCache(path), path)
+        assert_looks_up_like_the_reference(cache, path)
+        assert_looks_up_like_the_reference(EvaluationCache(path), path)
+
+
+TEXTS = {"repr": repr, "%.17g": "%.17g".__mod__, "%.25e": "%.25e".__mod__}
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, 1e300, *NAN_PAYLOADS.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["fp", "other"]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from(SPECIAL_DOUBLES), min_size=2, max_size=2),
+    st.sampled_from(list(TEXTS)),
+    st.floats(allow_nan=False),
+), min_size=1, max_size=12))
+def test_every_text_of_a_point_hits_it(records):
+    """Lines whose inputs are written as repr(), "%.17g" or "%.25e" hit the
+    point float() reads, with the last line's outputs bit for bit, from a
+    full check and from the checkpoint; len() counts the distinct points."""
+    expected = {}
+    lines = []
+    for fingerprint, point, text, output in records:
+        inputs = [TEXTS[text](value) for value in point]
+        lines.append(record_line(fields(fingerprint, inputs, [repr(output)]), **COMPACT))
+        bits = struct.pack("<2d", *(math.nan if math.isnan(v) else v for v in point))
+        expected[fingerprint, bits] = point, output
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "cache.jsonl"
+        write_lines(path, lines)
+        seen = scans(patch)
+        for cache in (EvaluationCache(path), EvaluationCache(path)):
+            assert len(cache) == len(expected) and cache.corrupt_lines == 0
+            for (fingerprint, _), (point, output) in expected.items():
+                hits, values = cache.lookup(fingerprint, [point], 1)
+                assert hits.tolist() == [True] and values.tobytes() == struct.pack("<d", output)
+        assert seen == [(0, len(lines)), (len(lines), 0)]
 
 
 def scans(monkeypatch):
@@ -1026,7 +1084,7 @@ DAMAGES = {
     "seal-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
         flipped(checkpoint.read_bytes(), checkpoint.stat().st_size - 2)),
     "foreign-version": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
-        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/3", b"pcekit-cache-checkpoint/4"))),
+        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/4", b"pcekit-cache-checkpoint/5"))),
     # Resealed heads that do not describe the body they seal.
     "rows-2**47": lambda cache, checkpoint: reheaded(
         checkpoint, lambda head: head["tables"][0].__setitem__(3, 2**47)),
@@ -1346,19 +1404,19 @@ class TestCheckpoint:
         assert_loads_like_reference(path, caplog)
         assert seen == [(1, 1)]
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_a_version_1_checkpoint_is_replaced_once(self, tmp_path, caplog, monkeypatch, version):
         # The cache and the checkpoint an earlier format's code wrote for it.
         path = tmp_path / "cache.jsonl"
         path.write_bytes((DATA / "v1_checkpoint_cache.jsonl").read_bytes())
         checkpoint_of(path).write_bytes(
             (DATA / f"v1_checkpoint_cache.checkpoint-v{version}").read_bytes())
-        assert checkpoint_of(path).read_text().startswith(
-            f"pcekit-cache-checkpoint/{version} 7916 43 ")
-        seen = scans(monkeypatch)
-        assert_loads_like_reference(path, caplog)  # a full check, which writes version 3
+        json_head = b'{"format": "pcekit-cache-checkpoint/%d", "size": 7916, "lines": 43, '
         assert checkpoint_of(path).read_bytes().startswith(
-            b'{"format": "pcekit-cache-checkpoint/3", "size": 7916, "lines": 43, ')
+            b"pcekit-cache-checkpoint/%d 7916 43 " % version if version < 3 else json_head % 3)
+        seen = scans(monkeypatch)
+        assert_loads_like_reference(path, caplog)  # a full check, which writes version 4
+        assert checkpoint_of(path).read_bytes().startswith(json_head % 4)
         assert_loads_like_reference(path, caplog)
         count = line_count(path)
         assert seen == [(0, count), (count, 0)]

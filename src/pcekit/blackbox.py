@@ -4,12 +4,12 @@ A ModelSpec (defined with the config, which checks it without loading this
 module) binds either a registered builtin function or an external command
 to declared input/output names.  A builtin maps an (M, inputs) array to an
 (M, outputs) array in one call, its parameters checked when it is
-resolved.  The external protocol is CSV in, CSV out: the command is
-launched once per batch, receives the input rows (header = input names)
-either on a file path appended as its final argument or on standard input,
-and must write the output rows (header = output names) in the same order
-to standard output, exiting 0.  Failed launches are retried once before
-erroring.  The solver runs in a session of its own; a timeout or an
+resolved.  The external protocol is CSV in, CSV out, in UTF-8: the
+command is launched once per batch (or per points_per_launch points),
+receives the input rows (header = input names) either on a file path
+appended as its final argument or on standard input, and must write the
+output rows (header = output names) in the same order to standard output,
+exiting 0.  Failed launches are retried once before erroring.  The solver runs in a session of its own; a timeout or an
 interrupt kills its whole process group, so nothing it started outlives
 the launch.  Launches run at once size their OpenMP/BLAS thread pools to
 their share of the cores, unless the environment sizes them.  What only a
@@ -637,11 +637,17 @@ def _input_csv(names: Sequence[str], rows: Sequence[str]) -> str:
 
 
 def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int) -> np.ndarray:
+    """The solver's stdout as an (expected_rows, outputs) array: csv.reader
+    rows, blank ones skipped, every row's width checked at once and all cells
+    read by one float map."""
     import csv
     import io
+    from itertools import chain
 
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text, newline=None))))
+    except csv.Error as exc:  # a cell past csv.field_size_limit(), say
+        raise EvaluationError(f"external model wrote output csv cannot read: {exc}") from exc
     if not rows:
         raise EvaluationError("external model wrote no output")
     header = [cell.strip() for cell in rows[0]]
@@ -655,14 +661,15 @@ def _parse_output_csv(text: str, output_names: Sequence[str], expected_rows: int
         raise EvaluationError(
             f"external model wrote {len(data)} rows for {expected_rows} input points"
         )
-    for number, row in enumerate(data, start=1):
-        if len(row) != len(output_names):
-            raise EvaluationError(
-                f"external model wrote {len(row)} values in output row {number} "
-                f"for {len(output_names)} declared outputs"
-            )
+    width = len(output_names)
+    if set(map(len, data)) - {width}:
+        number, row = next((n, row) for n, row in enumerate(data, 1) if len(row) != width)
+        raise EvaluationError(
+            f"external model wrote {len(row)} values in output row {number} "
+            f"for {width} declared outputs"
+        )
     try:
-        return np.array([[float(cell) for cell in row] for row in data])
+        return np.array(list(map(float, chain.from_iterable(data)))).reshape(len(data), width)
     except ValueError as exc:
         raise EvaluationError(f"external model wrote a non-numeric value: {exc}") from exc
 
@@ -682,10 +689,12 @@ def _kill_group(proc) -> None:
 class _Launches:
     """The solver processes of one batch.  On an interrupt, which solvers in
     sessions of their own never see, stop() kills every one not reaped yet
-    and any launched after it; no failed launch is then retried."""
+    and any launched after it; no failed launch is then retried.  The launch
+    threads read and commit their outputs in turn, under `turn`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self.turn = threading.Lock()
         self._procs: list = []
         self.stopped = False
 
@@ -704,16 +713,19 @@ class _Launches:
 
 def _launch_external(
     spec: ModelSpec, rows: Sequence[str], env: Mapping[str, str] | None, running: _Launches
-) -> np.ndarray:
+) -> str:
     """One launch of the solver over rows rendered as text (see _input_csv),
-    in the environment env (None: this process's), tracked in running."""
+    in the environment env (None: this process's), tracked in running.
+    Returns its standard output, which must be UTF-8; its standard input
+    is UTF-8, as the argfile is, and its stderr excerpt is decoded with
+    replacement characters."""
     import subprocess
     import tempfile
 
     csv_text = _input_csv(spec.input_names, rows)
 
     command = list(spec.command)
-    stdin_text = None
+    stdin_bytes = None
     temp_path = None
     try:
         if spec.io_format == IO_ARGFILE:
@@ -722,16 +734,15 @@ def _launch_external(
                 handle.write(csv_text)
             command = command + [temp_path]
         else:
-            stdin_text = csv_text
+            stdin_bytes = csv_text.encode("utf-8")
         try:
             # In a session of its own, the solver and everything it starts
             # form one process group, which a timeout kills as a whole.
             proc = subprocess.Popen(
                 command,
-                stdin=None if stdin_text is None else subprocess.PIPE,
+                stdin=None if stdin_bytes is None else subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
                 cwd=spec.working_dir,
                 env=env,
                 start_new_session=True,
@@ -741,7 +752,7 @@ def _launch_external(
         running.started(proc)
         with proc:
             try:
-                stdout, stderr = proc.communicate(stdin_text, timeout=spec.timeout_seconds)
+                stdout, stderr = proc.communicate(stdin_bytes, timeout=spec.timeout_seconds)
             except subprocess.TimeoutExpired as exc:
                 _kill_group(proc)
                 proc.wait()
@@ -750,14 +761,14 @@ def _launch_external(
                     f"(command: {command[0]})"
                 ) from exc
         if proc.returncode != 0:
-            excerpt = (stderr or "").strip()[:500]
+            excerpt = stderr.decode("utf-8", "replace").strip()[:500]
             raise EvaluationError(
                 f"external model exited with code {proc.returncode}; stderr: {excerpt!r}"
             )
-        outputs = _parse_output_csv(stdout, spec.output_names, len(rows))
-        if not np.all(np.isfinite(outputs)):
-            raise EvaluationError("external model wrote a non-finite value")
-        return outputs
+        try:
+            return stdout.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"external model wrote output that is not UTF-8: {exc}") from exc
     finally:
         if temp_path is not None:
             try:
@@ -784,47 +795,59 @@ def _run_external_batch(
     rendered: Sequence[str],
     workers: int,
     commit: Callable[[slice, np.ndarray], None],
-) -> None:
+) -> tuple[int, list[tuple[slice, EvaluationError]]]:
     """Launch the external command over rows rendered as text (see
     _input_csv), retrying each launch once.
 
-    With workers == 1 the whole batch goes through a single launch; more
-    workers split it into that many contiguous chunks run concurrently.
-    Each launch runs in a thread of one pool, so that the calling thread
-    takes an interrupt and kills every launch still running (see _Launches).
-    Each chunk's (row slice, outputs) go to commit as soon as its launch
-    returns, so a failing chunk loses none of the others' results.  Every
-    launch of the batch, retries included, runs in one environment (see
-    _thread_share_env).
+    Without spec.points_per_launch, the rows are split into `workers`
+    contiguous chunks (fewer if there are fewer rows), one launch each; with
+    it, into as few contiguous chunks of at most that many as there can be,
+    launched `workers` at a time from one queue.  Each launch runs in a
+    thread of one pool, so that the calling thread takes an interrupt and
+    kills every launch still running (see _Launches).  The threads take
+    turns to read each solver's output and commit its (row slice, outputs),
+    so a failing launch loses none of the others' results.  Every launch of
+    the batch, retries included, runs in one environment (see
+    _thread_share_env).  Returns the number of launches and, in row order,
+    those that failed after their retry, with their errors.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    launches = min(workers, len(rendered))
-    env = _thread_share_env(launches)
-    running = _Launches()
-
-    def run_chunk(rows: slice) -> None:
-        try:
-            outputs = _launch_external(spec, rendered[rows], env, running)
-        except EvaluationError as exc:
-            if running.stopped:
-                raise
-            _warn("external model failed (%s); retrying once", exc)
-            outputs = _launch_external(spec, rendered[rows], env, running)
-        commit(rows, outputs)
-
+    size = spec.points_per_launch
+    launches = min(workers, len(rendered)) if size is None else -(-len(rendered) // size)
     rows = np.array_split(np.arange(len(rendered)), launches)
     chunks = [slice(chunk[0], chunk[-1] + 1) for chunk in rows]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+    at_once = min(workers, launches)
+    env = _thread_share_env(at_once)
+    running = _Launches()
+
+    def attempt(rows: slice) -> None:
+        text = _launch_external(spec, rendered[rows], env, running)
+        with running.turn:
+            outputs = _parse_output_csv(text, spec.output_names, rows.stop - rows.start)
+            if not np.isfinite(outputs).all():
+                raise EvaluationError("external model wrote a non-finite value")
+            commit(rows, outputs)
+
+    def run_chunk(rows: slice) -> EvaluationError | None:
+        for retry in (False, True):
+            try:
+                return attempt(rows)
+            except EvaluationError as exc:
+                if retry or running.stopped:
+                    return exc
+                _warn("external model failed (%s); retrying once", exc)
+
+    with ThreadPoolExecutor(max_workers=at_once) as pool:
         try:
             results = pool.map(run_chunk, chunks)
-            # All successful chunks are committed before the first failure
-            # (in chunk order) is raised.
             pool.shutdown()
-        except KeyboardInterrupt:
+        except KeyboardInterrupt:  # no queued launch starts, and the running ones are killed
+            pool.shutdown(wait=False, cancel_futures=True)
             running.stop()
             raise
-        list(results)
+        failed = [(rows, exc) for rows, exc in zip(chunks, results) if exc is not None]
+    return launches, failed
 
 
 def _run_builtin(
@@ -873,7 +896,8 @@ class BlackBoxModel:
     """Callable adapter: (points, dim) physical array -> (points, outputs) array.
 
     Wraps a spec plus an optional shared cache, counts fresh and cached
-    evaluations, and exposes the spec fingerprint for build metadata.  A
+    evaluations and the external launches done and failed, and exposes the
+    spec fingerprint for build metadata.  A
     builtin is resolved, and its parameters checked, on construction.
     Instances are safe to call from several threads; counters are summed
     under a lock.
@@ -889,8 +913,8 @@ class BlackBoxModel:
         self.cache = cache
         self.workers = workers
         self.fingerprint = spec.fingerprint()
-        self.fresh_count = 0
-        self.cached_count = 0
+        self.fresh_count = self.cached_count = 0
+        self.launches_done = self.launches_failed = 0
         self._lock = threading.Lock()
         self._builtin = BUILTIN_MODELS[spec.name](spec) if spec.kind == BUILTIN else None
 
@@ -908,9 +932,11 @@ class BlackBoxModel:
 
         Hits come back bit-identically to the original evaluation.  Misses
         are computed and committed to the cache as they complete: per
-        external chunk, and for builtins once, after the last point or
+        external launch, and for builtins once, after the last point or
         before raising on a failing one.  The cache's checkpoint is written
-        once, when the batch ends or fails.
+        once, when the batch ends or fails.  Launches that fail after their
+        retry raise once every launch has returned, naming their count and
+        the first one's point and error.
         """
         cache = self.cache
         width = len(self.spec.output_names)
@@ -934,7 +960,14 @@ class BlackBoxModel:
 
         try:
             if self._builtin is None:
-                _run_external_batch(self.spec, rows, self.workers, commit)
+                launches, failed = _run_external_batch(self.spec, rows, self.workers, commit)
+                with self._lock:
+                    self.launches_done += launches - len(failed)
+                    self.launches_failed += len(failed)
+                if failed:
+                    (first, error), *_ = failed
+                    raise EvaluationError(f"{len(failed)} of {launches} launches failed, the "
+                                          f"first at point {missed[first.start].tolist()}: {error}")
             else:
                 _run_builtin(self.spec, self._builtin, missed, commit)
         finally:

@@ -84,6 +84,25 @@ def _black_box(cfg, workers: int):
     return BlackBoxModel(cfg.model, cache=cache, workers=workers)
 
 
+def _launches(cfg, box) -> str:
+    """The launches done and failed, for run.log, if model.points_per_launch is set."""
+    if cfg.model.points_per_launch is None:
+        return ""
+    return f" launches_done={box.launches_done} launches_failed={box.launches_failed}"
+
+
+@contextlib.contextmanager
+def _failure_logged(cfg, box, command: str, reproducible: bool) -> Iterator[None]:
+    """With model.points_per_launch set, evaluations that fail append
+    "<command> failed" to run.log, with the launch counts unless reproducible."""
+    try:
+        yield
+    except EvaluationError:
+        if cfg.model.points_per_launch is not None:
+            _append_log(cfg, f"{command} failed", "" if reproducible else _launches(cfg, box))
+        raise
+
+
 def _load_model(cfg, override: str | None):
     from . import surrogate
 
@@ -107,13 +126,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = config.load_config(args.config)
     box = _black_box(cfg, args.workers)
     started = time.perf_counter()
-    model = surrogate.build_pce(
-        box,
-        cfg.inputs,
-        cfg.outputs,
-        cfg.method,
-        record_timestamp=not args.reproducible,
-    )
+    with _failure_logged(cfg, box, "build", args.reproducible):
+        model = surrogate.build_pce(
+            box,
+            cfg.inputs,
+            cfg.outputs,
+            cfg.method,
+            record_timestamp=not args.reproducible,
+        )
     elapsed = time.perf_counter() - started
     model.build_meta["config_hash"] = cfg.config_hash
     model.build_meta["seed"] = cfg.validation.seed
@@ -124,7 +144,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     meta = model.build_meta
     volatile = (
         f" cache_hits={box.cached_count} cache_misses={box.fresh_count}"
-        f" wall_seconds={elapsed:.3f}"
+        f" wall_seconds={elapsed:.3f}{_launches(cfg, box)}"
     )
     _append_log(
         cfg,
@@ -160,7 +180,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         cfg.validation.lhs_strata, model.dim, cfg.validation.lhs_repeats, cfg.validation.seed
     )
     physical = surrogate.unscale_points(design.points, model.inputs)
-    truths = box(physical)
+    with _failure_logged(cfg, box, "validate", args.reproducible):
+        truths = box(physical)
     predictions = model.evaluate_batch(physical)
 
     names = model.output_names
@@ -190,7 +211,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     summary = " ".join(
         f"rmse_{name}={m[0]:.6g} rrmse_{name}={m[1]:.6g}" for name, m in zip(names, metrics)
     )
-    _append_log(cfg, f"validate points={len(design.points)} {summary}")
+    _append_log(cfg, f"validate points={len(design.points)} {summary}",
+                "" if args.reproducible else _launches(cfg, box))
     print(f"validated at {len(design.points)} LHS points: {summary}")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ The schema (defaults in parentheses; unknown keys anywhere are rejected):
         "command": ["...", ...],        # external only
         "working_dir": ".",             # external, optional; relative to the config
         "io_format": "argfile"|"stdin", # external, optional ("argfile")
-        "timeout_seconds": 3600         # external, optional, > 0
+        "timeout_seconds": 3600,        # external, optional, > 0
+        "points_per_launch": k          # external, optional, >= 1 (see blackbox)
       },
       "inputs":  [{"name": "...", "min": ..., "max": ...}, ...],
       "outputs": ["...", ...],
@@ -70,6 +71,7 @@ class ModelSpec:
     working_dir: str = "."
     io_format: str = IO_ARGFILE
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+    points_per_launch: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (BUILTIN, EXTERNAL):
@@ -92,9 +94,16 @@ class ModelSpec:
             raise ConfigurationError(
                 f"model.timeout_seconds must be > 0, got {self.timeout_seconds!r}"
             )
+        if self.points_per_launch is not None and not (
+            self.kind == EXTERNAL and type(self.points_per_launch) is int
+            and self.points_per_launch >= 1
+        ):
+            raise ConfigurationError("model.points_per_launch must be an integer >= 1, "
+                                     "on an external model only")
 
     def fingerprint(self) -> str:
-        """Stable hash of everything that determines the model's outputs."""
+        """Stable hash of everything that determines the model's outputs
+        (not timeout_seconds or points_per_launch, so the cache outlives them)."""
         # json.dumps writes the tuples as lists
         fields = ("kind", "name", "parameters", "command", "input_names", "output_names")
         payload = {key: getattr(self, key) for key in fields}
@@ -225,9 +234,8 @@ def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
         name = _expect(raw, "name", str, "model")
         return ModelSpec(kind, **names, name=name, parameters=raw.get("parameters", {}))
     if kind == EXTERNAL:
-        _reject_unknown(
-            raw, {"kind", "command", "working_dir", "io_format", "timeout_seconds"}, "model"
-        )
+        _reject_unknown(raw, {"kind", "command", "working_dir", "io_format", "timeout_seconds",
+                              "points_per_launch"}, "model")
         command = _expect(raw, "command", list, "model")
         if not all(isinstance(part, str) for part in command):
             raise ConfigurationError("model.command must be a list of strings")
@@ -242,6 +250,8 @@ def _parse_model(raw: dict, inputs, outputs, base: Path) -> ModelSpec:
             timeout_seconds=_float(
                 raw.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS), "model.timeout_seconds"
             ),
+            points_per_launch=None if "points_per_launch" not in raw
+            else _int(raw["points_per_launch"], "model.points_per_launch", 1),
         )
     return ModelSpec(kind, **names)  # neither kind: ModelSpec's own check rejects it
 

@@ -1,5 +1,6 @@
 """Direct, one-value-at-a-time implementations the tests use as oracles."""
 import csv
+import io
 
 import numpy as np
 
@@ -118,3 +119,33 @@ def write_histogram_csv(handle, names, ordered, bins):
         counts, edges = np.histogram(column, bins=bins, range=(column.min(), column.max()))
         for left, right, count in zip(edges[:-1], edges[1:], counts):
             writer.writerow([name, format(left, ".17g"), format(right, ".17g"), int(count)])
+
+
+def parse_output_csv(text, output_names, expected_rows):
+    """A solver's output CSV read row by row: blank rows skipped, the header
+    checked, then each row's width, then each cell through float()."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [row for row in reader if row]
+    if not rows:
+        raise EvaluationError("external model wrote no output")
+    header = [cell.strip() for cell in rows[0]]
+    if header != list(output_names):
+        raise EvaluationError(
+            f"external model output header {header} does not match "
+            f"declared outputs {list(output_names)}"
+        )
+    data = rows[1:]
+    if len(data) != expected_rows:
+        raise EvaluationError(
+            f"external model wrote {len(data)} rows for {expected_rows} input points"
+        )
+    for number, row in enumerate(data, start=1):
+        if len(row) != len(output_names):
+            raise EvaluationError(
+                f"external model wrote {len(row)} values in output row {number} "
+                f"for {len(output_names)} declared outputs"
+            )
+    try:
+        return np.array([[float(cell) for cell in row] for row in data])
+    except ValueError as exc:
+        raise EvaluationError(f"external model wrote a non-numeric value: {exc}") from exc

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import references
 from pcekit import blackbox, surrogate
 from pcekit.blackbox import (
     CSG_PROXY_INPUTS,
@@ -280,6 +283,21 @@ class TestFingerprint:
         assert a.fingerprint() == builtin_spec(
             "constant", inputs=("a",), parameters={"values": [1.0]}
         ).fingerprint()
+
+    def test_timeout_and_points_per_launch_keep_the_fingerprint(self):
+        # They say how the solver is run, not what it computes, so changing
+        # them keeps every cached point.
+        spec = ModelSpec("external", ("a",), ("y",), command=("solver",))
+        for other in [dict(timeout_seconds=5.0), dict(points_per_launch=1)]:
+            assert dataclasses.replace(spec, **other).fingerprint() == spec.fingerprint()
+
+    @pytest.mark.parametrize("kind, size", [
+        ("builtin", 1), ("external", 0), ("external", -2), ("external", 1.0), ("external", True),
+    ])
+    def test_points_per_launch_is_a_positive_integer_of_an_external_model(self, kind, size):
+        with pytest.raises(ConfigurationError, match="points_per_launch"):
+            ModelSpec(kind, ("a",), ("y",), name="constant", command=("solver",),
+                      points_per_launch=size)
 
 
 class TestCache:
@@ -1486,6 +1504,111 @@ def external_spec(script_path, io_format="argfile", timeout=30.0):
     )
 
 
+def parses_like_the_reference(text, names, rows):
+    """Whether _parse_output_csv gives, bit for bit, the array the per-row
+    reference gives, or raises the EvaluationError text it raises.  The
+    reference reads the text as text-mode pipes handed it over, every line
+    end made "\n"; where csv.reader raises for it, the parser raises an
+    EvaluationError that ends in csv's text.  Returns "array" or "error"."""
+    try:
+        expected = references.parse_output_csv(
+            text.replace("\r\n", "\n").replace("\r", "\n"), names, rows)
+    except (EvaluationError, csv.Error) as exc:
+        with pytest.raises(EvaluationError) as info:
+            blackbox._parse_output_csv(text, names, rows)
+        if isinstance(exc, csv.Error):
+            assert str(info.value).endswith(f": {exc}")
+        else:
+            assert str(info.value) == str(exc)
+        return "error"
+    actual = blackbox._parse_output_csv(text, names, rows)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+    return "array"
+
+
+# Cells a solver may write besides a number in "%.17g" form.
+ODD_CELLS = [
+    " 2", "2 ", "+7", "-0", "1_0", " nan", "nan", "inf", "-inf", "1e400", "0x10", "abc", "",
+    " ", "1\x00", '"3.25"', '"1,5"', '" 4"', '"5"x', "1e-320",
+]
+
+
+def random_solver_output(rng, width, rows):
+    """Seeded stdout of a solver of outputs y0.. for `rows` input rows: a
+    header whose names are now and then padded or swapped, rows of random
+    doubles with odd cells and blank or whitespace-only lines at rates drawn
+    per text, now and then a row too wide or too narrow, one row too many or
+    too few, and "\n", "\r\n" or "\r" line ends."""
+    names = [f"y{j}" for j in range(width)]
+    header = [f" {name}  " if rng.random() < 0.2 else name for name in names]
+    if rng.random() < 0.05:
+        header = header[::-1] + ["z"] * (width == 1)
+    count = rows + int(rng.integers(-1, 2)) * (rng.random() < 0.1)
+    odd, blank = rng.choice([0.0, 0.01, 0.2], size=2)
+    ragged = rng.integers(-3 * count, count + 1)
+    lines = [",".join(header)]
+    for row in range(count):
+        values = rng.normal(size=width) * 10.0 ** rng.integers(-300, 300, size=width)
+        cells = [format(value, ".17g") for value in values]
+        if rng.random() < odd:
+            cells[rng.integers(width)] = str(rng.choice(ODD_CELLS))
+        if row == ragged:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(",".join(cells))
+        if rng.random() < blank:
+            lines.append("   " if rng.random() < 0.05 else "\t" * (rng.random() < 0.05))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end * (rng.random() < 0.9), tuple(names)
+
+
+class TestOutputParser:
+    def test_matches_the_per_row_reference_on_random_outputs(self):
+        outcomes = []
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            width, rows = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+            text, names = random_solver_output(rng, width, rows)
+            outcomes.append(parses_like_the_reference(text, names, rows))
+        # Both sides of the contract are exercised, not only one.
+        assert outcomes.count("array") > 100 and outcomes.count("error") > 100
+
+    @pytest.mark.parametrize("text, rows, result", [
+        ('y1,y2\n"1.5","-2"\n', 1, [[1.5, -2.0]]),  # quoted cells
+        ("y1,y2\n\n1,2\n\n3,4\n\n", 2, [[1.0, 2.0], [3.0, 4.0]]),  # blank lines
+        ("y1,y2\n1,2\n   \n", 1, "external model wrote 2 rows for 1 input points"),
+        ("y1,y2\n1_0, nan\ninf,-inf\n", 2, [[10.0, math.nan], [math.inf, -math.inf]]),
+        (" y1 ,  y2\r\n1,2\r\n", 1, [[1.0, 2.0]]),  # a padded header
+        ("y1,y2\n1,2\n", 2, "external model wrote 1 rows for 2 input points"),
+        ("y1,y2\n1,2\n3,4\n5,6\n", 2, "external model wrote 3 rows for 2 input points"),
+        ("y1,y2\n1,2\n3,4\n5\n7,8\n", 4,
+         "external model wrote 1 values in output row 3 for 2 declared outputs"),
+        ("y1,y2\n1,2\n3,4,5\n6\n", 3,
+         "external model wrote 3 values in output row 2 for 2 declared outputs"),
+        ("y1,y2\n1,2\n3,abc\n", 2,
+         "external model wrote a non-numeric value: could not convert string to float: 'abc'"),
+        ("y1,y2\n1,2\x00\n", 1, None),  # NUL: csv.reader's verdict differs across versions
+        ("y2,y1\n1,2\n", 1,
+         "external model output header ['y2', 'y1'] does not match declared outputs "
+         "['y1', 'y2']"),
+        ("\n\n", 1, "external model wrote no output"),
+        ("y1,y2\n" + "1" * 200_000 + ",2\n", 1,
+         "external model wrote output csv cannot read: field larger than field limit (131072)"),
+    ], ids=["quoted", "blank", "whitespace", "odd-numbers", "padded-header", "too-few",
+            "too-many", "narrow-row-3", "wide-row-2", "non-numeric", "nul", "header",
+            "empty", "huge-cell"])
+    def test_cases(self, text, rows, result):
+        outcome = parses_like_the_reference(text, ("y1", "y2"), rows)
+        if isinstance(result, str):
+            with pytest.raises(EvaluationError) as info:
+                blackbox._parse_output_csv(text, ("y1", "y2"), rows)
+            assert str(info.value) == result
+        elif result is not None:
+            assert outcome == "array"
+            assert np.array_equal(
+                blackbox._parse_output_csv(text, ("y1", "y2"), rows), result, equal_nan=True)
+
+
 class TestExternalProtocol:
     @pytest.mark.parametrize("io_format", ["argfile", "stdin"])
     def test_row_alignment(self, tmp_path, io_format):
@@ -1555,10 +1678,18 @@ class TestExternalProtocol:
                 if running(pid):
                     os.kill(pid, signal.SIGKILL)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_interrupt_kills_every_running_launch(self, tmp_path, workers):
+    @pytest.mark.parametrize("workers, per_launch", [(1, None), (2, None), (2, 1)],
+                             ids=["1", "2", "queue"])
+    def test_interrupt_kills_every_running_launch(
+        self, tmp_path, monkeypatch, workers, per_launch
+    ):
         # Each launch starts a 30 s sleep and records its pid; an interrupt
-        # 1 s in must end the call within 3 s and leave no sleep alive.
+        # 1 s in must end the call within 3 s and leave no sleep alive.  A
+        # queue of four launches runs two, and starts neither of the others.
+        launch = blackbox._launch_external
+        calls = []
+        monkeypatch.setattr(blackbox, "_launch_external",
+                            lambda *args: calls.append(args) or launch(*args))
         pid_file = tmp_path / "pids"
         spec = ModelSpec(
             kind="external",
@@ -1567,6 +1698,7 @@ class TestExternalProtocol:
             command=("sh", "-c", f"sleep 30 & echo $! >> {shlex.quote(str(pid_file))}; wait"),
             io_format="stdin",
             timeout_seconds=60.0,
+            points_per_launch=per_launch,
         )
         interrupt = threading.Timer(
             1.0, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)
@@ -1576,10 +1708,11 @@ class TestExternalProtocol:
             started = time.monotonic()
             interrupt.start()
             with pytest.raises(KeyboardInterrupt):
-                BlackBoxModel(spec, workers=workers)(np.array([[1.0, 2.0], [3.0, 4.0]]))
+                BlackBoxModel(spec, workers=workers)(np.arange(8.0 if per_launch else 4.0)
+                                                     .reshape(-1, 2))
             assert time.monotonic() - started < 3.0
             pids = [int(pid) for pid in pid_file.read_text().split()]
-            assert len(pids) == workers
+            assert len(pids) == len(calls) == workers
             deadline = time.monotonic() + 5.0
             while any(map(running, pids)) and time.monotonic() < deadline:
                 time.sleep(0.05)
@@ -1653,6 +1786,144 @@ class TestResume:
         box = BlackBoxModel(spec, cache=cache, workers=4)
         assert np.array_equal(box(points), 2.0 * points)
         assert box.fresh_count == 2 and box.cached_count == 6
+
+
+# Doubles its rows, and first appends their first inputs, as one line per
+# launch, to the file argv[1].  A launch holding the input FAIL fails, unless
+# the file FIXED exists; one holding SLOW sleeps for 30 s first.
+COUNTING_DOUBLER = """\
+import csv, os, sys, time
+rows = [row for row in csv.reader(open(sys.argv[2]))][1:]
+with open(sys.argv[1], "a") as handle:
+    handle.write(" ".join(row[0] for row in rows) + "\\n")
+if any(row[0] == {slow!r} for row in rows):
+    time.sleep(30)
+if any(row[0] == {fail!r} for row in rows) and not os.path.exists({fixed!r}):
+    sys.exit("solver diverged")
+print("y1,y2")
+for row in rows:
+    print(f"{{2.0 * float(row[0])!r}},{{2.0 * float(row[1])!r}}")
+"""
+
+
+def counting_spec(tmp_path, per_launch, fail="", slow="", timeout=30.0):
+    """An external doubler that records its launches (see COUNTING_DOUBLER),
+    and the function that reads them back, one list of first inputs each."""
+    script, launches = tmp_path / "counting.py", tmp_path / "launches.txt"
+    script.write_text(COUNTING_DOUBLER.format(fail=fail, slow=slow, fixed=str(tmp_path / "fixed")))
+    spec = ModelSpec(
+        "external", ("a", "b"), ("y1", "y2"),
+        command=(sys.executable, str(script), str(launches)),
+        timeout_seconds=timeout, points_per_launch=per_launch,
+    )
+    return spec, lambda: [line.split() for line in launches.read_text().splitlines()]
+
+
+class TestLaunchQueue:
+    def test_misses_are_cut_into_launches_of_at_most_k(self, tmp_path):
+        points = np.column_stack([np.arange(10.0), np.arange(10.0) + 0.5])
+        spec, launched = counting_spec(tmp_path, per_launch=3)
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        BlackBoxModel(spec, cache=cache)(points[[1, 6]])
+        box = BlackBoxModel(spec, cache=cache, workers=2)
+        assert np.array_equal(box(points), 2.0 * points)
+        # Eight misses in grid order, as three launches of at most three.
+        expected = [["0", "2", "3"], ["4", "5", "7"], ["8", "9"]]
+        assert sorted(launched()[1:]) == expected
+        assert (box.launches_done, box.launches_failed) == (3, 0)
+        assert box.fresh_count == 8 and len(cache) == 10
+
+    def test_a_failing_launch_does_not_stop_the_queue(self, tmp_path, caplog):
+        points = np.column_stack([np.arange(6.0), np.arange(6.0) + 0.5])
+        spec, launched = counting_spec(tmp_path, per_launch=1, fail="2")
+        path = tmp_path / "cache.jsonl"
+        box = BlackBoxModel(spec, cache=EvaluationCache(path), workers=2)
+        message = r"^1 of 6 launches failed, the first at point \[2.0, 2.5\]: .*solver diverged"
+        with pytest.raises(EvaluationError, match=message):
+            box(points)
+        assert (box.launches_done, box.launches_failed) == (5, 1)
+        assert sorted(launched()) == [["0"], ["1"], ["2"], ["2"], ["3"], ["4"], ["5"]]
+        hits, _ = EvaluationCache(path).lookup(spec.fingerprint(), points, 2)
+        assert hits.tolist() == [True, True, False, True, True, True]
+
+        (tmp_path / "fixed").touch()
+        box = BlackBoxModel(spec, cache=EvaluationCache(path), workers=2)
+        assert np.array_equal(box(points), 2.0 * points)
+        assert launched()[7:] == [["2"]] and box.fresh_count == 1
+
+    def test_the_first_failed_launch_is_named_in_row_order(self, tmp_path):
+        # Launches 1 and 3 fail; the error names the first, whichever
+        # returned first.
+        points = np.column_stack([np.arange(4.0), np.zeros(4)])
+        script = tmp_path / "solver.py"
+        script.write_text(FAILS_ON_MARKED_ROW.format(fixed=str(tmp_path / "fixed"))
+                          .replace('row[0] == "1"', 'row[0] in ("1", "3")'))
+        spec = dataclasses.replace(external_spec(script), points_per_launch=1)
+        with pytest.raises(EvaluationError, match=r"^2 of 4 launches failed, the first at "
+                                                  r"point \[1.0, 0.0\]"):
+            BlackBoxModel(spec, workers=2)(points)
+
+    def test_a_timeout_kills_one_launch_of_k_points_and_nothing_else(self, tmp_path):
+        points = np.column_stack([np.arange(6.0), np.arange(6.0) + 0.5])
+        spec, launched = counting_spec(tmp_path, per_launch=2, slow="2", timeout=1.0)
+        path = tmp_path / "cache.jsonl"
+        box = BlackBoxModel(spec, cache=EvaluationCache(path), workers=2)
+        started = time.monotonic()
+        with pytest.raises(EvaluationError, match="^1 of 3 launches failed.*timed out after 1.0 s"):
+            box(points)
+        # The launch and its retry, each killed after a second.
+        assert time.monotonic() - started < 10.0
+        assert sorted(launched()) == [["0", "1"], ["2", "3"], ["2", "3"], ["4", "5"]]
+        hits, _ = EvaluationCache(path).lookup(spec.fingerprint(), points, 2)
+        assert hits.tolist() == [True, True, False, False, True, True]
+
+    def test_a_queue_finishes_sooner_than_the_split_when_run_time_follows_an_input(
+        self, tmp_path
+    ):
+        # Each row sleeps for its input 0 in seconds: eight fast rows, then
+        # eight slow.  Split in two, one launch gets every slow row; a queue
+        # of one-row launches shares them between the two workers.
+        script = (
+            "s=$(awk -F, 'NR > 1 {s += $1} END {print s + 0}' \"$1\"); sleep \"$s\"; "
+            "awk -F, 'NR == 1 {print \"y1,y2\"} NR > 1 {print $1 \",\" $2}' \"$1\""
+        )
+        spec = ModelSpec("external", ("a", "b"), ("y1", "y2"), command=("sh", "-c", script, "sh"))
+        points = np.column_stack([np.repeat([0.0, 0.2], 8), np.arange(16.0)])
+        walls = []
+        for per_launch in [None, 1]:
+            box = BlackBoxModel(dataclasses.replace(spec, points_per_launch=per_launch), workers=2)
+            started = time.monotonic()
+            assert np.array_equal(box(points), points)
+            walls.append(time.monotonic() - started)
+        split, queue = walls
+        assert split >= 1.6 and queue <= 0.75 * split
+
+    def test_launches_share_the_cores_by_the_number_run_at_once(
+        self, tmp_path, unset_thread_vars
+    ):
+        unset_thread_vars.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                                  raising=False)
+        spec = dataclasses.replace(thread_echo(tmp_path), points_per_launch=1)
+        for workers, rows in [(2, 5), (4, 2)]:
+            seen = BlackBoxModel(spec, workers=workers)(np.arange(2.0 * rows).reshape(rows, 2))
+            assert (seen == 4).all()
+
+    def test_launch_threads_read_and_commit_in_turn(self, tmp_path, monkeypatch):
+        # Four launches return at once; their outputs are read one at a time.
+        parse, inside, most = blackbox._parse_output_csv, [], []
+
+        def one_at_a_time(*args):
+            inside.append(1)
+            most.append(len(inside))
+            time.sleep(0.05)
+            inside.pop()
+            return parse(*args)
+
+        monkeypatch.setattr(blackbox, "_parse_output_csv", one_at_a_time)
+        spec, _ = counting_spec(tmp_path, per_launch=1)
+        points = np.column_stack([np.arange(4.0), np.zeros(4)])
+        assert np.array_equal(BlackBoxModel(spec, workers=4)(points), 2.0 * points)
+        assert most == [1] * 4
 
 
 # Writes, as each row's outputs, the thread-pool variables it was launched

@@ -272,6 +272,84 @@ class TestBuild:
         log = (tmp_path / "report" / "run.log").read_text()
         assert "cache_hits=6 cache_misses=3" in log
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "builtin", "name": "csg-proxy", "points_per_launch": 1},
+        *({"kind": "external", "command": ["true"], "points_per_launch": value}
+          for value in [0, -1, 1.5, True, "2", None]),
+    ], ids=["builtin", "zero", "negative", "fraction", "true", "text", "null"])
+    def test_points_per_launch_of_an_external_model_is_an_integer_of_at_least_1(
+        self, tmp_path, capsys, model
+    ):
+        config = write_config(tmp_path, model=model)
+        assert main(["build", "--config", str(config)]) == 2
+        assert "points_per_launch" in capsys.readouterr().err
+        assert not (tmp_path / "cache.jsonl").exists()
+
+    def test_a_queue_logs_its_launches_and_resumes(self, tmp_path, capsys):
+        # The first of nine grid points makes the solver fail until it is
+        # fixed: of five launches of at most two points, the first fails
+        # after its retry, and the others' four are committed.
+        fixed = tmp_path / "fixed"
+        solver = tmp_path / "solver.py"
+        solver.write_text(
+            "import csv, os, sys\n"
+            "rows = list(csv.reader(open(sys.argv[1])))[1:]\n"
+            f"if not os.path.exists({str(fixed)!r}) and float(rows[0][0]) + float(rows[0][1]) < 0.3:\n"
+            "    sys.exit('diverged')\n" + SUM_AND_PRODUCT.split("\n", 2)[2]
+        )
+        model = {"kind": "external", "command": [sys.executable, str(solver)],
+                 "points_per_launch": 2}
+        config = write_config(
+            tmp_path, model=model, outputs=["y1", "y2"],
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}, {"name": "b", "min": 0.0, "max": 1.0}],
+        )
+        log = tmp_path / "report" / "run.log"
+        argv = ["build", "--config", str(config), "--workers", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: 1 of 5 launches failed, the first at point [0.1127" in err
+        assert "diverged" in err
+        assert log.read_text().startswith("build failed config_hash=")
+        assert log.read_text().endswith(" launches_done=4 launches_failed=1\n")
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 7
+
+        fixed.touch()
+        assert main(argv + ["--reproducible"]) == 0
+        assert log.read_text().splitlines()[-1].endswith("terms=9 " + " ".join(
+            cli._stamp(load_config(config))))
+        (tmp_path / "cache.jsonl").unlink()
+        assert main(argv) == 0
+        assert " cache_hits=0 cache_misses=9 " in log.read_text().splitlines()[-1]
+        assert log.read_text().endswith(" launches_done=5 launches_failed=0\n")
+
+    @pytest.mark.parametrize("write, code", [
+        ("sys.stderr.buffer.write(b'gr\\xf6\\xdfe')", 0),
+        ("sys.stderr.buffer.write(b'gr\\xf6\\xdfe'); sys.exit(5)", 3),
+        ("sys.stdout.buffer.write(b'\\xff'); sys.stdout.flush()", 3),
+    ], ids=["stderr", "stderr-failing", "stdout"])
+    def test_solver_bytes_that_are_not_utf8_exit_by_contract(self, tmp_path, write, code):
+        # A succeeding solver's stderr is not read, and a failing one's is
+        # quoted with replacement characters; its output must be UTF-8.
+        solver = tmp_path / "solver.py"
+        solver.write_text(SUM_AND_PRODUCT + f"sys.stdout.flush(); {write}\n")
+        config = write_config(
+            tmp_path, model={"kind": "external", "command": [sys.executable, str(solver)]},
+            inputs=[{"name": "a", "min": 0.0, "max": 1.0}, {"name": "b", "min": 0.0, "max": 1.0}],
+            outputs=["y1", "y2"],
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcekit.cli", "build", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+        cache = tmp_path / "cache.jsonl"
+        lines = cache.read_text().splitlines() if cache.exists() else []
+        assert len(lines) == (9 if code == 0 else 0)
+        if "exit" in write:
+            assert "stderr: 'gr\ufffd\ufffde'" in proc.stderr
+        elif "stdout" in write:
+            assert "external model wrote output that is not UTF-8" in proc.stderr
+
     @pytest.mark.parametrize("working_dir", [None, "sub"])
     def test_relative_working_dir_resolves_against_the_config(
         self, tmp_path, monkeypatch, working_dir

@@ -19,8 +19,9 @@ concurrent.futures, logging) is imported where it is used.
 Evaluations are memoized in an append-only JSON-lines cache, indexed by
 value: a point's key is its doubles' bits (every NaN as one NaN, since
 every NaN renders as "nan"), and each model fingerprint's rows of one input
-and one output count are two arrays, the keys sorted by their bytes and
-the outputs, so a batch is looked up with one searchsorted.  Only the
+and one output count are a table of their own, two arrays, the keys sorted
+by their bytes and the outputs, so a batch is looked up with one
+searchsorted.  In each table the last line of a point wins.  Only the
 misses are rendered as text ("%.17g" values, comma-separated, each distinct
 value of a column formatted once; a quadrature grid has a few per column),
 once: that text makes the solver's input rows and the cache lines.  A
@@ -64,7 +65,7 @@ STORE_BLOCK_CHARS = 2**20
 # A cache checkpoint's format, and the bytes hashed per read when one is
 # checked.  Blocks stay under 128 KiB: freeing a larger one raises the C
 # allocator's mmap threshold, which raised a later validate's peak RSS by 1.9 MB.
-CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/4"
+CHECKPOINT_FORMAT = "pcekit-cache-checkpoint/5"
 HASH_BLOCK_BYTES = 2**16
 CORRUPT_LINE = "cache %s line %d is corrupt (%s); treating as a miss"
 
@@ -320,7 +321,10 @@ class EvaluationCache:
     numbers as canonical decimal strings.  The in-memory index holds one
     table per (fingerprint, input count, output count): the points' keys
     (see _keys) sorted by their bytes, and the matching rows of outputs; a
-    line is keyed by float() of its input cells.  The index is loaded once at
+    line is keyed by float() of its input cells.  The tables are
+    independent, and in each the last line of a point wins: a fingerprint
+    hashes its model's input and output names, so a model reads one table,
+    and a line of another shape is not its.  The index is loaded once at
     construction, which also counts the file's corrupt_lines and its
     valid_lines (to which store adds the lines it writes); appends are
     serialized through a lock so batch workers can share one cache.
@@ -342,8 +346,8 @@ class EvaluationCache:
         self.checkpoint = self.path.with_name(self.path.name + ".checkpoint")
         self._lock = threading.Lock()
         self._index: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        # Rows store appended, as (fingerprint, points, outputs), that the
-        # index has not merged yet (see _settle).
+        # Rows store appended or _scan read, as (fingerprint, points,
+        # outputs), that the index has not merged yet (see _settle).
         self._pending: list[tuple[str, np.ndarray, np.ndarray]] = []
         self.valid_lines = self.corrupt_lines = 0
         # The file as this instance knows it: the bytes it checked or wrote
@@ -417,10 +421,11 @@ class EvaluationCache:
         A line, stripped of surrounding whitespace, is valid only if it is
         in the form store writes (_CANONICAL_LINE), with the checksum of its
         own text and cells that float() reads; blank lines are skipped.  It
-        keys the point float() reads from its inputs, and the last line of a
-        point wins, whatever its output count, also over the index (_file).
+        keys the point float() reads from its inputs.  The valid lines of
+        each table, (fingerprint, inputs, outputs), are queued as one batch
+        for _settle, where the last line of a point wins within its table.
         """
-        found: dict[tuple[str, int], tuple[list[float], list[float], list[int]]] = {}
+        found: dict[tuple[str, int, int], tuple[list[float], list[float]]] = {}
         canonical = _CANONICAL_LINE.fullmatch
         sha256 = hashlib.sha256
         for lineno, line in enumerate(lines, start=lineno + 1):
@@ -442,51 +447,33 @@ class EvaluationCache:
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
                 continue
-            points, values, widths = found.setdefault((fingerprint, len(point)), ([], [], []))
+            points, values = found.setdefault((fingerprint, len(point), len(row)), ([], []))
             points += point
             values += row
-            widths.append(len(row))
-        for (fingerprint, inputs), (points, values, widths) in found.items():
-            self.valid_lines += len(widths)
-            points, values, widths = (np.reshape(points, (-1, inputs)),
-                                      np.array(values, dtype="<f8"), np.array(widths))
-            starts = np.cumsum(widths) - widths
-            # Each point's last line, its first in reverse, whatever its width.
-            last = len(widths) - 1 - np.unique(_keys(points)[::-1], return_index=True)[1]
-            for width in set(widths[last].tolist()):
-                at = last[widths[last] == width]
-                self._file(fingerprint, points[at], values[starts[at, None] + np.arange(width)])
+        for (fingerprint, inputs, outputs), (points, values) in found.items():
+            values = np.array(values, dtype="<f8").reshape(-1, outputs)
+            self.valid_lines += len(values)
+            self._pending.append((fingerprint, np.reshape(points, (-1, inputs)), values))
         return lineno
 
-    def _file(self, fingerprint: str, points: np.ndarray, outputs: np.ndarray) -> None:
-        """Merge each point's row of outputs into the model's sorted table of
-        their widths.  The last of a repeated key wins, also over the rows
-        of that key in the model's tables of other output counts, which go.
-        Beyond the merged table, the arrays made are of the batch's length:
-        sorting the old and new rows together raised peak RSS by 2-3 MB."""
-        if not len(points):
-            return
-        keys = _keys(points)
+    def _file(self, name: tuple[str, int, int], keys: np.ndarray, outputs: np.ndarray) -> None:
+        """Merge rows, as their keys (see _keys) and outputs, into the table
+        `name`: a stable sort of the batch, in which the last of a repeated
+        key wins, also over the table's row of that key.  Beyond the merged
+        table, the arrays made are of the batch's length: sorting the old
+        and new rows together raised peak RSS by 2-3 MB."""
         order = np.argsort(keys, kind="stable")
         keys, outputs = keys[order], outputs[order]
         last = np.append(keys[1:] != keys[:-1], True)  # in each run of one key
         if not last.all():
             keys, outputs = keys[last], outputs[last]
-        name = (fingerprint, points.shape[1], outputs.shape[1])
-        table = keys, outputs
-        for other in [other for other in self._index if other[:2] == name[:2]]:
-            old_keys, old_outputs = self._index[other]
+        if name in self._index:
+            old_keys, old_outputs = self._index[name]
             at = np.searchsorted(old_keys, keys).clip(max=len(old_keys) - 1)
             kept = np.ones(len(old_keys), dtype=bool)
             kept[at[old_keys[at] == keys]] = False
             if not kept.all():
                 old_keys, old_outputs = old_keys[kept], old_outputs[kept]
-            if other != name:
-                if len(old_keys):
-                    self._index[other] = old_keys, old_outputs
-                else:
-                    del self._index[other]
-                continue
             # Where each row lands: the new ones among the old, in key order.
             new = np.searchsorted(old_keys, keys) + np.arange(len(keys))
             old = np.ones(len(old_keys) + len(keys), dtype=bool)
@@ -494,15 +481,25 @@ class EvaluationCache:
             table = np.empty(len(old), keys.dtype), np.empty((len(old), outputs.shape[1]))
             for merged, rows, batch in zip(table, (old_keys, old_outputs), (keys, outputs)):
                 merged[old], merged[new] = rows, batch
-        self._index[name] = table
+            keys, outputs = table
+        self._index[name] = keys, outputs
 
     def _settle(self) -> None:
-        """Merge what store appended into the index, under the lock, on the
-        thread that reads it next: arrays made on a launch thread stay in its
-        malloc arena, which raised a cold build's peak RSS by up to 3 MB."""
-        for batch in self._pending:
-            self._file(*batch)
+        """Merge the rows that store appended and _scan read into the index,
+        the one way rows enter it: each table's pending keys and outputs, in
+        the order they came, are filed by one _file call.  It runs under the
+        lock, on the thread that reads the index next: arrays made on a
+        launch thread stay in its malloc arena, which raised a cold build's
+        peak RSS by up to 3 MB."""
+        tables: dict[tuple[str, int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        for fingerprint, points, outputs in self._pending:
+            if len(points):
+                name = (fingerprint, points.shape[1], outputs.shape[1])
+                tables.setdefault(name, []).append((_keys(points), outputs))
         self._pending.clear()
+        for name, batches in tables.items():
+            keys, outputs = zip(*batches)
+            self._file(name, np.concatenate(keys), np.concatenate(outputs))
 
     def _save(self) -> None:
         """Write the checkpoint of the file as this instance knows it (unless
@@ -530,7 +527,7 @@ class EvaluationCache:
         self._saved = size
 
     def __len__(self) -> int:
-        """The number of records, over every model."""
+        """The number of entries: each table's distinct points, summed over the tables."""
         with self._lock:
             self._settle()
         return sum(len(keys) for keys, _ in self._index.values())

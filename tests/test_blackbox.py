@@ -384,10 +384,11 @@ class TestCache:
         box = BlackBoxModel(spec, cache=EvaluationCache(path))
         assert box(np.array([[0.5]])).tolist() == [[1.0, 2.0]]
         assert (box.fresh_count, box.cached_count) == (1, 0)
-        # The later line, of two outputs, replaces it.
+        # The later line, of two outputs, is filed in a table of its own,
+        # and the line of one output keeps its row.
         reloaded = EvaluationCache(path)
-        assert len(reloaded) == 1
-        assert reloaded.lookup(spec.fingerprint(), [[0.5]], 1)[0].tolist() == [False]
+        assert len(reloaded) == 2
+        assert reloaded.lookup(spec.fingerprint(), [[0.5]], 1)[1].tolist() == [[7.0]]
         assert reloaded.lookup(spec.fingerprint(), [[0.5]], 2)[1].tolist() == [[1.0, 2.0]]
 
     def test_env_override(self, tmp_path, monkeypatch):
@@ -686,15 +687,15 @@ def in_store_form(line):
 
 
 def reference_scan(path):
-    """The loader stated through json: (index {fingerprint: {row: outputs}},
-    valid line count, [(line number, error)]).
+    """The loader stated through json: (index {(fingerprint, inputs,
+    outputs): {row: outputs}}, valid line count, [(line number, error)]).
 
     A stripped line is valid when it is in store's form (in_store_form),
     its checksum is the sha256 of the compact sorted-key JSON of its other
     three fields, and float() reads its input cells (the comma-split row)
-    and its outputs.  It keys the "%.17g" row of the point float() reads,
-    and the last line of a point wins, whatever its output count.  Blank
-    lines are skipped."""
+    and its outputs.  It keys the "%.17g" row of the point float() reads
+    in the table of its fingerprint, input count and output count, and in
+    each table the last line of a point wins.  Blank lines are skipped."""
     index, valid, corrupt = {}, 0, []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -715,7 +716,8 @@ def reference_scan(path):
                     raise ValueError("checksum mismatch")
                 point = [float(cell) for cell in ",".join(inputs).split(",")]
                 values = tuple(float(v) for v in outputs)
-                index.setdefault(fingerprint, {})[template_rows([point])[0]] = values
+                table = index.setdefault((fingerprint, len(point), len(values)), {})
+                table[template_rows([point])[0]] = values
                 valid += 1
             except ValueError as exc:
                 corrupt.append((lineno, str(exc)))
@@ -746,12 +748,8 @@ def store_lines(fingerprint, points, outputs):
 def split_reference(index):
     """A reference index as the cache holds it: {(fingerprint, inputs,
     outputs): {row: outputs as raw doubles}}."""
-    tables = {}
-    for fingerprint, rows in index.items():
-        for row, values in rows.items():
-            table = tables.setdefault((fingerprint, row.count(",") + 1, len(values)), {})
-            table[row] = struct.pack(f"<{len(values)}d", *values)
-    return tables
+    return {name: {row: struct.pack(f"<{name[2]}d", *values) for row, values in rows.items()}
+            for name, rows in index.items()}
 
 
 def cache_tables(cache):
@@ -885,9 +883,9 @@ class TestLoaderDifferential:
     def test_lines_that_alternate_output_counts_are_filed_once_per_count(
         self, tmp_path, caplog, monkeypatch
     ):
-        # Merging a batch into a model's table copies the table, so filing
-        # each run of one output count apart would take time quadratic in
-        # the lines.
+        # Merging a batch into a table copies the table, so filing each run
+        # of one output count apart would take time quadratic in the lines.
+        # Each table is filed once, with every line of its own.
         path = tmp_path / "cache.jsonl"
         write_lines(path, [record_line(fields(inputs=(str(i % 300),), outputs=["1"] * (1 + i % 2)),
                                        **COMPACT) for i in range(1000)])
@@ -896,7 +894,22 @@ class TestLoaderDifferential:
         monkeypatch.setattr(EvaluationCache, "_file",
                             lambda self, *batch: filed.append(batch) or file(self, *batch))
         assert_loads_like_reference(path, caplog)
-        assert sorted(outputs.shape for _, _, outputs in filed) == [(150, 1), (150, 2)]
+        assert sorted(outputs.shape for _, _, outputs in filed) == [(500, 1), (500, 2)]
+
+    def test_one_row_stores_are_filed_once_per_table(self, tmp_path, monkeypatch):
+        # A queue of one-point launches stores one row at a time; filing
+        # each store apart would copy its table once per row.
+        cache = EvaluationCache(tmp_path / "cache.jsonl")
+        filed = []
+        file = EvaluationCache._file
+        monkeypatch.setattr(EvaluationCache, "_file",
+                            lambda self, *batch: filed.append(batch) or file(self, *batch))
+        for i in range(2000):
+            store(cache, "fp", [[float(i % 1500)]], [[float(i)] * (1 + i % 2)])
+        cache.save_checkpoint()
+        assert sorted(outputs.shape for _, _, outputs in filed) == [(1000, 1), (1000, 2)]
+        assert len(cache) == 1500 and cache.valid_lines == 2000
+        assert cache.lookup("fp", [[2.0]], 1)[1].tolist() == [[1502.0]]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -954,19 +967,21 @@ def lookup_cases():
 
 def assert_looks_up_like_the_reference(cache, path):
     """Every case's hits and values, under every fingerprint and width, are
-    those of the reference index looked up by the "%.17g" row of the point;
-    and the counts agree."""
+    those of the reference index's table of that fingerprint, input count
+    and width, looked up by the "%.17g" row of the point; and the counts
+    agree."""
     index, valid, corrupt = reference_scan(path)
     assert (cache.valid_lines, cache.corrupt_lines) == (valid, len(corrupt))
     assert len(cache) == sum(map(len, index.values()))
-    for fingerprint in [*index, "no such model"]:
+    for fingerprint in [*{name[0] for name in index}, "no such model"]:
         for points in lookup_cases().values():
-            found = [index.get(fingerprint, {}).get(row) for row in template_rows(points)]
             for width in (1, 2, 3):
+                table = index.get((fingerprint, points.shape[1], width), {})
+                found = [table.get(row) for row in template_rows(points)]
                 hits, values = cache.lookup(fingerprint, points, width)
-                expected = [value is not None and len(value) == width for value in found]
+                expected = [value is not None for value in found]
                 assert hits.tolist() == expected, (fingerprint, width)
-                rows = [value for value, hit in zip(found, expected) if hit]
+                rows = [value for value in found if value is not None]
                 assert values.shape == (len(rows), width)
                 assert values.tobytes() == struct.pack(f"<{len(rows) * width}d", *sum(rows, ()))
 
@@ -985,7 +1000,8 @@ class TestLookupDifferential:
         for row in OTHER_TEXTS_OF_1 + UNREADABLE_ROWS:
             lines.append(record_line(fields("fp", inputs=(row,)), **COMPACT))
         lines.append(record_line(fields("fp", inputs=("1,2",), outputs=["5"]), **COMPACT))
-        # Texts of one point with one output, then two, then one: the last line wins.
+        # Texts of one point with one output, then two, then one: the last
+        # line of each output count wins in its table.
         for row, outputs in [("1e0", ["6"]), ("1", ["3", "4"]), ("1.0", ["5"])]:
             lines.append(record_line(fields("two texts", (row,), outputs), **COMPACT))
         write_lines(path, lines + corpus_lines() + lines[:5])
@@ -995,7 +1011,7 @@ class TestLookupDifferential:
         assert seen == [(0, line_count(path)), (line_count(path), 0)]
         cache = EvaluationCache(path)
         assert cache.lookup("fp", [[1.0]], 1)[1].tolist() == [[2.0]]
-        assert cache.lookup("two texts", [[1.0]], 2)[0].tolist() == [False]
+        assert cache.lookup("two texts", [[1.0]], 2)[1].tolist() == [[3.0, 4.0]]
         assert cache.lookup("two texts", [[1.0]], 1)[1].tolist() == [[5.0]]
         # Points stored through an open instance, the NaNs among them with
         # other payloads, and looked up before and after the next open.  (An
@@ -1044,6 +1060,76 @@ def test_every_text_of_a_point_hits_it(records):
                 hits, values = cache.lookup(fingerprint, [point], 1)
                 assert hits.tolist() == [True] and values.tobytes() == struct.pack("<d", output)
         assert seen == [(0, len(lines)), (len(lines), 0)]
+
+
+# Cells of the points the index property test stores and appends: few, so
+# that points repeat, with both zeros and two NaN payloads.
+INDEX_CELLS = [0.0, -0.0, 1.0, 0.1, math.nan, NAN_PAYLOADS.tolist()[1], 5e-324]
+
+
+@st.composite
+def index_batches(draw):
+    """One batch of the index property test: how it reaches the file
+    ("store" through the open instance, or "append" by another writer in
+    repr() text), its fingerprint, and its points and outputs, of 1-2
+    inputs and 1-2 outputs."""
+    inputs, outputs, rows = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    cells = st.lists(st.sampled_from(INDEX_CELLS), min_size=inputs, max_size=inputs)
+    # Only the one NaN: the instance keeps an output NaN's payload until
+    # the next open reads it as "nan" (pcekit stores no NaN output).
+    values = st.lists(st.sampled_from([0.0, -0.0, 2.5, math.nan]) | st.floats(allow_nan=False),
+                      min_size=outputs, max_size=outputs)
+    return (draw(st.sampled_from(["store", "append"])), draw(st.sampled_from(["fp", "other"])),
+            draw(st.lists(cells, min_size=rows, max_size=rows)),
+            draw(st.lists(values, min_size=rows, max_size=rows)))
+
+
+def doubles(values):
+    """The values as little-endian doubles, every NaN as float("nan")."""
+    return struct.pack(f"<{len(values)}d", *(math.nan if v != v else v for v in values))
+
+
+def index_entries(cache):
+    """An EvaluationCache's index as {(fingerprint, inputs, outputs, key
+    bytes): output bytes}, each table's keys checked sorted and distinct."""
+    entries = {}
+    for name, (keys, values) in cache._index.items():
+        rows = [key.tobytes() for key in keys]
+        assert rows == sorted(set(rows))
+        entries.update({(*name, row): value.tobytes() for row, value in zip(rows, values)})
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(index_batches(), min_size=1, max_size=8))
+def test_each_table_keeps_the_last_line_of_a_point(batches):
+    """Batches stored through one open instance and lines another writer
+    appends: the instance, a full check and an open from the checkpoint
+    hold, per (fingerprint, inputs, outputs), the last line of each point."""
+    stored, every = {}, {}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "cache.jsonl"
+        cache = EvaluationCache(path)
+        for how, fingerprint, points, outputs in batches:
+            if how == "store":
+                store(cache, fingerprint, points, outputs)
+            else:
+                with open(path, "a", encoding="utf-8") as handle:
+                    for point, values in zip(points, outputs):
+                        line = fields(fingerprint, [*map(repr, point)], [*map(repr, values)])
+                        handle.write(record_line(line, **COMPACT) + "\n")
+            for point, values in zip(points, outputs):
+                for reference in (stored, every) if how == "store" else (every,):
+                    reference[fingerprint, len(point), len(values), doubles(point)] = doubles(values)
+        cache.save_checkpoint()
+        assert index_entries(cache) == stored and len(cache) == len(stored)
+        assert index_entries(EvaluationCache(path)) == every  # from its checkpoint, if it wrote one
+        checkpoint_of(path).unlink(missing_ok=True)
+        seen = scans(patch)
+        for cache in (EvaluationCache(path), EvaluationCache(path)):  # every line, then none
+            assert index_entries(cache) == every and len(cache) == len(every)
+            assert (cache.valid_lines, cache.corrupt_lines) == (line_count(path), 0)
+        assert seen == [(0, line_count(path)), (line_count(path), 0)]
 
 
 def scans(monkeypatch):
@@ -1102,7 +1188,7 @@ DAMAGES = {
     "seal-flipped": lambda cache, checkpoint: checkpoint.write_bytes(
         flipped(checkpoint.read_bytes(), checkpoint.stat().st_size - 2)),
     "foreign-version": lambda cache, checkpoint: checkpoint.write_bytes(resealed(
-        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/4", b"pcekit-cache-checkpoint/5"))),
+        checkpoint.read_bytes().replace(b"pcekit-cache-checkpoint/5", b"pcekit-cache-checkpoint/6"))),
     # Resealed heads that do not describe the body they seal.
     "rows-2**47": lambda cache, checkpoint: reheaded(
         checkpoint, lambda head: head["tables"][0].__setitem__(3, 2**47)),
@@ -1170,8 +1256,9 @@ class TestCheckpoint:
         assert_loads_like_reference(path, caplog)
         count = line_count(path)
         assert seen == [(0, count), (count, 0)]
-        # A row of another output count replaces its key's row in the
-        # model's other tables, through the checkpoint as in a full check.
+        # Rows of a key that the model's two-output table holds, of one and
+        # of three outputs, join the tables of their own output counts and
+        # leave its row, through the checkpoint as in a full check.
         written = checkpoint_of(path).read_bytes()
         with open(path, "a", encoding="utf-8") as handle:
             for outputs in (["1"], ["7", "8", "9"]):
@@ -1422,7 +1509,7 @@ class TestCheckpoint:
         assert_loads_like_reference(path, caplog)
         assert seen == [(1, 1)]
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_a_version_1_checkpoint_is_replaced_once(self, tmp_path, caplog, monkeypatch, version):
         # The cache and the checkpoint an earlier format's code wrote for it.
         path = tmp_path / "cache.jsonl"
@@ -1431,10 +1518,10 @@ class TestCheckpoint:
             (DATA / f"v1_checkpoint_cache.checkpoint-v{version}").read_bytes())
         json_head = b'{"format": "pcekit-cache-checkpoint/%d", "size": 7916, "lines": 43, '
         assert checkpoint_of(path).read_bytes().startswith(
-            b"pcekit-cache-checkpoint/%d 7916 43 " % version if version < 3 else json_head % 3)
+            b"pcekit-cache-checkpoint/%d 7916 43 " % version if version < 3 else json_head % version)
         seen = scans(monkeypatch)
-        assert_loads_like_reference(path, caplog)  # a full check, which writes version 4
-        assert checkpoint_of(path).read_bytes().startswith(json_head % 4)
+        assert_loads_like_reference(path, caplog)  # a full check, which writes version 5
+        assert checkpoint_of(path).read_bytes().startswith(json_head % 5)
         assert_loads_like_reference(path, caplog)
         count = line_count(path)
         assert seen == [(0, count), (count, 0)]

@@ -5,12 +5,15 @@ Usage (from the root of a checkout):
     python3 scripts/bench_pairs.py --base REF --out BENCH_7.json \
         --workload csg-full6 --pairs 10 --seed 701 [--workload ... --pairs ... --seed ...]
 
-Both sides run from sibling directories under one temporary parent, so
-neither tree's place on disk favours it: the base side is the commit REF,
-extracted with `git archive`; the change side is a copy of this checkout
-as it stands (its tracked files and the untracked ones git does not
-ignore).  Each side runs its own perfbench/run.py (--trace 0) with the same
---seconds and seed, so the benchmark code is the one each tree ships.
+Both sides run from sibling directories under one temporary parent, named
+`base` and `chng`, so neither tree's place on disk favours it, not even by
+the length of its path, which the sparse8d-external cold build's peak RSS
+follows.  The base side is the commit REF, extracted with `git archive`;
+the change side is a copy of this checkout as it stands (its tracked files
+and the untracked ones git does not ignore).  The output file names the
+sides `base` and `change`.  Each side runs its own perfbench/run.py
+(--trace 0) with the same --seconds and seed, so the benchmark code is the
+one each tree ships.
 Pair i uses seed SEED + i and runs the base first when i is even, the
 change first when it is odd.  Pairs run one after another, never
 concurrently.
@@ -231,7 +234,7 @@ def main() -> int:
     record = {"base": args.base, "change": "working tree", "seconds": args.seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        trees = {side: Path(tmp) / name for side, name in (("base", "base"), ("change", "chng"))}
         for tree in trees.values():
             tree.mkdir()
         record["base_commit"] = extract(args.base, trees["base"])

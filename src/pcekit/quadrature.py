@@ -54,11 +54,18 @@ class QuadratureRule1D:
 
 @dataclass(frozen=True)
 class GridQuadrature:
-    """An N-dimensional rule: points (one row each) with signed weights."""
+    """An N-dimensional rule on a lattice over one 1D node table: point q is
+    at nodes[lattice[q]], a row of node positions, and has a signed weight."""
 
     dim: int
-    points: np.ndarray
+    lattice: np.ndarray
+    nodes: np.ndarray
     weights: np.ndarray
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (points, dim) coordinates, made afresh at each access."""
+        return self.nodes[self.lattice]
 
     def __len__(self) -> int:
         return self.weights.size
@@ -186,8 +193,9 @@ def _decode(keys: np.ndarray, radix: int, width: int, rankings=()) -> np.ndarray
     Keys hold the digits from the column of the last (table, column) pair of
     `rankings` on, and their rank indexes its table, whose keys are decoded
     the same way against the pair before; below the first, the rank is 0.
-    Columns are decoded into contiguous rows, then transposed once."""
-    columns = np.empty((width, len(keys)), dtype=np.int64)
+    Columns are decoded into contiguous rows, then transposed once, in the
+    narrowest unsigned type that holds a digit."""
+    columns = np.empty((width, len(keys)), dtype=np.min_scalar_type(radix - 1))
     for table, start in [*reversed(rankings), (None, 0)]:
         for column in range(width - 1, start - 1, -1):
             keys, columns[column] = np.divmod(keys, radix)
@@ -200,7 +208,7 @@ def _grid(family: str, dim: int, nodes: np.ndarray, lattice: np.ndarray, weights
     """A family's grid of lattice rows over 1D nodes; its weights must be finite."""
     if not np.isfinite(weights).all():
         raise ConfigurationError(f"{family} grid weights pass the float range in dimension {dim}")
-    return GridQuadrature(dim, nodes[lattice], weights)
+    return GridQuadrature(dim, lattice, nodes, weights)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in full_grid

@@ -15,14 +15,20 @@ projection integrand exactly when the model itself is a polynomial over the
 neighbourhood.
 
 Projection and evaluation share one sum-factorised kernel for both kinds of
-neighbourhood; no (points x terms) basis matrix is formed.  Points go
-through it in chunks, and CHUNK_BYTES bounds every byte one chunk
-allocates: the basis rows, the block made from them (both in buffers that
+neighbourhood; no (points x terms) basis matrix is formed.  The kernel is
+points-last: it builds each half's basis rows as a (prefixes, points)
+block from degree-major Legendre tables, and so gathers whole contiguous
+rows rather than strided columns.  Evaluation takes points as a (dim, M)
+array.  Projection takes the grid as it is built, lattice rows over one 1D
+node table, and sums over distinct half-tuples rather than over points:
+points in a row that share their first half form a run, whose first-half
+rows are built once, and each point adds its second half's row, built once
+per distinct second half, to its run's sum; one (runs x prefixes) product
+per chunk then adds the runs up.  Points go through the kernel in chunks,
+and CHUNK_BYTES bounds every byte one chunk allocates: the basis rows, the
+gathered and summed rows or the block made from them (in buffers that
 every chunk reuses), the temporaries that build them and a projection's
-accumulator.  The kernel is points-last: it takes points as a (dim, M)
-array, builds each half's basis rows as a (prefixes, points) block from
-degree-major Legendre tables, and so gathers whole contiguous rows rather
-than strided columns.
+accumulator.
 
 Physical inputs live on [min, max] ranges and are rescaled to [-1, 1]
 internally; the black box is always called in physical units.
@@ -143,15 +149,41 @@ def _unit_columns(points: np.ndarray, inputs: Sequence[InputVariable]) -> np.nda
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique rows, and each input row's position among them.
+    """Sorted unique rows of non-negative integers, and each row's position among them.
 
-    A zero-width array has one (empty) unique row.  That case and the
-    inverse's shape, which differs across numpy releases, are settled here.
+    Each row is a mixed-radix key, a digit per column in the radix one past
+    the column's largest entry; where another digit would pass int64 the
+    keys are ranked first, in order.  A zero-width array has one (empty)
+    unique row.
     """
-    if rows.shape[1] == 0:
-        return rows[:1], np.zeros(len(rows), dtype=np.intp)
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return unique, inverse.ravel()
+    keys, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        radix = int(column.max(initial=0)) + 1
+        if bound * radix > np.iinfo(np.int64).max:
+            ranked, keys = np.unique(keys, return_inverse=True)
+            bound = len(ranked)
+        keys = keys * radix + column
+        bound *= radix
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+def _chunks(count: int, widths: list[int], held: int, reserved: int = 0):
+    """Per chunk of `count` points: its slice, and per width a flat buffer
+    of that many floats per point.
+
+    The buffers are views of ones allocated once, so no chunk maps fresh
+    pages.  Chunks take as many points as fit in CHUNK_BYTES at `held`
+    floats per point, with the caller's `reserved` bytes and 64 KiB of
+    Python objects.  A reservation beyond half the budget is the model's
+    own size; chunks then keep half.
+    """
+    free = CHUNK_BYTES - 2**16 - min(reserved, CHUNK_BYTES // 2)
+    step = max(1, min(count, free // (8 * held)))
+    buffers = [np.empty(width * step) for width in widths]
+    for start in range(0, count, step):
+        m = min(step, count - start)
+        yield slice(start, start + m), [buf[:width * m] for buf, width in zip(buffers, widths)]
 
 
 class _Half:
@@ -202,8 +234,8 @@ class _SplitKronecker:
     The dimensions split at s = (dim + 1) // 2.  Each term is the pair of
     its unique A-prefix (dimensions < s) and unique B-suffix, so a point's
     basis value for the term is W_A[a_t] * W_B[b_t], and sums over terms
-    become two small matrix products.  Points come as a (dim, M) array and
-    W_A, W_B are (prefixes, points) blocks.
+    become two small matrix products.  W_A and W_B are (prefixes, points)
+    blocks.
     """
 
     def __init__(self, index_array: np.ndarray) -> None:
@@ -213,55 +245,46 @@ class _SplitKronecker:
         suffixes, self.term_b = _unique_rows(index_array[:, self.split:])
         self.half_a, self.half_b = _Half(prefixes), _Half(suffixes)
 
-    def _widths(self, n_outputs: int) -> tuple[int, int, int, int]:
-        """Rows per point of W_A, W_B and the work buffer, and all a chunk holds.
+    def project(self, lattice: np.ndarray, nodes: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+        """Per term t and output o, sum_q weighted[o, q] * basis_t(x_q): (terms, outputs),
+        where point q is at nodes[lattice[q]].
 
-        The work buffer serves each half's build, then the caller's (outputs
-        x B) block; rows() allocates beyond it, and so does evaluation's result.
+        The sum factors across the points as across the terms.  Adjacent
+        points with one A-half (lattice columns < s) form a run, which on a
+        grid in lexicographic order spans every B-half it meets.  Per chunk
+        of points, W_A is built once per run and W_B once per distinct
+        B-half; each point's W_B row, times its weighted outputs, is summed
+        per run into T, and W_A @ T is added to an (outputs, A, B)
+        accumulator.  A run that crosses a chunk's end is split, so the
+        order of the sums is set by CHUNK_BYTES alone; points whose halves
+        never repeat are runs of one.
         """
         a, b = self.half_a, self.half_b
-        work = max(a.spare + a.size, b.spare + b.size, n_outputs * b.size)
-        held = a.size + b.size + work + max(a.transient, b.transient, n_outputs)
-        return a.size, b.size, work, held
-
-    def _chunks(self, xi: np.ndarray, n_outputs: int, reserved: int = 0):
-        """Per chunk of the (dim, M) points: its slice, W_A, W_B and the work buffer.
-
-        They are views of buffers allocated once, so no chunk maps fresh
-        pages.  Chunks take as many points as fit in CHUNK_BYTES with the
-        caller's `reserved` bytes and 64 KiB of Python objects.  A reservation
-        beyond half the budget is the model's own size; chunks then keep half.
-        """
-        *widths, held = self._widths(n_outputs)
-        free = CHUNK_BYTES - 2**16 - min(reserved, CHUNK_BYTES // 2)
-        step = max(1, min(xi.shape[1], free // (8 * held)))
-        buffers = [np.empty(width * step) for width in widths]
-        for start in range(0, xi.shape[1], step):
-            chunk = xi[:, start:start + step]
-            m = chunk.shape[1]
-            w_a, w_b, work = (buffer[:width * m] for buffer, width in zip(buffers, widths))
-            yield (
-                slice(start, start + m),
-                self.half_a.rows(chunk[:self.split], w_a, work),
-                self.half_b.rows(chunk[self.split:], w_b, work),
-                work,
-            )
-
-    def project(self, xi: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-        """Per term t and output o, sum_q weighted[o, q] * basis_t(xi_q): (terms, outputs).
-
-        Accumulates W_A diag(weighted[o]) W_B^T over the points, then reads
-        each term's (a_t, b_t) entry.
-        """
         n_outputs = len(weighted)
-        gram = np.zeros((self.half_a.size, n_outputs * self.half_b.size))
+        gram = np.zeros((n_outputs, a.size, b.size))
+        # Per point at most: W_B's transpose, then W_A; W_B, then T; the
+        # work buffer of rows(), then the scaled W_B rows; and the
+        # transients of rows(), the ranks and the coordinates.
+        widths = [max(a.size, b.size), n_outputs * b.size,
+                  max(a.spare + a.size, b.spare + b.size, n_outputs * b.size)]
+        held = sum(widths) + max(a.transient, b.transient) + lattice.shape[1] + 8
         # reserved: the accumulator and the product added to it per chunk
-        for rows, w_a, w_b, work in self._chunks(xi, n_outputs, reserved=2 * gram.nbytes):
-            right = work[:n_outputs * w_b.size].reshape(-1, w_b.shape[1])
-            np.multiply(weighted[:, None, rows], w_b, out=right.reshape(n_outputs, *w_b.shape))
-            gram += w_a @ right.T
-        gram = gram.reshape(self.half_a.size, n_outputs, self.half_b.size)
-        return gram[self.term_a, :, self.term_b]
+        chunks = _chunks(len(lattice), widths, held, reserved=2 * gram.nbytes)
+        for rows, (left, right, work) in chunks:
+            prefixes = lattice[rows, :self.split]
+            starts = np.flatnonzero(np.r_[True, np.any(prefixes[1:] != prefixes[:-1], axis=1)])
+            suffixes, rank = _unique_rows(lattice[rows, self.split:])
+            w_b = b.rows(nodes[suffixes].T, right, work)
+            table = left[:w_b.size].reshape(w_b.shape[::-1])
+            table[...] = w_b.T
+            scaled = work[:n_outputs * len(rank) * b.size].reshape(n_outputs, len(rank), -1)
+            np.take(table, rank, axis=0, out=scaled[0], mode="clip")
+            np.multiply(scaled[0], weighted[1:, rows, None], out=scaled[1:])
+            scaled[0] *= weighted[0, rows, None]
+            sums = right[:n_outputs * len(starts) * b.size].reshape(n_outputs, len(starts), -1)
+            np.add.reduceat(scaled, starts, axis=1, out=sums)
+            gram += a.rows(nodes[prefixes[starts]].T, left, work) @ sums
+        return gram[:, self.term_a, self.term_b].T.copy()
 
     def block(self, coefficients: np.ndarray) -> np.ndarray:
         """Coefficients scattered into a zero-padded (A, outputs * B) block."""
@@ -271,9 +294,18 @@ class _SplitKronecker:
 
     def evaluate(self, xi: np.ndarray, block: np.ndarray) -> np.ndarray:
         """sum_t c_t * basis_t(xi) per point, (points, outputs), as W_B . (block^T @ W_A)."""
-        n_outputs = block.shape[1] // self.half_b.size
+        a, b = self.half_a, self.half_b
+        n_outputs = block.shape[1] // b.size
+        # Per point: W_A, W_B and the work buffer, which serves each half's
+        # build, then the (outputs x B) block; rows() allocates beyond it,
+        # and so does the result.
+        widths = [a.size, b.size, max(a.spare + a.size, b.spare + b.size, n_outputs * b.size)]
+        held = sum(widths) + max(a.transient, b.transient, n_outputs)
         out = np.empty((xi.shape[1], n_outputs))
-        for rows, w_a, w_b, work in self._chunks(xi, n_outputs):
+        for rows, (w_a, w_b, work) in _chunks(xi.shape[1], widths, held):
+            chunk = xi[:, rows]
+            w_a = a.rows(chunk[:self.split], w_a, work)
+            w_b = b.rows(chunk[self.split:], w_b, work)
             partial = work[:n_outputs * w_b.size].reshape(-1, w_b.shape[1])
             np.matmul(block.T, w_a, out=partial)
             out[rows] = np.einsum("obm,bm->mo", partial.reshape(n_outputs, *w_b.shape), w_b)
@@ -403,7 +435,7 @@ def _project(nbhd: multiindex.Neighborhood, grid: quadrature.GridQuadrature, eva
     indices = multiindex.index_array(nbhd)
     outputs = evaluate(grid.points)
     kernel = _SplitKronecker(indices)
-    projected = kernel.project(grid.points.T, grid.weights * outputs.T)
+    projected = kernel.project(grid.lattice, grid.nodes, grid.weights * outputs.T)
     prefactor = np.prod((2.0 * indices + 1.0) / 2.0, axis=1)
     return kernel, prefactor[:, None] * projected, nbhd, {"evaluation_count": len(grid)}
 

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 
+from pcekit import surrogate
 from pcekit.errors import ConfigurationError, EvaluationError
 from pcekit.polybasis import DEGREE_CAP
 from pcekit.quadrature import cc_node_count, gauss_legendre_1d
@@ -27,6 +28,27 @@ def legendre_eval(n, x, *, degree_cap=DEGREE_CAP):
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1) * arr * cur - k * prev) / (k + 1)
     return float(cur[0]) if scalar else cur
+
+
+def chunked_projection(kernel, xi, weighted):
+    """A surrogate._SplitKronecker's projection point by point: per chunk of
+    the (dim, M) points, both halves' basis rows at every point and a
+    (prefixes x points) GEMM, accumulating W_A diag(weighted[o]) W_B^T;
+    each term reads its (a_t, b_t) entry, (terms, outputs)."""
+    a, b = kernel.half_a, kernel.half_b
+    n_outputs = len(weighted)
+    gram = np.zeros((a.size, n_outputs * b.size))
+    widths = [a.size, b.size, max(a.spare + a.size, b.spare + b.size, n_outputs * b.size)]
+    held = sum(widths) + max(a.transient, b.transient, n_outputs)
+    for rows, (w_a, w_b, work) in surrogate._chunks(xi.shape[1], widths, held, 2 * gram.nbytes):
+        chunk = xi[:, rows]
+        w_a = a.rows(chunk[:kernel.split], w_a, work)
+        w_b = b.rows(chunk[kernel.split:], w_b, work)
+        right = work[:n_outputs * w_b.size].reshape(-1, w_b.shape[1])
+        np.multiply(weighted[:, None, rows], w_b, out=right.reshape(n_outputs, *w_b.shape))
+        gram += w_a @ right.T
+    gram = gram.reshape(a.size, n_outputs, b.size)
+    return gram[kernel.term_a, :, kernel.term_b]
 
 
 def rescale(v, var):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,3 +110,29 @@ def test_details_summary_keeps_the_raw_times_and_the_rss_of_each_command():
         "commands": {"uq": {"wall_raw_s": {"base": 2.0, "change": 2.0},
                             "peak_rss_mb": {"base": 60.0, "change": 57.0}}},
     }
+
+
+def test_sides_run_from_sibling_directories_of_equal_name_length(tmp_path, monkeypatch, capsys):
+    # sparse8d-external's peak RSS level follows the run directory's path
+    # length, so the two trees' paths differ in nothing but their last name.
+    trees = []
+
+    def run_side(tree, workload, seed, seconds):
+        trees.append(tree)
+        return {"result": {"correct": True, "metrics": {"build_cold_s": {"value": 1.0}}},
+                **details([0.1], 1.0, {"build": [1.0]}, {"build": [50.0]})}
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "copy_checkout", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--out", str(out),
+                                      "--workload", "w", "--pairs", "2", "--seed", "1"])
+    assert bench_pairs.main() == 0
+    assert [tree.name for tree in trees] == ["base", "chng", "chng", "base"]
+    assert trees[0].parent == trees[1].parent
+    assert len(str(trees[0])) == len(str(trees[1]))
+    pairs = json.loads(out.read_text())["workloads"]["w"]["pairs"]
+    assert [(p["first"], "base" in p, "change" in p) for p in pairs] == [
+        ("base", True, True), ("change", True, True)
+    ]

@@ -384,7 +384,9 @@ def test_csv_export_matches_per_cell_rendering(monkeypatch, block_rows):
         [np.inf, -np.inf, np.nan],
         [1.0, -1.0, 123456789.125],
     ])
-    grids = [sparse_grid(3, 3), full_grid(2, 4), GridQuadrature(2, odd[:, :2], odd[:, 2])]
+    # odd's points on a lattice with a node of their own per coordinate
+    odd_grid = GridQuadrature(2, np.arange(8).reshape(4, 2), odd[:, :2].ravel(), odd[:, 2])
+    grids = [sparse_grid(3, 3), full_grid(2, 4), odd_grid]
     for grid in grids:
         buffer = io.StringIO(newline="")
         write_grid_csv(grid, buffer)

@@ -362,7 +362,8 @@ class TestBlockWriter:
         references.write_cdf_csv(expected["cdf"], names, ordered[:, :1])
         if count < 131073:  # the other tables share cdf.csv's writer: one count each side
             columns = [ordered[:, 0], np.arange(count), ordered[:, 1] / 7]
-            grid = GridQuadrature(2, ordered, -ordered[:, 0])
+            grid = GridQuadrature(2, np.arange(ordered.size).reshape(-1, 2), ordered.ravel(),
+                                  -ordered[:, 0])
             expected.update({name: io.StringIO() for name in ("hist", "rows", "grid")})
             references.write_histogram_csv(expected["hist"], names, ordered[:, :1], count)
             references.write_rows(expected["rows"], "x,%.17g,%d,%.17g\r\n", columns)

@@ -361,7 +361,49 @@ def assert_matches_dense(method, grid, indices, probe, n_outputs):
     assert np.all(np.abs(values - reference) <= 1e-13 * scale)
 
 
+POINT_CHUNKS = surrogate._chunks
+
+
+def chunks_at_step(monkeypatch, step):
+    """From here on, each kernel call takes the byte budget whose chunks hold
+    `step` points; returns the list of each call's chunk sizes."""
+    chunk_sizes = []
+
+    def recorded(count, widths, held, reserved=0):
+        monkeypatch.setattr(surrogate, "CHUNK_BYTES", 2**16 + reserved + 8 * held * step)
+        chunk_sizes.append([])
+        for rows, buffers in POINT_CHUNKS(count, widths, held, reserved):
+            chunk_sizes[-1].append(rows.stop - rows.start)
+            yield rows, buffers
+
+    monkeypatch.setattr(surrogate, "_chunks", recorded)
+    return chunk_sizes
+
+
+def assert_projects_as_the_oracle(kernel, lattice, nodes, weighted):
+    """The lattice projection agrees with the point-chunked one to 1e-13 of
+    each output's largest entry."""
+    expected = references.chunked_projection(kernel, nodes[lattice].T, weighted)
+    projected = kernel.project(lattice, nodes, weighted)
+    scale = np.max(np.abs(expected), axis=0)
+    assert projected.shape == expected.shape
+    assert np.all(np.abs(projected - expected) <= 1e-13 * scale)
+
+
 class TestSplitKroneckerKernel:
+    @pytest.mark.parametrize(
+        "high, width",
+        # small digits; digits whose keys outgrow one int64 after 3 and
+        # after 40 columns, and are ranked; no column
+        [(4, 5), (2**20, 9), (3, 60), (3, 0)],
+    )
+    def test_unique_rows_match_numpy(self, high, width):
+        rows = np.random.Generator(np.random.PCG64(width)).integers(0, high, size=(3000, width))
+        unique, inverse = surrogate._unique_rows(rows.astype(np.uint32))
+        expected = np.unique(rows, axis=0) if width else rows[:1]
+        assert np.array_equal(unique, expected)
+        assert np.array_equal(unique[inverse], rows)
+
     @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_dense_basis(self, dim, kind):
@@ -374,22 +416,10 @@ class TestSplitKroneckerKernel:
     @pytest.mark.parametrize("kind", [TENSOR_PRODUCT, TOTAL_ORDER])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_dense_basis_across_ragged_chunks(self, dim, kind, monkeypatch):
-        # Per call, the byte budget whose step splits both the grid and the
-        # probe into three or more chunks, the last one short.
+        # Per call, the byte budget whose step splits both the grid (and so
+        # its runs) and the probe into three or more chunks, the last one short.
         rng = np.random.Generator(np.random.PCG64(dim))
         probe = rng.uniform(-1, 1, size=(257, dim))
-        chunk_sizes = []
-        chunks = surrogate._SplitKronecker._chunks
-
-        def recorded(kernel, xi, n_outputs, reserved=0):
-            held = kernel._widths(n_outputs)[-1]
-            monkeypatch.setattr(surrogate, "CHUNK_BYTES", 2**16 + reserved + 8 * held * step)
-            chunk_sizes.append([])
-            for chunk in chunks(kernel, xi, n_outputs, reserved):
-                chunk_sizes[-1].append(chunk[0].stop - chunk[0].start)
-                yield chunk
-
-        monkeypatch.setattr(surrogate._SplitKronecker, "_chunks", recorded)
         checked = 0
         for method, grid, indices in dense_cases(dim, kind):
             sizes = (len(grid), len(probe))
@@ -398,13 +428,56 @@ class TestSplitKroneckerKernel:
                 continue
             step = max(steps)
             for n_outputs in range(1, 4):
-                chunk_sizes.clear()
+                chunk_sizes = chunks_at_step(monkeypatch, step)
                 assert_matches_dense(method, grid, indices, probe, n_outputs)
                 assert [sum(c) for c in chunk_sizes] == list(sizes)
                 for c in chunk_sizes:
                     assert len(c) >= 3 and set(c[:-1]) == {step} and c[-1] < step
                 checked += 1
         assert checked >= 3
+
+    @pytest.mark.parametrize(
+        "kind, dim, order",
+        [(TENSOR_PRODUCT, d, p) for d in range(1, 7) for p in range(7) if (p + 1) ** d <= 5000]
+        + [(TOTAL_ORDER, d, l) for d in range(1, 9) for l in range(1, min(3 * d, 5) + 1)
+           if d < 8 or l < 5],
+    )
+    def test_matches_the_point_chunked_projection(self, kind, dim, order):
+        grid = full_grid(dim, order) if kind == TENSOR_PRODUCT else sparse_grid(dim, order)
+        kernel = surrogate._SplitKronecker(index_array(Neighborhood(kind, order, dim)))
+        for n_outputs in range(1, 4):
+            weighted = grid.weights * smooth_outputs(grid.points, n_outputs).T
+            assert_projects_as_the_oracle(kernel, grid.lattice, grid.nodes, weighted)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_matches_the_point_chunked_projection_where_halves_never_repeat(self, dim):
+        # Every coordinate is a node of its own, so every run is one point
+        # and every point has a B-half of its own.
+        rng = np.random.Generator(np.random.PCG64(dim))
+        xi = rng.uniform(-1, 1, size=(dim, 3001))
+        lattice = np.arange(xi.size).reshape(dim, -1).T
+        kernel = surrogate._SplitKronecker(index_array(Neighborhood(TOTAL_ORDER, 4, dim)))
+        for n_outputs in range(1, 4):
+            weighted = rng.uniform(-1, 1, size=(n_outputs, xi.shape[1]))
+            assert_projects_as_the_oracle(kernel, lattice, xi.ravel(), weighted)
+
+    @pytest.mark.parametrize(
+        "kind, dim, order, step",
+        [(TENSOR_PRODUCT, 2, 9, 7), (TENSOR_PRODUCT, 5, 3, 100), (TOTAL_ORDER, 4, 4, 50)],
+    )
+    def test_matches_the_point_chunked_projection_across_split_runs(
+        self, kind, dim, order, step, monkeypatch
+    ):
+        grid = full_grid(dim, order) if kind == TENSOR_PRODUCT else sparse_grid(dim, order)
+        kernel = surrogate._SplitKronecker(index_array(Neighborhood(kind, order, dim)))
+        prefixes = grid.lattice[:, :kernel.split]
+        run_starts = np.r_[True, np.any(prefixes[1:] != prefixes[:-1], axis=1)]
+        for n_outputs in range(1, 4):
+            chunk_sizes = chunks_at_step(monkeypatch, step)
+            weighted = grid.weights * smooth_outputs(grid.points, n_outputs).T
+            assert_projects_as_the_oracle(kernel, grid.lattice, grid.nodes, weighted)
+            # the projection's chunks, the last call's: some end inside a run
+            assert not run_starts[np.cumsum(chunk_sizes[-1])[:-1]].all()
 
     @pytest.mark.parametrize("n_outputs", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -417,14 +490,25 @@ class TestSplitKroneckerKernel:
         ],
     )
     def test_chunk_transients_stay_within_the_budget(self, kind, dim, order, n_outputs):
-        # Peak minus inputs and output, over points enough for several chunks
+        # Peak minus inputs and output, over points enough for several
+        # chunks: a projection whose halves never repeat, one of runs longer
+        # than a chunk (two A-halves in each A dimension, in lexicographic
+        # order), and an evaluation
         indices = index_array(Neighborhood(kind, order, dim))
         kernel = surrogate._SplitKronecker(indices)
         rng = np.random.Generator(np.random.PCG64(dim))
         xi = rng.uniform(-1, 1, size=(dim, 50_000))
+        distinct = np.arange(xi.size).reshape(dim, -1).T
+        runs = rng.integers(0, 16, size=(50_000, dim))
+        runs[:, :kernel.split] %= 2
+        runs = runs[np.lexsort(runs.T[::-1])]
         weighted = rng.uniform(-1, 1, size=(n_outputs, 50_000))
         block = kernel.block(rng.uniform(-1, 1, size=(len(indices), n_outputs)))
-        for call in (lambda: kernel.project(xi, weighted), lambda: kernel.evaluate(xi, block)):
+        for call in (
+            lambda: kernel.project(distinct, xi.ravel(), weighted),
+            lambda: kernel.project(runs, xi[0, :16], weighted),
+            lambda: kernel.evaluate(xi, block),
+        ):
             tracemalloc.start()
             try:
                 result = call()
